@@ -1,21 +1,21 @@
 """Command-line front end for spectra, scans, verification, and wavefunctions.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 verification failure.  Output is JSON (default) or CSV; floats are written
-in round-trip form (at most 17 significant digits) and payloads carry no
-timestamps, so identical configurations produce byte-identical output.
+Exit codes: 0 success, 2 configuration error (a NaN or infinite numeric
+option among them), 3 numeric failure (overflow and non-finite results among
+them), 4 verification failure.  Output is strict JSON (default) or CSV; floats
+are written in round-trip form (at most 17 significant digits) and payloads
+carry no timestamps, so identical configurations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +26,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
-
-SCAN_WORKERS_ENV = "NHOSC_SCAN_WORKERS"
 
 _MODEL_KEYS = ("h11", "h12", "h22", "rm_alpha", "rm_beta", "gamma", "alpha", "k")
 
@@ -201,6 +199,13 @@ def _require_positive(value, name):
         raise ConfigError(f"{name} must be positive, got {value}")
 
 
+def _require_finite(ns):
+    """Reject NaN and infinite numeric options, from flags or the config file."""
+    for key, value in sorted(vars(ns).items()):
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            raise ConfigError(f"{key.replace('_', '-')} must be finite, got {value}")
+
+
 def _validate_run(ns):
     _require_positive(ns.tol, "tol")
     if ns.levels < 1:
@@ -325,13 +330,18 @@ def _csv_cell(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise OverflowError(f"non-finite result {value}")
         return format(float(value), ".17g")
     return str(value)
 
 
 def _emit(ns, document, csv_header, csv_rows):
     if ns.format == "json":
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise OverflowError(f"non-finite result: {exc}") from exc
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -470,12 +480,7 @@ def cmd_scan(ns):
             margin = canonical.normalizable(model.transform).margin
         return indicator, margin
 
-    workers = int(os.environ.get(SCAN_WORKERS_ENV, "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(evaluate, values))
-    else:
-        outcomes = [evaluate(v) for v in values]
+    outcomes = [evaluate(v) for v in values]
 
     rows = []
     transition_bracket = None
@@ -541,12 +546,15 @@ def cmd_verify(ns):
         if ns.base_k is not None
         else canonical.harmonic_oscillator()
     )
-    iso = spectra.verify_isospectral(
-        transform, trunc=ns.trunc, n_levels=ns.levels, tol=ns.tol, base=base, omega=ns.omega
-    )
     target = canonical.apply_to_quadratic(transform, base)
-    fock = spectra.quadratic_fock_matrix(target, ns.omega, ns.trunc)
-    eta = spectra.eta_check(fock, ns.levels, tol=ns.tol_eta)
+    solved = spectra.parity_spectrum(
+        spectra.quadratic_fock_matrix(target, ns.omega, ns.trunc).matrix
+    )
+    iso = spectra.verify_isospectral(
+        transform, trunc=ns.trunc, n_levels=ns.levels, tol=ns.tol, base=base, omega=ns.omega,
+        solved=solved,
+    )
+    eta = spectra.eta_check(solved, ns.levels, tol=ns.tol_eta)
     passed = iso.passed and eta.passed
     norm = iso.normalizable
     document = {
@@ -710,6 +718,7 @@ def main(argv=None):
     ns = parser.parse_args(argv)
     try:
         _merge_config(ns)
+        _require_finite(ns)
         return _DISPATCH[ns.command](ns)
     except ConfigError as exc:
         print(f"nhosc: error: {exc}", file=sys.stderr)
@@ -720,7 +729,7 @@ def main(argv=None):
     except (linalg.EigenConvergenceError, spectra.DegenerateEigenvaluesError) as exc:
         print(f"nhosc: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except spectra.BrokenPhaseError as exc:
+    except (spectra.BrokenPhaseError, OverflowError) as exc:
         print(f"nhosc: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -1,22 +1,30 @@
-"""Dense complex eigensolver for general (non-normal) matrices.
+"""Complex eigensolvers for general (non-normal) matrices.
 
-Pipeline: diagonal balancing, Householder reduction to upper Hessenberg
+Dense pipeline: diagonal balancing, Householder reduction to upper Hessenberg
 form, then single-shift QR iteration with Wilkinson shifts, deflating one or
 two eigenvalues at a time.  Eigenvectors come from shifted inverse iteration
-on an LU factorization with partial pivoting.  Matrices are plain numpy
-complex128 arrays throughout; numpy is used for storage and vectorized
-arithmetic only.
+on an LU factorization with partial pivoting.
+
+Tridiagonal pipeline: implicit QL with complex orthogonal rotations on the
+symmetrized matrix, O(n) per sweep, falling back to the dense QR where it
+breaks down; eigenvectors from inverse iteration on an O(n) LU.
+
+Matrices are plain numpy complex128 arrays (bands for a `Tridiagonal`); numpy
+is used for storage and vectorized arithmetic only.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFLATION_REL = 1e-14
 EPS = 2.220446049250313e-16
+# largest |c| or |s| accepted in a complex orthogonal QL rotation
+ROTATION_BOUND = 1e4
 
 __all__ = [
     "EigenConvergenceError",
@@ -27,6 +35,11 @@ __all__ = [
     "eigenvalues",
     "eigenvector",
     "solve",
+    "Tridiagonal",
+    "TridiagonalLU",
+    "tridiagonal_eigenvalues",
+    "tridiagonal_lu",
+    "tridiagonal_eigenvector",
 ]
 
 
@@ -232,6 +245,15 @@ def _sorted_eigs(eig):
     return eig[order]
 
 
+def _lifted_pivot(pivot, floor, k):
+    """The pivot, raised to modulus floor when at or below it; 0 with floor 0 raises."""
+    if abs(pivot) > floor:
+        return pivot
+    if floor == 0.0:
+        raise EigenConvergenceError(f"singular pivot at column {k}")
+    return (pivot / abs(pivot) if pivot != 0 else 1.0) * floor
+
+
 def _lu_factor(a, pivot_floor=0.0):
     """In-place partial-pivot LU; tiny pivots lifted to pivot_floor if given."""
     lu = a.copy()
@@ -242,13 +264,7 @@ def _lu_factor(a, pivot_floor=0.0):
         if j != k:
             lu[[k, j], :] = lu[[j, k], :]
             perm[[k, j]] = perm[[j, k]]
-        pivot = lu[k, k]
-        if abs(pivot) <= pivot_floor:
-            if pivot_floor == 0.0:
-                raise EigenConvergenceError(f"singular pivot at column {k}")
-            phase = pivot / abs(pivot) if pivot != 0 else 1.0
-            pivot = phase * pivot_floor
-            lu[k, k] = pivot
+        pivot = lu[k, k] = _lifted_pivot(lu[k, k], pivot_floor, k)
         if k + 1 < n:
             lu[k + 1 :, k] /= pivot
             lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
@@ -273,6 +289,31 @@ def solve(a, b):
     return _lu_solve(lu, perm, b)
 
 
+def _inverse_iteration(solve_shifted, apply_shifted, n, scale, tol, max_iter):
+    """Unit v with ||(A - lam) v|| <= tol * scale, given solves with and products
+    by A - lam; raises with the best residual achieved."""
+    rng = np.random.default_rng(1914)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= math.sqrt(float((np.abs(v) ** 2).sum()))
+    best_res = math.inf
+    for _ in range(max_iter):
+        w = solve_shifted(v)
+        # near a defective eigenvalue w can be too large to square
+        wmax = float(np.abs(w).max())
+        if wmax == 0.0 or not np.isfinite(wmax):
+            break
+        w = w / wmax
+        v = w / math.sqrt(float((np.abs(w) ** 2).sum()))
+        res = math.sqrt(float((np.abs(apply_shifted(v)) ** 2).sum()))
+        best_res = min(best_res, res)
+        if res <= tol * scale:
+            return v
+    raise EigenConvergenceError(
+        f"inverse iteration did not reach tol {tol:g}; best residual {best_res:.3e}",
+        residual=best_res,
+    )
+
+
 def eigenvector(m, lam, tol=1e-12, max_iter=20):
     """Unit right eigenvector for an approximate eigenvalue via inverse iteration.
 
@@ -287,21 +328,222 @@ def eigenvector(m, lam, tol=1e-12, max_iter=20):
     shifted = a - complex(lam) * np.eye(n, dtype=complex)
     floor = EPS * max(1.0, float(np.abs(shifted).max()))
     lu, perm = _lu_factor(shifted, pivot_floor=floor)
-    rng = np.random.default_rng(1914)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= math.sqrt(float((np.abs(v) ** 2).sum()))
-    best_res = math.inf
-    for _ in range(max_iter):
-        w = _lu_solve(lu, perm, v)
-        wnorm = math.sqrt(float((np.abs(w) ** 2).sum()))
-        if wnorm == 0.0 or not np.isfinite(wnorm):
-            break
-        v = w / wnorm
-        res = math.sqrt(float((np.abs(shifted @ v) ** 2).sum()))
-        best_res = min(best_res, res)
-        if res <= tol * scale:
-            return v
-    raise EigenConvergenceError(
-        f"inverse iteration did not reach tol {tol:g}; best residual {best_res:.3e}",
-        residual=best_res,
+    return _inverse_iteration(
+        lambda v: _lu_solve(lu, perm, v), lambda v: shifted @ v, n, scale, tol, max_iter
     )
+
+
+@dataclass(frozen=True)
+class Tridiagonal:
+    """Tridiagonal matrix by its bands: diag[k] = T[k, k], lower[k] = T[k+1, k],
+    upper[k] = T[k, k+1]."""
+
+    diag: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        bands = [np.array(getattr(self, name), dtype=complex)
+                 for name in ("diag", "lower", "upper")]
+        n = bands[0].size
+        if bands[0].shape != (n,) or n < 1:
+            raise ValueError("diagonal must be a non-empty vector")
+        if bands[1].shape != (n - 1,) or bands[2].shape != (n - 1,):
+            raise ValueError(f"off-diagonals of a size-{n} tridiagonal need {n - 1} entries")
+        if not all(np.isfinite(band).all() for band in bands):
+            raise ValueError("matrix entries must be finite")
+        for name, band in zip(("diag", "lower", "upper"), bands):
+            object.__setattr__(self, name, band)
+
+    @property
+    def size(self):
+        return self.diag.size
+
+    def norm(self):
+        """Frobenius norm."""
+        return frobenius_norm(np.concatenate((self.diag, self.lower, self.upper)))
+
+    def adjoint(self):
+        return Tridiagonal(self.diag.conj(), self.upper.conj(), self.lower.conj())
+
+    def matvec(self, v):
+        out = self.diag * v
+        out[:-1] += self.upper * v[1:]
+        out[1:] += self.lower * v[:-1]
+        return out
+
+    def dense(self):
+        n = self.size
+        a = np.diag(self.diag)
+        a[np.arange(1, n), np.arange(n - 1)] = self.lower
+        a[np.arange(n - 1), np.arange(1, n)] = self.upper
+        return a
+
+
+class _QLBreakdown(Exception):
+    """Complex orthogonal QL stalled or needed an oversized rotation."""
+
+
+def _ql_symmetric(d, e, deflation_rel, floor, max_iter):
+    """Eigenvalues of the complex symmetric tridiagonal with diagonal d and
+    off-diagonal e (e[k] couples k and k+1; e[-1] = 0), by implicit QL.
+
+    Both lists are overwritten.  The rotations satisfy c^2 + s^2 = 1 but are not
+    unitary: one with |c| or |s| above ROTATION_BOUND, or more than max_iter
+    sweeps for one eigenvalue, raises _QLBreakdown.
+    """
+    n = len(d)
+    for lo in range(n):
+        sweeps = 0
+        while True:
+            m = lo
+            while m < n - 1:
+                thresh = deflation_rel * (abs(d[m]) + abs(d[m + 1])) or floor
+                if abs(e[m]) <= thresh:
+                    break
+                m += 1
+            if m == lo:
+                break
+            if sweeps == max_iter:
+                raise _QLBreakdown
+            sweeps += 1
+            # Wilkinson shift from the leading 2x2, entering only through g
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            r = cmath.sqrt(g * g + 1.0)
+            g = d[m] - d[lo] + e[lo] / (g + r if abs(g + r) >= abs(g - r) else g - r)
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, lo - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = cmath.sqrt(f * f + g * g)
+                e[i + 1] = r
+                size = abs(f) + abs(g)
+                if abs(r) * ROTATION_BOUND < size:
+                    raise _QLBreakdown
+                if size == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[lo] -= p
+                e[lo] = g
+                e[m] = 0.0
+    return d
+
+
+def tridiagonal_eigenvalues(t, max_iter=30, tol=1e-12):
+    """All eigenvalues of a Tridiagonal, sorted like `eigenvalues`.
+
+    The matrix splits wherever a product upper[k] * lower[k] is negligible by
+    the deflation test of `eigenvalues`; at an exact zero it is block
+    triangular.  Each unreduced segment is diagonally similar to the complex
+    symmetric tridiagonal with off-diagonal sqrt(upper[k] * lower[k]), which
+    implicit QL with complex orthogonal rotations keeps in that form at O(n)
+    work per sweep (Cullum & Willoughby, SIAM J. Matrix Anal. Appl. 17 (1996)
+    83).  A segment on which QL breaks down goes to the dense QR instead.
+    """
+    n = t.size
+    deflation_rel = min(DEFLATION_REL, max(float(tol), EPS))
+    floor = EPS * t.norm()
+    # +-sqrt(upper * lower), formed without overflowing the product
+    offdiag = np.sqrt(t.upper) * np.sqrt(t.lower)
+    thresh = deflation_rel * (np.abs(t.diag[:-1]) + np.abs(t.diag[1:]))
+    thresh[thresh == 0.0] = floor
+    cuts = np.flatnonzero(np.abs(offdiag) <= thresh).tolist()
+    eig = []
+    lo = 0
+    for hi in cuts + [n - 1]:
+        hi += 1
+        if hi - lo == 1:
+            eig.append(t.diag[lo])
+        else:
+            d = t.diag[lo:hi].tolist()
+            e = offdiag[lo : hi - 1].tolist() + [0j]
+            try:
+                eig.extend(_ql_symmetric(d, e, deflation_rel, floor, max_iter))
+            except _QLBreakdown:
+                segment = Tridiagonal(t.diag[lo:hi], t.lower[lo : hi - 1], t.upper[lo : hi - 1])
+                eig.extend(eigenvalues(segment.dense(), max_iter=max_iter, tol=tol))
+        lo = hi
+    return _sorted_eigs(np.array(eig, dtype=complex))
+
+
+@dataclass(frozen=True)
+class TridiagonalLU:
+    """P T = L U with partial pivoting for a Tridiagonal T (LAPACK gttrf layout).
+
+    L is unit lower bidiagonal with multipliers `lower`; U has the diagonal
+    `diag` and two superdiagonals `upper`, `upper2` (fill-in from row swaps);
+    `swapped[k]` records whether rows k and k+1 were exchanged.
+    """
+
+    lower: list
+    diag: list
+    upper: list
+    upper2: list
+    swapped: list
+
+    def solve(self, b):
+        """x with T x = b, in O(n)."""
+        dl, d, du, du2 = self.lower, self.diag, self.upper, self.upper2
+        x = np.asarray(b, dtype=complex).tolist()
+        n = len(d)
+        for k in range(n - 1):
+            if self.swapped[k]:
+                x[k], x[k + 1] = x[k + 1], x[k] - dl[k] * x[k + 1]
+            else:
+                x[k + 1] -= dl[k] * x[k]
+        x[n - 1] /= d[n - 1]
+        if n > 1:
+            x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
+        for k in range(n - 3, -1, -1):
+            x[k] = (x[k] - du[k] * x[k + 1] - du2[k] * x[k + 2]) / d[k]
+        return np.array(x, dtype=complex)
+
+
+def tridiagonal_lu(t, pivot_floor=0.0):
+    """O(n) LU with partial pivoting of a Tridiagonal; pivots of modulus at most
+    pivot_floor are lifted to it (inverse iteration), or raise when it is 0."""
+    n = t.size
+    dl = t.lower.tolist()
+    d = t.diag.tolist()
+    du = t.upper.tolist()
+    du2 = [0j] * max(n - 2, 0)
+    swapped = [False] * (n - 1)
+    for k in range(n - 1):
+        if abs(d[k]) >= abs(dl[k]):
+            d[k] = _lifted_pivot(d[k], pivot_floor, k)
+            fact = dl[k] / d[k]
+            d[k + 1] -= fact * du[k]
+        else:
+            pivot = _lifted_pivot(dl[k], pivot_floor, k)
+            fact = d[k] / pivot
+            d[k] = pivot
+            du[k], d[k + 1] = d[k + 1], du[k] - fact * d[k + 1]
+            if k < n - 2:
+                du2[k] = du[k + 1]
+                du[k + 1] = -fact * du[k + 1]
+            swapped[k] = True
+        dl[k] = fact
+    d[n - 1] = _lifted_pivot(d[n - 1], pivot_floor, n - 1)
+    return TridiagonalLU(dl, d, du, du2, swapped)
+
+
+def tridiagonal_eigenvector(t, lam, tol=1e-12, max_iter=20):
+    """`eigenvector` for a Tridiagonal, with O(n) factorization and solves."""
+    scale = t.norm()
+    if scale == 0.0:
+        scale = 1.0
+    shifted = Tridiagonal(t.diag - complex(lam), t.lower, t.upper)
+    bands = np.concatenate((shifted.diag, shifted.lower, shifted.upper))
+    floor = EPS * max(1.0, float(np.abs(bands).max()))
+    lu = tridiagonal_lu(shifted, pivot_floor=floor)
+    return _inverse_iteration(lu.solve, shifted.matvec, t.size, scale, tol, max_iter)

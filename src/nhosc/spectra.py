@@ -38,6 +38,8 @@ __all__ = [
     "eigenvector_coefficients",
     "build_fock_matrix",
     "quadratic_fock_matrix",
+    "ParitySpectrum",
+    "parity_spectrum",
     "eigenvalues_by_parity",
     "general_quadratic_spectrum",
     "verify_isospectral",
@@ -306,39 +308,66 @@ def general_quadratic_spectrum(q, n):
     return q.frequency_scale * (2 * n + 1)
 
 
-def _parity_indices(size):
-    return np.arange(0, size, 2), np.arange(1, size, 2)
+@dataclass(frozen=True)
+class ParitySpectrum:
+    """A parity-decoupled truncation solved once, for every check that needs it.
+
+    blocks[p] is the parity-p block (basis states p, p+2, ...) as a
+    linalg.Tridiagonal when it is tridiagonal, else as a dense array;
+    eigenvalues are sorted by real part then imaginary part, and parities[k]
+    is the block eigenvalues[k] came from.
+    """
+
+    matrix: np.ndarray
+    blocks: tuple
+    eigenvalues: np.ndarray
+    parities: np.ndarray
 
 
-def eigenvalues_by_parity(mat, max_iter=30, tol=1e-12):
-    """Eigenvalues of a parity-decoupled matrix, labeled by basis parity.
+def _parity_block(block):
+    """linalg.Tridiagonal when the block has no entry off its three bands."""
+    bands = [np.diagonal(block, k) for k in (0, -1, 1)]
+    if np.count_nonzero(block) == sum(np.count_nonzero(band) for band in bands):
+        return linalg.Tridiagonal(*bands)
+    return np.array(block)
 
-    The even and odd sub-blocks are diagonalized separately, which compresses
-    the +-2 bands to tridiagonal form.  Rejects matrices with odd-offset
-    coupling.  Returns (eigenvalues, parities) sorted by real part then
-    imaginary part.
+
+def parity_spectrum(mat, max_iter=30, tol=1e-12):
+    """Split a parity-decoupled matrix into its even and odd blocks and solve each.
+
+    The +-2 bands of a quadratic truncation make each block tridiagonal; those
+    go to linalg.tridiagonal_eigenvalues, any other block to the dense
+    linalg.eigenvalues.  Rejects matrices with odd-offset coupling.
     """
     mat = np.asarray(mat, dtype=complex)
     size = mat.shape[0]
-    even, odd = _parity_indices(size)
-    coupling = np.abs(mat[np.ix_(even, odd)]).max() if even.size and odd.size else 0.0
-    coupling = max(coupling, np.abs(mat[np.ix_(odd, even)]).max() if even.size and odd.size else 0.0)
+    coupling = 0.0
+    if size > 1:
+        coupling = max(np.abs(mat[0::2, 1::2]).max(), np.abs(mat[1::2, 0::2]).max())
     scale = np.abs(mat).max()
     if scale > 0 and coupling > 1e-12 * scale:
         raise ValueError("matrix couples even and odd sectors; no parity split")
+    blocks = tuple(_parity_block(mat[par::2, par::2]) for par in range(min(size, 2)))
     eigs = []
     labels = []
-    for par, idx in ((0, even), (1, odd)):
-        if idx.size == 0:
-            continue
-        block = mat[np.ix_(idx, idx)]
-        for lam in linalg.eigenvalues(block, max_iter=max_iter, tol=tol):
-            eigs.append(lam)
-            labels.append(par)
+    for par, block in enumerate(blocks):
+        if isinstance(block, linalg.Tridiagonal):
+            found = linalg.tridiagonal_eigenvalues(block, max_iter=max_iter, tol=tol)
+        else:
+            found = linalg.eigenvalues(block, max_iter=max_iter, tol=tol)
+        eigs.extend(found)
+        labels.extend([par] * len(found))
     eigs = np.array(eigs)
     labels = np.array(labels)
     order = np.lexsort((eigs.imag, eigs.real))
-    return eigs[order], labels[order]
+    return ParitySpectrum(matrix=mat, blocks=blocks, eigenvalues=eigs[order],
+                          parities=labels[order])
+
+
+def eigenvalues_by_parity(mat, max_iter=30, tol=1e-12):
+    """(eigenvalues, parities) of `parity_spectrum`."""
+    solved = parity_spectrum(mat, max_iter=max_iter, tol=tol)
+    return solved.eigenvalues, solved.parities
 
 
 @dataclass(frozen=True)
@@ -366,13 +395,15 @@ class SpectrumReport:
     notes: tuple = field(default_factory=tuple)
 
 
-def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, omega=1.0):
+def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, omega=1.0,
+                       solved=None):
     """Check that the transformed oscillator keeps the base spectrum.
 
     Builds the quadratic image of the base under the transform, truncates it
     at frequency omega, and compares the lowest n_levels numeric eigenvalues
     to Omega_base (2n+1).  Requires n_levels <= trunc/4 so the retained levels
-    are well below the truncation edge.
+    are well below the truncation edge.  `solved` is the parity_spectrum of
+    that truncation when the caller has already built and solved it.
     """
     trunc = int(trunc)
     n_levels = int(n_levels)
@@ -383,9 +414,12 @@ def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, o
     scale = base.frequency_scale
     if abs(scale.imag) > 1e-12 * max(1.0, abs(scale)) or scale.real <= 0:
         raise ValueError("base operator must have a real positive spectral scale")
-    target = canonical.apply_to_quadratic(transform, base)
-    fock = quadratic_fock_matrix(target, omega, trunc)
-    eigs, parities = eigenvalues_by_parity(fock.matrix)
+    if solved is None:
+        target = canonical.apply_to_quadratic(transform, base)
+        solved = parity_spectrum(quadratic_fock_matrix(target, omega, trunc).matrix)
+    elif solved.matrix.shape[0] != trunc:
+        raise ValueError(f"solved truncation has size {solved.matrix.shape[0]}, not {trunc}")
+    eigs, parities = solved.eigenvalues, solved.parities
     levels = []
     max_dev = 0.0
     notes = []
@@ -435,23 +469,36 @@ class EtaReport:
     passed: bool
 
 
+def _block_eigenvectors(block, lam):
+    """Right eigenvectors of a parity block at lam and of its adjoint at conj(lam)."""
+    if isinstance(block, linalg.Tridiagonal):
+        return (linalg.tridiagonal_eigenvector(block, lam),
+                linalg.tridiagonal_eigenvector(block.adjoint(), lam.conjugate()))
+    return linalg.eigenvector(block, lam), linalg.eigenvector(block.conj().T, lam.conjugate())
+
+
 def eta_check(fock, n_levels, tol=1e-6):
     """Numerical pseudo-Hermiticity check on the lowest retained levels.
 
     Computes right eigenvectors phi_n of M and Phi_n of the conjugate
-    transpose, rescales to <Phi_m|phi_n> = delta_mn, forms the metric
-    eta = sum |Phi_n><Phi_n|, and measures how far eta M - M+ eta is from
-    zero on the span of the retained phi_n.  Retained eigenvalues must be
-    simple with pairwise gaps above 1e-6.
+    transpose, each on the parity block of its level and embedded in the full
+    basis, rescales to <Phi_m|phi_n> = delta_mn, and measures how far
+    eta M - M+ eta, with eta = sum |Phi_n><Phi_n|, is from zero on the span of
+    the retained phi_n.  eta is applied through its factors and never formed.
+    Retained eigenvalues must be simple with pairwise gaps above 1e-6.  fock
+    is a FockMatrix, a matrix, or its parity_spectrum.
     """
-    mat = fock.matrix if isinstance(fock, FockMatrix) else np.asarray(fock, dtype=complex)
+    if isinstance(fock, ParitySpectrum):
+        solved = fock
+    else:
+        solved = parity_spectrum(fock.matrix if isinstance(fock, FockMatrix) else fock)
+    mat = solved.matrix
     n_levels = int(n_levels)
     if n_levels < 1:
         raise ValueError("need at least one retained level")
     if n_levels > mat.shape[0]:
         raise ValueError(f"cannot retain {n_levels} levels from a {mat.shape[0]}-dim truncation")
-    eigs, _ = eigenvalues_by_parity(mat)
-    retained = eigs[:n_levels]
+    retained = solved.eigenvalues[:n_levels]
     for i in range(n_levels):
         for j in range(i + 1, n_levels):
             gap = abs(retained[i] - retained[j])
@@ -461,12 +508,10 @@ def eta_check(fock, n_levels, tol=1e-6):
                     pair=(complex(retained[i]), complex(retained[j])),
                 )
     size = mat.shape[0]
-    phi = np.empty((size, n_levels), dtype=complex)
-    chi = np.empty((size, n_levels), dtype=complex)
-    adj = mat.conj().T
-    for k, lam in enumerate(retained):
-        phi[:, k] = linalg.eigenvector(mat, lam)
-        chi[:, k] = linalg.eigenvector(adj, lam.conjugate())
+    phi = np.zeros((size, n_levels), dtype=complex)
+    chi = np.zeros((size, n_levels), dtype=complex)
+    for k, (lam, par) in enumerate(zip(retained, solved.parities)):
+        phi[par::2, k], chi[par::2, k] = _block_eigenvectors(solved.blocks[par], lam)
     overlap = chi.conj().T @ phi
     diag = np.diagonal(overlap)
     if np.abs(diag).min() < 1e-12:
@@ -474,8 +519,11 @@ def eta_check(fock, n_levels, tol=1e-6):
     chi = chi / diag.conj()
     overlap = overlap / diag[:, None]
     bio_defect = float(np.abs(overlap - np.eye(n_levels)).max())
-    eta = chi @ chi.conj().T
-    residual = (eta @ mat - adj @ eta) @ phi
+
+    def adjoint_times(v):
+        return (v.conj().T @ mat).conj().T
+
+    residual = chi @ (chi.conj().T @ (mat @ phi)) - adjoint_times(chi @ (chi.conj().T @ phi))
     col_scale = np.sqrt((np.abs(chi) ** 2).sum(axis=0)) * linalg.frobenius_norm(mat)
     pseudo_defect = float(
         (np.sqrt((np.abs(residual) ** 2).sum(axis=0)) / col_scale).max()

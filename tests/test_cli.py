@@ -123,14 +123,6 @@ class TestScan:
         bracket = doc["diagnostics"]["margin_sign_change_bracket"]
         assert bracket is not None and bracket[0] < 1.0 <= bracket[1]
 
-    def test_row_ordering_deterministic(self, capsys, monkeypatch):
-        args = ("scan", "--alpha", "1.0", "--scan", "gamma",
-                "--start", "0.0", "--stop", "1.5", "--step", "0.1")
-        _, sequential, _ = run_cli(capsys, *args)
-        monkeypatch.setenv(cli.SCAN_WORKERS_ENV, "4")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert sequential == threaded
-
     def test_requires_range(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--alpha", "1.0", "--scan", "gamma")
         assert code == 2 and "--start" in err
@@ -319,3 +311,45 @@ def test_usage_error_exit_code():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+class TestExitCodes:
+    """Non-finite options exit 2; overflow while computing exits 3."""
+
+    def test_verify_nan_entry_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--u11", "nan", "--u12", "0", "--u21", "0", "--u22", "1",
+            "-N", "40", "-n", "4",
+        )
+        assert code == 2 and out == "" and "u11 must be finite" in err
+
+    def test_spectrum_nan_parameter_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "spectrum", "--gamma", "nan", "--alpha", "1", "-N", "20", "-n", "2"
+        )
+        assert code == 2 and out == "" and "gamma must be finite" in err
+
+    def test_scan_infinite_stop_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "scan", "--alpha", "1", "--scan", "gamma",
+            "--start", "0", "--stop", "inf", "--step", "0.1",
+        )
+        assert code == 2 and out == "" and "stop must be finite" in err
+
+    def test_verify_gauge_overflow_is_numeric_failure(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--gauge-g", "1e200", "-N", "40", "-n", "4")
+        assert code == 3 and out == "" and "numeric failure" in err
+
+    def test_config_file_values_checked(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("h11 = 0.5\nh12 = 0\nh22 = inf\n")
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(config), "-N", "8", "-n", "2")
+        assert code == 2 and out == "" and "h22 must be finite" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_output_is_numeric_failure(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "spectrum", "--h11", "1e200", "--h12", "0", "--h22", "1e200",
+            "-N", "8", "-n", "2", "--format", fmt,
+        )
+        assert code == 3 and out == "" and "non-finite" in err

@@ -1,0 +1,222 @@
+"""The tridiagonal eigensolver and O(n) LU against LAPACK and the dense route."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from nhosc import canonical, linalg, spectra
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def random_tridiagonal(rng, n):
+    def band(k):
+        return rng.normal(size=k) + 1j * rng.normal(size=k)
+
+    return linalg.Tridiagonal(band(n), band(n - 1), band(n - 1))
+
+
+@st.composite
+def tridiagonals(draw, max_size=30):
+    """Complex tridiagonals, some of whose off-diagonal products are exactly 0.
+
+    Real and imaginary parts are 0 or between 1e-3 and 4 in modulus, so the
+    checks' own arithmetic never overflows.
+    """
+    n = draw(st.integers(1, max_size))
+    part = st.floats(-4.0, 4.0).map(lambda v: 0.0 if abs(v) < 1e-3 else v)
+
+    def band(k):
+        return draw(arrays(float, k, elements=part)) + 1j * draw(arrays(float, k, elements=part))
+
+    diag, lower, upper = band(n), band(n - 1), band(n - 1)
+    cut = draw(arrays(bool, n - 1))
+    cut_lower = draw(arrays(bool, n - 1))
+    lower[cut & cut_lower] = 0.0
+    upper[cut & ~cut_lower] = 0.0
+    return linalg.Tridiagonal(diag, lower, upper)
+
+
+def lapack_eigenvalues_and_condition(dense):
+    """LAPACK eigenvalues and kappa_i = ||x_i|| ||y_i|| / |y_i^H x_i|."""
+    values, right = np.linalg.eig(dense)
+    try:
+        left_h = np.linalg.inv(right)  # rows are y_i^H with y_i^H x_i = 1
+    except np.linalg.LinAlgError:
+        return values, np.full(values.size, np.inf)
+    with np.errstate(over="ignore"):  # a defective eigenvalue has kappa = inf
+        return values, np.linalg.norm(right, axis=0) * np.linalg.norm(left_h, axis=1)
+
+
+class TestTridiagonalProperties:
+    @PROPERTY_SETTINGS
+    @given(tridiagonals())
+    def test_eigenvalues_match_lapack_within_condition(self, t):
+        found = linalg.tridiagonal_eigenvalues(t)
+        expected, kappa = lapack_eigenvalues_and_condition(t.dense())
+        assert found.size == t.size
+        scale = max(t.norm(), np.finfo(float).tiny)
+        unused = list(found)
+        # best-conditioned first, so a loose tolerance never claims a tight one's match
+        for i in np.argsort(kappa):
+            nearest = min(range(len(unused)), key=lambda j: abs(unused[j] - expected[i]))
+            assert abs(unused.pop(nearest) - expected[i]) <= 1e-10 * kappa[i] * scale
+
+    @PROPERTY_SETTINGS
+    @given(tridiagonals())
+    def test_inverse_iteration_residuals(self, t):
+        scale = t.norm()
+        adjoint = t.adjoint()
+        for lam in linalg.tridiagonal_eigenvalues(t):
+            right = linalg.tridiagonal_eigenvector(t, lam)
+            left = linalg.tridiagonal_eigenvector(adjoint, lam.conjugate())
+            assert np.linalg.norm(t.matvec(right) - lam * right) <= 1e-12 * scale
+            assert np.linalg.norm(adjoint.matvec(left) - lam.conjugate() * left) <= 1e-12 * scale
+
+    @PROPERTY_SETTINGS
+    @given(tridiagonals(), st.integers(0, 2**32 - 1))
+    def test_lu_solves(self, t, seed):
+        rng = np.random.default_rng(seed)
+        rhs = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+        dense = t.dense()
+        try:
+            x = linalg.tridiagonal_lu(t).solve(rhs)
+        except linalg.EigenConvergenceError:  # an exactly zero pivot
+            x = None
+        if x is None or not np.isfinite(x).all():
+            assert np.linalg.matrix_rank(dense) < t.size
+            return
+        # backward stable: partial pivoting on a tridiagonal grows entries at most 2x
+        assert np.linalg.norm(dense @ x - rhs) <= 1e-12 * t.norm() * np.linalg.norm(x)
+
+
+class TestTridiagonal:
+    def test_dense_round_trip_and_adjoint(self):
+        t = random_tridiagonal(np.random.default_rng(3), 6)
+        dense = t.dense()
+        assert np.array_equal(np.diagonal(dense, -1), t.lower)
+        assert np.array_equal(np.diagonal(dense, 1), t.upper)
+        assert np.array_equal(t.adjoint().dense(), dense.conj().T)
+        v = np.arange(6) + 1j
+        assert np.allclose(t.matvec(v), dense @ v, rtol=1e-15, atol=1e-14)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="entries"):
+            linalg.Tridiagonal([1, 2, 3], [1], [1, 2])
+        with pytest.raises(ValueError, match="finite"):
+            linalg.Tridiagonal([1, np.nan], [0], [0])
+
+    def test_matches_dense_route(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 5, 40):
+            t = random_tridiagonal(rng, n)
+            found = linalg.tridiagonal_eigenvalues(t)
+            dense = linalg.eigenvalues(t.dense())
+            assert np.abs(found - dense).max() <= 1e-10 * t.norm()
+
+    def test_triangular_returns_exact_diagonal(self):
+        rng = np.random.default_rng(13)
+        t = random_tridiagonal(rng, 20)
+        t = linalg.Tridiagonal(t.diag, np.zeros(19), t.upper)
+        found = linalg.tridiagonal_eigenvalues(t)
+        assert sorted(found.tolist(), key=lambda z: (z.real, z.imag)) == sorted(
+            t.diag.tolist(), key=lambda z: (z.real, z.imag)
+        )
+
+    @pytest.mark.parametrize("force", ["rotation_bound", "max_iter"])
+    def test_breakdown_falls_back_to_dense_qr(self, monkeypatch, force):
+        t = random_tridiagonal(np.random.default_rng(17), 12)
+        calls = []
+        dense_eigenvalues = linalg.eigenvalues
+
+        def spy(m, **kwargs):
+            calls.append(np.asarray(m).shape[0])
+            return dense_eigenvalues(m)
+
+        monkeypatch.setattr(linalg, "eigenvalues", spy)
+        kwargs = {}
+        if force == "rotation_bound":
+            # |c|, |s| <= 1 fails for almost every rotation
+            monkeypatch.setattr(linalg, "ROTATION_BOUND", 1.0)
+        else:
+            kwargs["max_iter"] = 0
+        found = linalg.tridiagonal_eigenvalues(t, **kwargs)
+        assert calls == [12]
+        assert np.array_equal(found, dense_eigenvalues(t.dense()))
+
+    def test_lu_pivots_and_rejects_singular(self):
+        # a zero leading diagonal forces a row swap, and so fill-in in upper2
+        t = linalg.Tridiagonal([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [2.0, 1.0, 1.0])
+        lu = linalg.tridiagonal_lu(t)
+        assert lu.swapped[0] and lu.upper2[0] != 0
+        rhs = np.array([1.0, -2.0, 3.0j, 0.5])
+        assert np.abs(t.dense() @ lu.solve(rhs) - rhs).max() < 1e-14
+        singular = linalg.Tridiagonal([1.0, 0.0], [0.0], [1.0])
+        with pytest.raises(linalg.EigenConvergenceError, match="singular"):
+            linalg.tridiagonal_lu(singular)
+
+
+class TestStructuredRoute:
+    def test_critical_frequency_gives_exact_diagonal(self):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            osc = spectra.ThreeParamOscillator(
+                rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0), rng.uniform(0.05, 2.0)
+            )
+            omega = spectra.critical_frequencies(osc).omega_plus
+            if omega <= 0:
+                continue
+            mat = spectra.quadratic_fock_matrix(osc.as_quadratic(), omega, 60).matrix
+            assert not np.tril(mat, -1).any()
+            solved = spectra.parity_spectrum(mat)
+            assert all(isinstance(b, linalg.Tridiagonal) for b in solved.blocks)
+            assert np.array_equal(np.sort_complex(solved.eigenvalues),
+                                  np.sort_complex(np.diagonal(mat)))
+
+    def test_mix_sweep_agrees_with_lapack(self):
+        """Admissible mix points where LAPACK resolves the lowest 8 levels."""
+        rng = np.random.default_rng(23)
+        checked = 0
+        while checked < 12:
+            alpha, beta = rng.uniform(-0.95, 0.95, size=2)
+            if 1 + alpha * beta < 0.1:
+                continue
+            size = (80, 200)[checked % 2]
+            mat = spectra.build_fock_matrix(
+                spectra.rath_mallick_oscillator(alpha, beta), 1.0, size
+            ).matrix
+            lapack = np.concatenate([np.linalg.eigvals(mat[p::2, p::2]) for p in (0, 1)])
+            lapack = lapack[np.lexsort((lapack.imag, lapack.real))][:8]
+            exact = np.arange(8) + 0.5
+            if np.abs(lapack - exact).max() > 1e-8:
+                continue
+            found = spectra.eigenvalues_by_parity(mat)[0][:8]
+            assert np.abs(found - exact).max() <= 1e-8
+            assert np.abs(np.sort_complex(found) - np.sort_complex(lapack)).max() <= 1e-8
+            checked += 1
+
+    def test_non_tridiagonal_block_takes_dense_route(self):
+        mat = np.diag(np.arange(1.0, 9.0)).astype(complex)
+        mat[0, 4] = 0.5  # even block entry two places off its diagonal
+        solved = spectra.parity_spectrum(mat)
+        assert isinstance(solved.blocks[0], np.ndarray)
+        assert isinstance(solved.blocks[1], linalg.Tridiagonal)
+        assert np.array_equal(solved.eigenvalues, np.arange(1.0, 9.0))
+
+    def test_eta_check_reuses_solution(self):
+        target = canonical.apply_to_quadratic(
+            canonical.rath_mallick(0.3, 0.2), canonical.harmonic_oscillator()
+        )
+        fock = spectra.quadratic_fock_matrix(target, 1.0, 120)
+        solved = spectra.parity_spectrum(fock.matrix)
+        from_solution = spectra.eta_check(solved, 8)
+        assert from_solution == spectra.eta_check(fock, 8)
+        assert from_solution.pseudo_hermiticity_defect < 1e-12
+        iso = spectra.verify_isospectral(canonical.rath_mallick(0.3, 0.2), trunc=120,
+                                         n_levels=8, solved=solved)
+        assert iso.passed
+        with pytest.raises(ValueError, match="size"):
+            spectra.verify_isospectral(canonical.rath_mallick(0.3, 0.2), trunc=100,
+                                       n_levels=8, solved=solved)
