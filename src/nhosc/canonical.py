@@ -21,6 +21,7 @@ DET_TOL = 1e-12
 _THETA_SERIES_CUTOFF = 1e-6
 
 __all__ = [
+    "NonFiniteError",
     "CanonicalTransform",
     "Generator",
     "QuadraticHamiltonian",
@@ -42,6 +43,19 @@ __all__ = [
 ]
 
 
+class NonFiniteError(ValueError):
+    """A NaN or infinite entry; from finite arguments, an overflow on the way."""
+
+
+def _set_finite(obj, names):
+    """Store each named field of a frozen dataclass as a finite complex."""
+    for name in names:
+        value = complex(getattr(obj, name))
+        if not cmath.isfinite(value):
+            raise NonFiniteError(f"{name} must be finite, got {value!r}")
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class CanonicalTransform:
     """2x2 complex matrix of a canonical transformation, det = 1."""
@@ -52,10 +66,10 @@ class CanonicalTransform:
     u22: complex
 
     def __post_init__(self):
-        for name in ("u11", "u12", "u21", "u22"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        _set_finite(self, ("u11", "u12", "u21", "u22"))
         det = self.determinant
-        if abs(det - 1) > DET_TOL:
+        # written so that a NaN determinant (products overflowing) fails too
+        if not abs(det - 1) <= DET_TOL:
             raise ValueError(f"determinant must be 1, measured {det!r}")
 
     @property
@@ -100,8 +114,7 @@ class QuadraticHamiltonian:
     c_xx: complex
 
     def __post_init__(self):
-        for name in ("c_pp", "c_xp", "c_xx"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        _set_finite(self, ("c_pp", "c_xp", "c_xx"))
 
     def weyl_poly(self):
         return (
@@ -143,9 +156,6 @@ def identity():
 
 def from_matrix(u11, u12, u21, u22):
     """Validated transform from explicit matrix entries."""
-    det = complex(u11) * complex(u22) - complex(u21) * complex(u12)
-    if abs(det - 1) > DET_TOL:
-        raise ValueError(f"determinant must be 1, measured {det!r}")
     return CanonicalTransform(u11, u12, u21, u22)
 
 

@@ -12,11 +12,14 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -42,94 +45,78 @@ def _parse_branch(text):
         raise argparse.ArgumentTypeError(f"branch must be + or -, got {text!r}")
 
 
-_CONFIG_TYPES = {
-    "h11": float,
-    "h12": float,
-    "h22": float,
-    "rm-alpha": float,
-    "rm-beta": float,
-    "gamma": float,
-    "alpha": float,
-    "k": float,
-    "gauge-g": float,
-    "u11": complex,
-    "u12": complex,
-    "u21": complex,
-    "u22": complex,
-    "base-k": float,
-    "omega": float,
-    "trunc": int,
-    "levels": int,
-    "tol": float,
-    "tol-eta": float,
-    "threshold": float,
-    "scan": str,
-    "start": float,
-    "stop": float,
-    "step": float,
-    "level": int,
-    "branch": _parse_branch,
-    "excitation": int,
-    "parity": int,
-    "grid-span": float,
-    "grid-points": int,
-    "format": str,
-    "out": str,
-}
+def load_config_file(path, keys):
+    """Flat KEY = VALUE file mirroring the long flag names; '#' comments.
 
-
-def load_config_file(path):
-    """Flat KEY = VALUE file mirroring the long flag names; '#' comments."""
+    keys maps each accepted key to the (dest, type) of its flag.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror}")
     values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected KEY = VALUE")
-            key = key.strip()
-            val = val.strip()
-            if key not in _CONFIG_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key.replace("-", "_")] = _CONFIG_TYPES[key](val)
-            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected KEY = VALUE")
+        key = key.strip()
+        val = val.strip()
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        dest, kind = keys[key]
+        try:
+            values[dest] = kind(val)
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
 
 
 def _add_common(parser):
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--config", default=None, help="config file; flags override it")
+    return [
+        parser.add_argument("--format", choices=("json", "csv")),
+        parser.add_argument("--out", help="output path (default: stdout)"),
+        parser.add_argument("--config", help="config file; flags override it"),
+    ]
 
 
 def _add_model(parser):
     group = parser.add_argument_group("model (choose one family)")
-    group.add_argument("--h11", type=float, default=None)
-    group.add_argument("--h12", type=float, default=None)
-    group.add_argument("--h22", type=float, default=None)
-    group.add_argument("--rm-alpha", type=float, default=None, dest="rm_alpha")
-    group.add_argument("--rm-beta", type=float, default=None, dest="rm_beta")
-    group.add_argument("--gamma", type=float, default=None)
-    group.add_argument("--alpha", type=float, default=None)
-    group.add_argument("--k", type=float, default=None)
+    return [
+        group.add_argument("--h11", type=float),
+        group.add_argument("--h12", type=float),
+        group.add_argument("--h22", type=float),
+        group.add_argument("--rm-alpha", type=float, dest="rm_alpha"),
+        group.add_argument("--rm-beta", type=float, dest="rm_beta"),
+        group.add_argument("--gamma", type=float),
+        group.add_argument("--alpha", type=float),
+        group.add_argument("--k", type=float),
+    ]
 
 
 def _add_transform(parser):
     group = parser.add_argument_group("transform (choose one)")
-    group.add_argument("--rm-alpha", type=float, default=None, dest="rm_alpha")
-    group.add_argument("--rm-beta", type=float, default=None, dest="rm_beta")
-    group.add_argument("--gauge-g", type=float, default=None, dest="gauge_g")
-    group.add_argument("--u11", type=complex, default=None)
-    group.add_argument("--u12", type=complex, default=None)
-    group.add_argument("--u21", type=complex, default=None)
-    group.add_argument("--u22", type=complex, default=None)
+    return [
+        group.add_argument("--rm-alpha", type=float, dest="rm_alpha"),
+        group.add_argument("--rm-beta", type=float, dest="rm_beta"),
+        group.add_argument("--gauge-g", type=float, dest="gauge_g"),
+        group.add_argument("--u11", type=complex),
+        group.add_argument("--u12", type=complex),
+        group.add_argument("--u21", type=complex),
+        group.add_argument("--u22", type=complex),
+    ]
 
 
-def build_parser():
+def _build():
+    """The parser, and the config-file keys derived from its actions.
+
+    Every long option but --config is a key; it maps to the (dest, type) of
+    its flag, str where the flag has no type.  Keys are the union over the
+    subcommands.
+    """
     parser = argparse.ArgumentParser(
         prog="nhosc",
         description="Non-Hermitian oscillators with real spectra: closed forms, "
@@ -138,52 +125,69 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_spec = sub.add_parser("spectrum", help="closed-form and numeric eigenvalues")
-    _add_model(p_spec)
-    p_spec.add_argument("--omega", type=float, default=None)
-    p_spec.add_argument("-N", "--trunc", type=int, default=None)
-    p_spec.add_argument("-n", "--levels", type=int, default=None)
-    p_spec.add_argument("--tol", type=float, default=None)
-    _add_common(p_spec)
+    actions = _add_model(p_spec) + [
+        p_spec.add_argument("--omega", type=float),
+        p_spec.add_argument("-N", "--trunc", type=int),
+        p_spec.add_argument("-n", "--levels", type=int),
+        p_spec.add_argument("--tol", type=float),
+    ] + _add_common(p_spec)
 
     p_scan = sub.add_parser("scan", help="sweep one parameter, track the phase indicator")
-    _add_model(p_scan)
-    p_scan.add_argument("--scan", default=None, help="parameter to sweep")
-    p_scan.add_argument("--start", type=float, default=None)
-    p_scan.add_argument("--stop", type=float, default=None)
-    p_scan.add_argument("--step", type=float, default=None)
-    p_scan.add_argument("--threshold", type=float, default=None)
-    p_scan.add_argument("-n", "--levels", type=int, default=None)
-    _add_common(p_scan)
+    actions += _add_model(p_scan) + [
+        p_scan.add_argument("--scan", help="parameter to sweep"),
+        p_scan.add_argument("--start", type=float),
+        p_scan.add_argument("--stop", type=float),
+        p_scan.add_argument("--step", type=float),
+        p_scan.add_argument("--threshold", type=float),
+        p_scan.add_argument("-n", "--levels", type=int),
+    ] + _add_common(p_scan)
 
     p_ver = sub.add_parser("verify", help="isospectrality and pseudo-Hermiticity checks")
-    _add_transform(p_ver)
-    p_ver.add_argument("--base-k", type=float, default=None, dest="base_k",
-                       help="base oscillator p^2/2 + k x^2/2 (default: k = 1)")
-    p_ver.add_argument("--omega", type=float, default=None)
-    p_ver.add_argument("-N", "--trunc", type=int, default=None)
-    p_ver.add_argument("-n", "--levels", type=int, default=None)
-    p_ver.add_argument("--tol", type=float, default=None)
-    p_ver.add_argument("--tol-eta", type=float, default=None, dest="tol_eta")
-    _add_common(p_ver)
+    actions += _add_transform(p_ver) + [
+        p_ver.add_argument("--base-k", type=float, dest="base_k",
+                           help="base oscillator p^2/2 + k x^2/2 (default: k = 1)"),
+        p_ver.add_argument("--omega", type=float),
+        p_ver.add_argument("-N", "--trunc", type=int),
+        p_ver.add_argument("-n", "--levels", type=int),
+        p_ver.add_argument("--tol", type=float),
+        p_ver.add_argument("--tol-eta", type=float, dest="tol_eta"),
+    ] + _add_common(p_ver)
 
     p_wav = sub.add_parser("wavefunction", help="sample eigenfunctions on a grid")
-    _add_model(p_wav)
-    p_wav.add_argument("--level", type=int, default=None, help="oscillator level n")
-    p_wav.add_argument("--omega", type=float, default=None)
-    p_wav.add_argument("--branch", type=_parse_branch, default=None)
-    p_wav.add_argument("--excitation", type=int, default=None)
-    p_wav.add_argument("--parity", type=int, default=None)
-    p_wav.add_argument("--grid-span", type=float, default=None, dest="grid_span")
-    p_wav.add_argument("--grid-points", type=int, default=None, dest="grid_points")
-    _add_common(p_wav)
+    actions += _add_model(p_wav) + [
+        p_wav.add_argument("--level", type=int, help="oscillator level n"),
+        p_wav.add_argument("--omega", type=float),
+        p_wav.add_argument("--branch", type=_parse_branch),
+        p_wav.add_argument("--excitation", type=int),
+        p_wav.add_argument("--parity", type=int),
+        p_wav.add_argument("--grid-span", type=float, dest="grid_span"),
+        p_wav.add_argument("--grid-points", type=int, dest="grid_points"),
+    ] + _add_common(p_wav)
 
-    return parser
+    keys = {
+        option[2:]: (action.dest, action.type or str)
+        for action in actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--config"
+    }
+    return parser, keys
 
 
-def _merge_config(ns):
+def build_parser():
+    """A fresh nhosc argument parser."""
+    return _build()[0]
+
+
+@functools.cache
+def _shared_cli():
+    """The parser and config keys `main` reuses; built on its first call."""
+    return _build()
+
+
+def _merge_config(ns, keys):
     if ns.config is None:
         return
-    file_values = load_config_file(ns.config)
+    file_values = load_config_file(ns.config, keys)
     for key, value in file_values.items():
         if hasattr(ns, key) and getattr(ns, key) is None:
             setattr(ns, key, value)
@@ -336,10 +340,77 @@ def _csv_cell(value):
     return str(value)
 
 
+_CONTAINERS = (dict, list, tuple)
+_NOT_SERIALIZABLE = json.JSONEncoder().default
+
+
+def _json_text(document):
+    """The text json.dumps(document, indent=2, sort_keys=True, allow_nan=False) writes.
+
+    A container whose items are all scalars goes through the stdlib's C
+    encoder in one call, with one encoder per nesting level whose item
+    separator carries that level's newline and indent; only containers that
+    hold containers are walked here, and their keys must be strings, as in
+    every document this module writes.  NaN and infinities raise ValueError.
+    """
+    encoders = {}
+
+    def encode(obj, level):
+        inner = "\n" + "  " * (level + 1)
+        if obj and isinstance(obj, _CONTAINERS):
+            is_dict = isinstance(obj, dict)
+            values = obj.values() if is_dict else obj
+            if any(map(isinstance, values, repeat(_CONTAINERS))):
+                if is_dict:
+                    parts = [encode_basestring_ascii(key) + ": " + encode(value, level + 1)
+                             for key, value in sorted(obj.items())]
+                else:
+                    parts = [encode(value, level + 1) for value in obj]
+                return (("{" if is_dict else "[") + inner + ("," + inner).join(parts)
+                        + "\n" + "  " * level + ("}" if is_dict else "]"))
+        encoder = encoders.get(level)
+        if encoder is None:
+            encoder = encoders[level] = c_make_encoder(
+                None, _NOT_SERIALIZABLE, encode_basestring_ascii, None, ": ", "," + inner,
+                True, False, False)
+        try:
+            text = "".join(encoder(obj, 0))
+        except ValueError:
+            _raise_as_json_dumps(encoder, obj)
+        if len(text) > 2 and text[0] in "[{":
+            return text[0] + inner + text[1:-1] + "\n" + "  " * level + text[-1]
+        return text
+
+    return encode(document, 0)
+
+
+def _raise_as_json_dumps(encoder, obj):
+    """Re-raise a C encoder's ValueError with the message json.dumps gives.
+
+    Older C encoders (Python 3.11 among them) do not name the out-of-range
+    float, so the items are encoded one by one, in output order, to find the
+    one that failed.
+    """
+    if isinstance(obj, dict):
+        items = [value for _, value in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    else:
+        items = [obj]
+    for value in items:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {value!r}") from None
+        encoder(value, 0)
+    raise
+
+
 def _emit(ns, document, csv_header, csv_rows):
+    """Write the document as JSON, or the header and rows (any iterable, only
+    consumed here) as CSV."""
     if ns.format == "json":
         try:
-            text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            text = _json_text(document) + "\n"
         except ValueError as exc:
             raise OverflowError(f"non-finite result: {exc}") from exc
     else:
@@ -426,7 +497,7 @@ def cmd_spectrum(ns):
         "diagnostics": diagnostics,
     }
     header = ["n", "eigen_re", "eigen_im", "parity", "closed_re", "closed_im", "deviation"]
-    rows = [
+    rows = (
         [
             entry["n"],
             entry["eigenvalue"]["re"],
@@ -437,7 +508,7 @@ def cmd_spectrum(ns):
             entry["deviation"],
         ]
         for entry in levels
-    ]
+    )
     _emit(ns, document, header, rows)
     return EXIT_OK
 
@@ -467,14 +538,17 @@ def cmd_scan(ns):
         raise ConfigError(f"cannot scan {ns.scan!r}; choose one of "
                           + ", ".join(key.replace("_", "-") for key in _MODEL_KEYS))
 
+    point = argparse.Namespace(**vars(ns))
+
     def evaluate(value):
-        point = argparse.Namespace(**vars(ns))
         setattr(point, param, value)
         model = resolve_model(point)
-        indicator = max(
-            abs(spectra.general_quadratic_spectrum(model.quadratic, n).imag)
-            for n in range(ns.levels)
-        )
+        # The indicator is the largest |Im E_n| over the lowest `levels` levels,
+        # E_n = Omega (2n+1).  Im E_n is Im(Omega)*(2n+1) rounded, plus
+        # Re(Omega)*0, which is +-0 at every level (NaN at every level when
+        # Re(Omega) is not finite).  Rounding is monotone, so |Im E_n| never
+        # decreases with n and the top level holds the maximum bit for bit.
+        indicator = abs(spectra.general_quadratic_spectrum(model.quadratic, ns.levels - 1).imag)
         margin = None
         if model.transform is not None:
             margin = canonical.normalizable(model.transform).margin
@@ -523,10 +597,10 @@ def cmd_scan(ns):
         },
     }
     header = ["index", "value", "max_imag", "margin", "transition"]
-    csv_rows = [
+    csv_rows = (
         [row["index"], row["value"], row["max_imag"], row["margin"], row["transition"]]
         for row in rows
-    ]
+    )
     _emit(ns, document, header, csv_rows)
     return EXIT_OK
 
@@ -690,17 +764,17 @@ def cmd_wavefunction(ns):
             "omega": sample.omega,
             "norm": norm,
             "nodes": nodes,
-            "x": [float(v) for v in sample.grid.points],
-            "value_re": [float(v) for v in sample.values.real],
-            "value_im": [float(v) for v in sample.values.imag],
+            "x": sample.grid.points.tolist(),
+            "value_re": sample.values.real.tolist(),
+            "value_im": sample.values.imag.tolist(),
         },
         "diagnostics": {"grid_points": sample.grid.size, "grid_span": float(sample.grid.points[-1])},
     }
     header = ["x", "value_re", "value_im", "norm", "nodes"]
-    rows = [
+    rows = (
         [float(x), float(v.real), float(v.imag), norm, nodes]
         for x, v in zip(sample.grid.points, sample.values)
-    ]
+    )
     _emit(ns, document, header, rows)
     return EXIT_OK
 
@@ -714,10 +788,10 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, config_keys = _shared_cli()
     ns = parser.parse_args(argv)
     try:
-        _merge_config(ns)
+        _merge_config(ns, config_keys)
         _require_finite(ns)
         return _DISPATCH[ns.command](ns)
     except ConfigError as exc:
@@ -729,7 +803,7 @@ def main(argv=None):
     except (linalg.EigenConvergenceError, spectra.DegenerateEigenvaluesError) as exc:
         print(f"nhosc: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (spectra.BrokenPhaseError, OverflowError) as exc:
+    except (spectra.BrokenPhaseError, canonical.NonFiniteError, OverflowError) as exc:
         print(f"nhosc: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

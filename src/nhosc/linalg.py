@@ -25,6 +25,12 @@ DEFLATION_REL = 1e-14
 EPS = 2.220446049250313e-16
 # largest |c| or |s| accepted in a complex orthogonal QL rotation
 ROTATION_BOUND = 1e4
+# The eigenvalue solvers scale a matrix whose largest modulus lies outside
+# [SCALE_MIN, SCALE_MAX] by a power of two towards 1, so that squares and
+# products of its entries neither overflow nor underflow; other matrices are
+# solved as given.
+SCALE_MIN = 2.0 ** -256
+SCALE_MAX = 2.0 ** 256
 
 __all__ = [
     "EigenConvergenceError",
@@ -68,8 +74,32 @@ def as_cmatrix(m):
     return a
 
 
+def _norm(modulus):
+    """sqrt(sum(modulus ** 2)) of non-negative entries, without overflow.
+
+    Bit for bit the plain formula whenever that is finite; when the sum of
+    squares overflows, the entries are divided by the largest one first.
+    """
+    with np.errstate(over="ignore"):
+        total = float((modulus ** 2).sum())
+    if total == math.inf:
+        big = float(modulus.max())
+        if big < math.inf:
+            return big * math.sqrt(float(((modulus / big) ** 2).sum()))
+    return math.sqrt(total)
+
+
 def frobenius_norm(a):
-    return float(np.sqrt((np.abs(a) ** 2).sum()))
+    return _norm(np.abs(a))
+
+
+def _radix_scale(modulus):
+    """Power of two bringing the largest of modulus near 1 when it lies outside
+    [SCALE_MIN, SCALE_MAX]; 1.0 otherwise."""
+    big = float(modulus.max())
+    if big == 0.0 or SCALE_MIN <= big <= SCALE_MAX or not math.isfinite(big):
+        return 1.0
+    return math.ldexp(1.0, -math.frexp(big)[1])
 
 
 def balance(m, max_sweeps=10):
@@ -99,14 +129,14 @@ def balance(m, max_sweeps=10):
 
 def _householder_vector(col):
     """Unit reflector v with (I - 2 v v+) col = alpha e1, or None if skippable."""
-    norm = math.sqrt(float((np.abs(col) ** 2).sum()))
+    norm = _norm(np.abs(col))
     if norm == 0.0:
         return None
     a0 = col[0]
     phase = a0 / abs(a0) if a0 != 0 else 1.0
     v = col.copy()
     v[0] += phase * norm
-    vnorm = math.sqrt(float((np.abs(v) ** 2).sum()))
+    vnorm = _norm(np.abs(v))
     if vnorm == 0.0:
         return None
     return v / vnorm
@@ -191,6 +221,9 @@ def eigenvalues(m, max_iter=30, tol=1e-12):
     n = a.shape[0]
     if n == 1 or _is_triangular(a):
         return _sorted_eigs(np.diagonal(a).astype(complex))
+    scale = _radix_scale(np.abs(a))
+    if scale != 1.0:
+        return eigenvalues(a * scale, max_iter=max_iter, tol=tol) / scale
     h, _ = _hessenberg_reduce(balance(a), want_q=False)
     hnorm = frobenius_norm(h)
     # a tighter requested tolerance postpones deflation; the default keeps
@@ -304,7 +337,7 @@ def _inverse_iteration(solve_shifted, apply_shifted, n, scale, tol, max_iter):
             break
         w = w / wmax
         v = w / math.sqrt(float((np.abs(w) ** 2).sum()))
-        res = math.sqrt(float((np.abs(apply_shifted(v)) ** 2).sum()))
+        res = _norm(np.abs(apply_shifted(v)))
         best_res = min(best_res, res)
         if res <= tol * scale:
             return v
@@ -451,6 +484,10 @@ def tridiagonal_eigenvalues(t, max_iter=30, tol=1e-12):
     83).  A segment on which QL breaks down goes to the dense QR instead.
     """
     n = t.size
+    scale = _radix_scale(np.abs(np.concatenate((t.diag, t.lower, t.upper))))
+    if scale != 1.0:
+        scaled = Tridiagonal(t.diag * scale, t.lower * scale, t.upper * scale)
+        return tridiagonal_eigenvalues(scaled, max_iter=max_iter, tol=tol) / scale
     deflation_rel = min(DEFLATION_REL, max(float(tol), EPS))
     floor = EPS * t.norm()
     # +-sqrt(upper * lower), formed without overflowing the product

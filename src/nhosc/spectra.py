@@ -520,11 +520,18 @@ def eta_check(fock, n_levels, tol=1e-6):
     overlap = overlap / diag[:, None]
     bio_defect = float(np.abs(overlap - np.eye(n_levels)).max())
 
+    norm = linalg.frobenius_norm(mat)
+    if norm > linalg.SCALE_MAX:
+        # the defect is unchanged when M is scaled by a power of two, which is
+        # exact; scaling a huge truncation keeps the residual norms finite
+        scale = math.ldexp(1.0, -math.frexp(norm)[1])
+        mat, norm = mat * scale, norm * scale
+
     def adjoint_times(v):
         return (v.conj().T @ mat).conj().T
 
     residual = chi @ (chi.conj().T @ (mat @ phi)) - adjoint_times(chi @ (chi.conj().T @ phi))
-    col_scale = np.sqrt((np.abs(chi) ** 2).sum(axis=0)) * linalg.frobenius_norm(mat)
+    col_scale = np.sqrt((np.abs(chi) ** 2).sum(axis=0)) * norm
     pseudo_defect = float(
         (np.sqrt((np.abs(residual) ** 2).sum(axis=0)) / col_scale).max()
     )

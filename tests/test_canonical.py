@@ -47,6 +47,45 @@ class TestFromMatrix:
         with pytest.raises(ValueError, match="determinant"):
             canonical.from_matrix(1, 1, 1, 1)
 
+    def test_determinant_message(self):
+        with pytest.raises(ValueError, match=r"^determinant must be 1, measured \(4\+0j\)$"):
+            canonical.from_matrix(2, 0, 0, 2)
+
+
+class TestFiniteEntries:
+    """Non-finite entries are rejected when a transform or quadratic is built."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    @pytest.mark.parametrize("position", range(4))
+    def test_transform_rejects_non_finite(self, bad, position):
+        entries = [1, 0, 0, 1]
+        entries[position] = bad
+        name = ("u11", "u12", "u21", "u22")[position]
+        with pytest.raises(canonical.NonFiniteError, match=f"^{name} must be finite"):
+            canonical.CanonicalTransform(*entries)
+
+    def test_overflowing_determinant_rejected(self):
+        # each entry is finite, but the products overflow and the determinant is NaN
+        with pytest.raises(ValueError, match="determinant must be 1"):
+            canonical.from_matrix(1e200, 1e200, 1e200, 1e200)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 1)])
+    @pytest.mark.parametrize("position", range(3))
+    def test_quadratic_rejects_non_finite(self, bad, position):
+        coeffs = [0.5, 0.0, 0.5]
+        coeffs[position] = bad
+        name = ("c_pp", "c_xp", "c_xx")[position]
+        with pytest.raises(canonical.NonFiniteError, match=f"^{name} must be finite"):
+            canonical.QuadraticHamiltonian(*coeffs)
+
+    def test_overflow_in_a_family_is_caught(self):
+        # k = alpha^2 - gamma^2 is inf - inf
+        with pytest.raises(canonical.NonFiniteError, match="c_xx"):
+            canonical.ahmed_hermitian(1e200, alpha=1e200)
+
+    def test_non_finite_error_is_a_value_error(self):
+        assert issubclass(canonical.NonFiniteError, ValueError)
+
 
 class TestFromGenerator:
     def test_pure_dilation(self):

@@ -1,10 +1,22 @@
+import argparse
+import contextlib
+import io
 import json
+import math
+import os
+import re
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhosc import cli, spectra
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def run_cli(capsys, *args):
@@ -348,8 +360,359 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_output_is_numeric_failure(self, capsys, fmt):
-        code, out, err = run_cli(
-            capsys, "spectrum", "--h11", "1e200", "--h12", "0", "--h22", "1e200",
-            "-N", "8", "-n", "2", "--format", fmt,
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "spectrum", "--h11", "1e200", "--h12", "0", "--h22", "1e200",
+                "-N", "8", "-n", "2", "--format", fmt,
+            )
         assert code == 3 and out == "" and "non-finite" in err
+
+    def test_overflow_in_model_is_numeric_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, "spectrum", "--gamma", "1e200", "--alpha", "1e200", "-N", "8", "-n", "2"
+        )
+        assert code == 3 and out == ""
+        assert err == "nhosc: numeric failure: c_xx must be finite, got (nan+0j)\n"
+
+    def test_unreadable_config_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.cfg"
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(missing))
+        assert code == 2 and out == ""
+        assert err == f"nhosc: error: {missing}: cannot read config file: No such file or directory\n"
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def run_quiet(argv):
+    """(exit code, stdout, stderr, warnings) of an in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+class TestHugeCoefficients:
+    """Finite but huge coefficients: no numpy warning, a clean exit code."""
+
+    def test_verify(self):
+        code, out, err, caught = run_quiet(["verify", "--gauge-g", "1e100", "-N", "40", "-n", "4"])
+        assert caught == []
+        # the scaled truncation solves; its levels are far from n + 1/2
+        assert code == 4 and err == ""
+        doc = strict_json(out)
+        assert doc["diagnostics"]["passed"] is False
+        assert doc["results"]["isospectral"]["passed"] is False
+
+    def test_spectrum(self):
+        argv = ["spectrum", "--h11", "1e160", "--h12", "0.3", "--h22", "0.5", "-N", "40", "-n", "4"]
+        code, out, err, caught = run_quiet(argv)
+        assert caught == []
+        # spectrum reports and does not judge: the solve succeeds
+        assert code == 0 and err == ""
+        doc = strict_json(out)
+        eigs = [level["eigenvalue"]["re"] for level in doc["results"]["numeric"]]
+        assert all(math.isfinite(v) for v in eigs)
+
+
+class TestJsonText:
+    """_json_text is json.dumps(indent=2, sort_keys=True, allow_nan=False), byte for byte."""
+
+    @staticmethod
+    def dumps(document):
+        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+
+    SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-7, 0.1, 1e16]
+    NON_FINITE = [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)]
+
+    @staticmethod
+    def documents(scalars):
+        keys = st.text(max_size=6)
+        return st.recursive(
+            scalars,
+            lambda children: st.one_of(
+                st.lists(children, max_size=5),
+                st.lists(children, max_size=3).map(tuple),
+                st.dictionaries(keys, children, max_size=5),
+            ),
+            max_leaves=40,
+        )
+
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.sampled_from([2**64, -(2**100), 10**40]),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+        st.sampled_from(SPECIAL_FLOATS),
+        st.text(),
+        st.text(alphabet="\"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600", max_size=8),
+    )
+
+    @given(documents(scalars))
+    @PROPERTY_SETTINGS
+    def test_matches_json_dumps(self, document):
+        assert cli._json_text(document) == self.dumps(document)
+
+    @given(documents(st.one_of(scalars, st.sampled_from(NON_FINITE))))
+    @PROPERTY_SETTINGS
+    def test_non_finite_raises_like_json_dumps(self, document):
+        try:
+            expected = self.dumps(document)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                cli._json_text(document)
+            assert str(raised.value) == str(exc)
+        else:
+            assert cli._json_text(document) == expected
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_at_any_depth(self, bad):
+        nested = {"a": [1, {"b": [2.0, {"c": bad}]}], "z": [[], {}]}
+        message = f"Out of range float values are not JSON compliant: {bad!r}"
+        for document in (bad, [bad], {"k": bad}, nested, [[[[bad]]]], (0, (bad,))):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                cli._json_text(document)
+
+    def test_empty_and_scalar_documents(self):
+        for document in ([], {}, (), [[]], {"a": {}}, [{}, []], None, True, 3, "x", 1.5):
+            assert cli._json_text(document) == self.dumps(document)
+
+
+def old_indicator(point, levels):
+    """The scan indicator as the per-level maximum, the reference for the scan loop."""
+    model = cli.resolve_model(point)
+    return max(
+        abs(spectra.general_quadratic_spectrum(model.quadratic, n).imag) for n in range(levels)
+    )
+
+
+class TestScanIndicator:
+    # the mix sweep stays real; the others cross into the broken phase
+    @pytest.mark.parametrize("argv, turns_complex", [
+        (["scan", "--alpha", "1.0", "--scan", "gamma", "--start", "-1.5", "--stop", "1.5",
+          "--step", "0.01"], True),
+        (["scan", "--rm-alpha", "0.3", "--scan", "rm-beta", "--start", "-0.9", "--stop", "2.5",
+          "--step", "0.01", "-n", "5"], False),
+        (["scan", "--h11", "0.5", "--h22", "-0.2", "--scan", "h12", "--start", "-1", "--stop",
+          "1", "--step", "0.005", "-n", "13"], True),
+        (["scan", "--gamma", "0.5", "--scan", "k", "--start", "-2", "--stop", "2",
+          "--step", "0.01", "-n", "3"], True),
+    ])
+    def test_rows_match_per_level_maximum(self, capsys, argv, turns_complex):
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        ns = cli.build_parser().parse_args(argv)
+        param = ns.scan.replace("-", "_")
+        levels = 8 if ns.levels is None else ns.levels
+        rows = doc["results"]["rows"]
+        assert any(row["max_imag"] > 0 for row in rows) == turns_complex
+        for row in rows:
+            point = argparse.Namespace(**vars(ns))
+            setattr(point, param, row["value"])
+            assert row["max_imag"].hex() == old_indicator(point, levels).hex()
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["spectrum", "--h11", "0.5", "--h12", "0.2", "--h22", "0.5", "-N", "16", "-n", "3"],
+        ["scan", "--alpha", "1.0", "--scan", "gamma", "--start", "0", "--stop", "2",
+         "--step", "0.25", "--format", "csv"],
+        ["spectrum", "-N", "abc"],
+        ["verify", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-N", "32", "-n", "4"],
+        ["wavefunction", "--level", "1", "--grid-points", "11"],
+        ["bogus"],
+        ["spectrum", "--h11", "0.5", "--h12", "0.2", "--h22", "0.5", "-N", "16", "-n", "3"],
+        ["scan", "--alpha", "1", "--scan", "gamma"],
+        ["wavefunction", "--branch", "x"],
+        ["verify", "--gauge-g", "0.5", "-N", "24", "-n", "3", "--format", "csv"],
+    ]
+
+    def test_in_process_calls_match_fresh_processes(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, COLUMNS="80")
+        for argv in self.SEQUENCE:
+            code, out, err, _ = run_quiet(argv)
+            proc = subprocess.run([sys.executable, "-m", "nhosc", *argv], capture_output=True,
+                                  text=True, env=env)
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_parser_not_built_at_import(self):
+        probe = "from nhosc import cli; print(cli._shared_cli.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.stdout == "0\n", proc.stderr
+
+
+def long_options(parser):
+    """(option, action) for every long option of every subcommand."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for sub in commands.choices.values():
+        for action in sub._actions:
+            for option in action.option_strings:
+                if option.startswith("--"):
+                    yield option, action
+
+
+SAMPLE_TEXT = {float: "0.25", int: "3", complex: "1+2j", str: "json", cli._parse_branch: "-"}
+
+
+class TestConfigKeys:
+    def test_every_long_option_is_a_key_with_its_type(self, tmp_path):
+        parser, keys = cli._build()
+        options = {}
+        for option, action in long_options(parser):
+            if option in ("--help", "--config"):
+                continue
+            options[option[2:]] = (action.dest, action.type or str)
+        assert keys == options
+        assert "help" not in keys and "config" not in keys
+        for key, (dest, kind) in keys.items():
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(f"{key} = {SAMPLE_TEXT[kind]}\n")
+            assert cli.load_config_file(path, keys) == {dest: kind(SAMPLE_TEXT[kind])}
+
+    def test_keys_are_the_union_over_subcommands(self):
+        _, keys = cli._build()
+        # verify has --gauge-g and --u11, scan has --threshold, wavefunction --grid-points
+        for key in ("gauge-g", "u11", "threshold", "grid-points", "rm-alpha", "trunc", "out"):
+            assert key in keys
+        assert keys["trunc"] == ("trunc", int)
+        assert keys["u22"] == ("u22", complex)
+        assert keys["branch"] == ("branch", cli._parse_branch)
+
+    def test_bad_value_message(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("h11 = 0.5\ntrunc = abc\n")
+        code, _, err = run_cli(capsys, "spectrum", "--config", str(config))
+        assert code == 2
+        assert err == (f"nhosc: error: {config}:2: bad value for trunc: "
+                       "invalid literal for int() with base 10: 'abc'\n")
+
+
+# Numbers for the fuzz test: non-finite values and the edges of the double range
+# in one draw out of four, ordinary values otherwise.
+FUZZ_SPECIAL = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, 0.0]
+FUZZ_NUMBERS = st.one_of(
+    st.sampled_from(FUZZ_SPECIAL),
+    st.floats(-3.0, 3.0),
+    st.floats(0.05, 3.0),
+    st.floats(-3.0, -0.05),
+)
+FUZZ_POSITIVE = st.one_of(st.sampled_from(FUZZ_SPECIAL), st.floats(1e-3, 3.0))
+
+
+def number_flag(name, numbers=FUZZ_NUMBERS):
+    return numbers.map(lambda v: f"--{name}={v!r}")
+
+
+@st.composite
+def model_flags(draw):
+    family = draw(st.sampled_from(["three_param", "mix", "gamma_alpha", "gamma_k"]))
+    names = {"three_param": ("h11", "h12", "h22"), "mix": ("rm-alpha", "rm-beta"),
+             "gamma_alpha": ("gamma", "alpha"), "gamma_k": ("gamma", "k")}[family]
+    return family, [draw(number_flag(name)) for name in names]
+
+
+def optional(draw, strategy):
+    return [draw(strategy)] if draw(st.booleans()) else []
+
+
+def run_flags(draw):
+    # mostly trunc >= 4 * levels >= 4, which the CLI requires
+    levels = draw(st.one_of(st.integers(1, 4), st.integers(1, 4), st.integers(0, 4)))
+    trunc = draw(st.integers(max(1, 4 * levels - 2), 4 * levels + 12))
+    return [f"-N={trunc}", f"-n={levels}"] + optional(draw, number_flag("tol", FUZZ_POSITIVE))
+
+
+@st.composite
+def spectrum_argv(draw):
+    _, flags = draw(model_flags())
+    return ["spectrum"] + flags + optional(draw, number_flag("omega")) + run_flags(draw)
+
+
+@st.composite
+def verify_argv(draw):
+    kind = draw(st.sampled_from(["mix", "gauge", "matrix"]))
+    if kind == "mix":
+        flags = [draw(number_flag("rm-alpha")), draw(number_flag("rm-beta"))]
+    elif kind == "gauge":
+        flags = [draw(number_flag("gauge-g"))]
+    else:
+        # x -> x, p -> p + c x has unit determinant for every c
+        c = draw(FUZZ_NUMBERS)
+        flags = ["--u11=1", "--u12=0", f"--u21={c!r}j", "--u22=1"]
+    return (["verify"] + flags + optional(draw, number_flag("base-k", FUZZ_POSITIVE))
+            + optional(draw, number_flag("omega")) + run_flags(draw)
+            + optional(draw, number_flag("tol-eta", FUZZ_POSITIVE)))
+
+
+@st.composite
+def scan_argv(draw):
+    family, flags = draw(model_flags())
+    param = draw(st.sampled_from({"three_param": ("h11", "h12", "h22"),
+                                  "mix": ("rm-alpha", "rm-beta"),
+                                  "gamma_alpha": ("gamma", "alpha"),
+                                  "gamma_k": ("gamma", "k")}[family]))
+    start, span, step = draw(FUZZ_NUMBERS), draw(FUZZ_POSITIVE), draw(FUZZ_POSITIVE)
+    with np.errstate(all="ignore"):
+        stop = float(np.float64(start) + span)
+        count = np.float64(stop - start) / np.float64(step)
+    # a finite sweep of more points than this is a long run, not an edge case
+    if math.isfinite(count) and count > 200:
+        step = (stop - start) / 200
+    return (["scan"] + flags + ["--scan", param, f"--start={start!r}", f"--stop={stop!r}",
+                                f"--step={step!r}", f"-n={draw(st.integers(0, 13))}"]
+            + optional(draw, number_flag("threshold", FUZZ_POSITIVE)))
+
+
+FUZZ_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestFuzz:
+    """Every numeric input keeps the exit-code contract and byte determinism."""
+
+    @staticmethod
+    def check(argv):
+        code, out, err, caught = run_quiet(argv)
+        assert caught == [], (argv, caught)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err and "Warning" not in err
+        if code in (0, 4):
+            strict_json(out)
+            assert err == ""
+        else:
+            # one message, last; argparse puts its usage lines before it
+            assert out == ""
+            lines = err.splitlines()
+            assert sum(line.startswith("nhosc") for line in lines) == 1, err
+            assert lines[-1].startswith("nhosc"), err
+        assert run_quiet(argv)[:3] == (code, out, err)
+
+    @given(spectrum_argv())
+    @FUZZ_SETTINGS
+    def test_spectrum(self, argv):
+        self.check(argv)
+
+    @given(verify_argv())
+    @FUZZ_SETTINGS
+    def test_verify(self, argv):
+        self.check(argv)
+
+    @given(scan_argv())
+    @FUZZ_SETTINGS
+    def test_scan(self, argv):
+        self.check(argv)

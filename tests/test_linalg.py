@@ -1,7 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nhosc import linalg
 
@@ -222,3 +226,59 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             linalg.eigenvalues(np.zeros((0, 0)))
+
+
+@pytest.fixture
+def no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+class TestOverflow:
+    """Huge and tiny inputs: finite norms, and solves of an exactly scaled copy."""
+
+    @given(arrays(complex, st.integers(1, 40),
+                  elements=st.complex_numbers(max_magnitude=1e150, allow_nan=False,
+                                              allow_infinity=False)))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_norm_is_the_plain_formula_when_finite(self, a):
+        assert linalg.frobenius_norm(a) == float(np.sqrt((np.abs(a) ** 2).sum()))
+
+    def test_norm_does_not_overflow(self, no_warnings):
+        assert linalg.frobenius_norm([1e200, 1e200]) == 1e200 * math.sqrt(2.0)
+        assert linalg.frobenius_norm(np.full((3, 3), 1e300j)) == 3e300
+
+    def test_householder_on_huge_matrix(self, no_warnings):
+        rng = np.random.default_rng(4)
+        a = random_complex(rng, 6)
+        h, q = linalg.hessenberg(a * 2.0 ** 900)
+        assert np.isfinite(h).all() and np.isfinite(q).all()
+        assert np.abs(q @ q.conj().T - np.eye(6)).max() < 1e-13
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_tridiagonal_scaled_exactly(self, no_warnings, power):
+        rng = np.random.default_rng(7)
+        bands = [rng.normal(size=k) + 1j * rng.normal(size=k) for k in (12, 11, 11)]
+        # largest modulus in [1/2, 1): the solver's scaling maps the huge copy back onto t
+        top = max(float(np.abs(band).max()) for band in bands)
+        t = linalg.Tridiagonal(*(band / (2 * top) * 1.5 for band in bands))
+        huge = linalg.Tridiagonal(*(band * 2.0 ** power for band in (t.diag, t.lower, t.upper)))
+        expected = linalg.tridiagonal_eigenvalues(t) * 2.0 ** power
+        assert np.array_equal(linalg.tridiagonal_eigenvalues(huge), expected)
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_dense_scaled_exactly(self, no_warnings, power):
+        rng = np.random.default_rng(8)
+        a = random_complex(rng, 8)
+        a = a / float(np.abs(a).max()) * 0.75
+        expected = linalg.eigenvalues(a) * 2.0 ** power
+        assert np.array_equal(linalg.eigenvalues(a * 2.0 ** power), expected)
+
+    def test_eigenvector_of_huge_tridiagonal(self, no_warnings):
+        rng = np.random.default_rng(10)
+        bands = [(rng.normal(size=k) + 1j * rng.normal(size=k)) * 1e200 for k in (10, 9, 9)]
+        t = linalg.Tridiagonal(*bands)
+        lam = linalg.tridiagonal_eigenvalues(t)[0]
+        v = linalg.tridiagonal_eigenvector(t, lam)
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
