@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import weyl
+from .weyl import NonFiniteError
 
 DET_TOL = 1e-12
 _THETA_SERIES_CUTOFF = 1e-6
@@ -43,20 +44,20 @@ __all__ = [
 ]
 
 
-class NonFiniteError(ValueError):
-    """A NaN or infinite entry; from finite arguments, an overflow on the way."""
+def _finite_complex(name, value):
+    """value as a complex; NonFiniteError naming the field when NaN or infinite."""
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise NonFiniteError(f"{name} must be finite, got {value!r}")
+    return value
 
 
-def _set_finite(obj, names):
-    """Store each named field of a frozen dataclass as a finite complex."""
-    for name in names:
-        value = complex(getattr(obj, name))
-        if not cmath.isfinite(value):
-            raise NonFiniteError(f"{name} must be finite, got {value!r}")
-        object.__setattr__(obj, name, value)
+# The value classes below write their own __init__: each field is converted,
+# checked and stored once, in field order, straight into the instance dict
+# (frozen dataclasses block plain assignment).
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CanonicalTransform:
     """2x2 complex matrix of a canonical transformation, det = 1."""
 
@@ -65,8 +66,12 @@ class CanonicalTransform:
     u21: complex
     u22: complex
 
-    def __post_init__(self):
-        _set_finite(self, ("u11", "u12", "u21", "u22"))
+    def __init__(self, u11, u12, u21, u22):
+        fields = vars(self)
+        fields["u11"] = _finite_complex("u11", u11)
+        fields["u12"] = _finite_complex("u12", u12)
+        fields["u21"] = _finite_complex("u21", u21)
+        fields["u22"] = _finite_complex("u22", u22)
         det = self.determinant
         # written so that a NaN determinant (products overflowing) fails too
         if not abs(det - 1) <= DET_TOL:
@@ -105,7 +110,7 @@ class Generator:
         return cmath.sqrt(self.c * self.c - self.a * self.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadraticHamiltonian:
     """H = c_pp p^2 + c_xp (xp + px) + c_xx x^2."""
 
@@ -113,8 +118,11 @@ class QuadraticHamiltonian:
     c_xp: complex
     c_xx: complex
 
-    def __post_init__(self):
-        _set_finite(self, ("c_pp", "c_xp", "c_xx"))
+    def __init__(self, c_pp, c_xp, c_xx):
+        fields = vars(self)
+        fields["c_pp"] = _finite_complex("c_pp", c_pp)
+        fields["c_xp"] = _finite_complex("c_xp", c_xp)
+        fields["c_xx"] = _finite_complex("c_xx", c_xx)
 
     def weyl_poly(self):
         return (

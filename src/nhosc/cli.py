@@ -30,6 +30,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
+MAX_SCAN_POINTS = 1_000_000
+
 _MODEL_KEYS = ("h11", "h12", "h22", "rm_alpha", "rm_beta", "gamma", "alpha", "k")
 
 
@@ -227,7 +229,12 @@ class Model:
     params: dict
 
 
-def resolve_model(ns):
+def model_family(ns):
+    """Check the model flags; return the builder of the family they choose.
+
+    The choice depends only on which model options are set, not on their
+    values, so a scan makes it once and calls the builder at every point.
+    """
     has_h = any(getattr(ns, key) is not None for key in ("h11", "h12", "h22"))
     has_rm = any(getattr(ns, key) is not None for key in ("rm_alpha", "rm_beta"))
     has_gamma = ns.gamma is not None
@@ -240,31 +247,46 @@ def resolve_model(ns):
     if has_h:
         if ns.h11 is None or ns.h12 is None or ns.h22 is None:
             raise ConfigError("the three-parameter model needs --h11, --h12 and --h22")
-        osc = spectra.ThreeParamOscillator(ns.h11, ns.h12, ns.h22)
-        return Model(
-            kind="three_param",
-            quadratic=osc.as_quadratic(),
-            oscillator=osc,
-            transform=None,
-            params={"h11": ns.h11, "h12": ns.h12, "h22": ns.h22},
-        )
+        return three_param_model
     if has_rm:
         if ns.rm_alpha is None or ns.rm_beta is None:
             raise ConfigError("the mix model needs both --rm-alpha and --rm-beta")
-        try:
-            osc = spectra.rath_mallick_oscillator(ns.rm_alpha, ns.rm_beta)
-            transform = canonical.rath_mallick(ns.rm_alpha, ns.rm_beta)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        return Model(
-            kind="rath_mallick",
-            quadratic=osc.as_quadratic(),
-            oscillator=osc,
-            transform=transform,
-            params={"rm_alpha": ns.rm_alpha, "rm_beta": ns.rm_beta},
-        )
+        return mix_model
     if ns.alpha is None and ns.k is None:
         raise ConfigError("--gamma needs --alpha or --k")
+    return gamma_model
+
+
+def three_param_model(ns):
+    """The --h11/--h12/--h22 model; the flags were checked by model_family."""
+    osc = spectra.ThreeParamOscillator(ns.h11, ns.h12, ns.h22)
+    return Model(
+        kind="three_param",
+        quadratic=osc.as_quadratic(),
+        oscillator=osc,
+        transform=None,
+        params={"h11": ns.h11, "h12": ns.h12, "h22": ns.h22},
+    )
+
+
+def mix_model(ns):
+    """The --rm-alpha/--rm-beta model; a singular point is a ConfigError."""
+    try:
+        osc = spectra.rath_mallick_oscillator(ns.rm_alpha, ns.rm_beta)
+        transform = canonical.rath_mallick(ns.rm_alpha, ns.rm_beta)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    return Model(
+        kind="rath_mallick",
+        quadratic=osc.as_quadratic(),
+        oscillator=osc,
+        transform=transform,
+        params={"rm_alpha": ns.rm_alpha, "rm_beta": ns.rm_beta},
+    )
+
+
+def gamma_model(ns):
+    """The --gamma model with --alpha and/or --k."""
     quad = canonical.ahmed_hermitian(ns.gamma, alpha=ns.alpha, k=ns.k)
     params = {"gamma": ns.gamma}
     if ns.alpha is not None:
@@ -273,6 +295,10 @@ def resolve_model(ns):
         params["k"] = ns.k
     return Model(kind="gamma_family", quadratic=quad, oscillator=None, transform=None,
                  params=params)
+
+
+def resolve_model(ns):
+    return model_family(ns)(ns)
 
 
 def resolve_transform(ns):
@@ -341,6 +367,7 @@ def _csv_cell(value):
 
 
 _CONTAINERS = (dict, list, tuple)
+_ROW_BATCH = 256
 _NOT_SERIALIZABLE = json.JSONEncoder().default
 
 
@@ -349,11 +376,21 @@ def _json_text(document):
 
     A container whose items are all scalars goes through the stdlib's C
     encoder in one call, with one encoder per nesting level whose item
-    separator carries that level's newline and indent; only containers that
-    hold containers are walked here, and their keys must be strings, as in
-    every document this module writes.  NaN and infinities raise ValueError.
+    separator carries that level's newline and indent; a list of non-empty
+    dicts of scalars (a row table, see _row_table) goes through in batches.
+    Only other containers that hold containers are walked here, and their
+    keys must be strings, as in every document this module writes.  NaN and
+    infinities raise ValueError.
     """
     encoders = {}
+
+    def encoder_at(level):
+        encoder = encoders.get(level)
+        if encoder is None:
+            encoder = encoders[level] = c_make_encoder(
+                None, _NOT_SERIALIZABLE, encode_basestring_ascii, None, ": ",
+                ",\n" + "  " * (level + 1), True, False, False)
+        return encoder
 
     def encode(obj, level):
         inner = "\n" + "  " * (level + 1)
@@ -365,14 +402,13 @@ def _json_text(document):
                     parts = [encode_basestring_ascii(key) + ": " + encode(value, level + 1)
                              for key, value in sorted(obj.items())]
                 else:
+                    text = _row_table(obj, level, encoder_at(level + 1))
+                    if text is not None:
+                        return text
                     parts = [encode(value, level + 1) for value in obj]
                 return (("{" if is_dict else "[") + inner + ("," + inner).join(parts)
                         + "\n" + "  " * level + ("}" if is_dict else "]"))
-        encoder = encoders.get(level)
-        if encoder is None:
-            encoder = encoders[level] = c_make_encoder(
-                None, _NOT_SERIALIZABLE, encode_basestring_ascii, None, ": ", "," + inner,
-                True, False, False)
+        encoder = encoder_at(level)
         try:
             text = "".join(encoder(obj, 0))
         except ValueError:
@@ -382,6 +418,40 @@ def _json_text(document):
         return text
 
     return encode(document, 0)
+
+
+def _row_table(rows, level, row_encoder):
+    """The indented text of a list of non-empty dicts of scalars, or None.
+
+    The rows go through row_encoder, the rows' own encoder (item separator
+    ",\n" plus the rows' field indent), one call per _ROW_BATCH rows, since
+    the encoder holds every small piece of its text until it returns; three
+    replacements then put each brace on its own indented line.  That is
+    exact only when the text holds one "{" and one "}" per row and one "["
+    and one "]" in all, which proves that no key or string holds a brace or
+    bracket and no row holds a container.  Otherwise, and on a NaN or an
+    infinity, the caller walks the rows one by one.
+    """
+    if not (all(map(isinstance, rows, repeat(dict))) and all(rows)):
+        return None
+    # rows that hold containers (verify's levels) fail the proof below; most
+    # show it in their first row, so skip the encoding for them
+    if any(map(isinstance, rows[0].values(), repeat(_CONTAINERS))):
+        return None
+    outer, row, field = ("  " * (level + depth) for depth in range(3))
+    try:
+        text = "[" + (",\n" + field).join(
+            "".join(row_encoder(rows[start:start + _ROW_BATCH], 0))[1:-1]
+            for start in range(0, len(rows), _ROW_BATCH)) + "]"
+    except ValueError:
+        return None
+    count = len(rows)
+    if not (text.count("{") == count == text.count("}")
+            and text.count("[") == 1 == text.count("]")):
+        return None
+    return (text.replace("},\n" + field + "{", "\n" + row + "},\n" + row + "{\n" + field)
+            .replace("[{", "[\n" + row + "{\n" + field)
+            .replace("}]", "\n" + row + "}\n" + outer + "]"))
 
 
 def _raise_as_json_dumps(encoder, obj):
@@ -522,6 +592,9 @@ def _scan_values(ns):
     if ns.stop < ns.start:
         raise ConfigError("stop must be >= start")
     count = int(math.floor((ns.stop - ns.start) / ns.step + 1e-9)) + 1
+    if count > MAX_SCAN_POINTS:
+        raise ConfigError(f"scan has {count:.7g} points, more than the {MAX_SCAN_POINTS} "
+                          "allowed; raise --step or narrow --start/--stop")
     return [ns.start + i * ns.step for i in range(count)]
 
 
@@ -539,10 +612,12 @@ def cmd_scan(ns):
                           + ", ".join(key.replace("_", "-") for key in _MODEL_KEYS))
 
     point = argparse.Namespace(**vars(ns))
+    setattr(point, param, values[0])
+    build = model_family(point)
 
     def evaluate(value):
         setattr(point, param, value)
-        model = resolve_model(point)
+        model = build(point)
         # The indicator is the largest |Im E_n| over the lowest `levels` levels,
         # E_n = Omega (2n+1).  Im E_n is Im(Omega)*(2n+1) rounded, plus
         # Re(Omega)*0, which is +-0 at every level (NaN at every level when
@@ -683,6 +758,13 @@ def cmd_verify(ns):
     return EXIT_OK if passed else EXIT_VERIFY
 
 
+def _grid(ns, omega):
+    """The --grid-span grid, or by default the grid that covers frequency omega."""
+    if ns.grid_span:
+        return wavefun.uniform_grid(ns.grid_span, ns.grid_points)
+    return wavefun.default_grid(omega, ns.grid_points)
+
+
 def cmd_wavefunction(ns):
     _default(ns, "format", "json")
     _default(ns, "grid_points", wavefun.DEFAULT_GRID_POINTS)
@@ -702,17 +784,8 @@ def cmd_wavefunction(ns):
     if has_rm:
         if ns.rm_alpha is None or ns.rm_beta is None:
             raise ConfigError("the mix ground state needs both --rm-alpha and --rm-beta")
-        try:
-            width = (1.0 - ns.rm_beta) / (1.0 + ns.rm_alpha)
-        except ZeroDivisionError:
-            raise ConfigError("alpha = -1 is degenerate")
-        if not (ns.rm_beta < 1.0 and ns.rm_alpha > -1.0):
-            raise ConfigError(
-                f"state is not square integrable (margin {width:g}); "
-                "requires beta < 1 and alpha > -1"
-            )
-        span = ns.grid_span if ns.grid_span else wavefun.DEFAULT_SPAN_SIGMAS / math.sqrt(width)
-        grid = wavefun.uniform_grid(span, ns.grid_points)
+        width = wavefun.rm_ground_width(ns.rm_alpha, ns.rm_beta)
+        grid = _grid(ns, width)
         values = wavefun.rm_ground_state(ns.rm_alpha, ns.rm_beta, grid.points)
         sample = wavefun.WavefunctionSample(
             grid=grid, values=values, omega=width,
@@ -723,8 +796,7 @@ def cmd_wavefunction(ns):
         _require_positive(ns.omega, "omega")
         if ns.level < 0:
             raise ConfigError("level must be non-negative")
-        span = ns.grid_span if ns.grid_span else wavefun.DEFAULT_SPAN_SIGMAS / math.sqrt(ns.omega)
-        grid = wavefun.uniform_grid(span, ns.grid_points)
+        grid = _grid(ns, ns.omega)
         values = wavefun.hermite_function(ns.level, ns.omega, grid.points)
         sample = wavefun.WavefunctionSample(
             grid=grid, values=values, omega=ns.omega,
@@ -746,10 +818,7 @@ def cmd_wavefunction(ns):
                 f"branch frequency {pair.frequency:g} is not positive; the state is "
                 "square integrable along the imaginary axis only and is not sampled"
             )
-        span = ns.grid_span if ns.grid_span else (
-            wavefun.DEFAULT_SPAN_SIGMAS / math.sqrt(pair.frequency)
-        )
-        grid = wavefun.uniform_grid(span, ns.grid_points)
+        grid = _grid(ns, pair.frequency)
         sample = wavefun.synthesize(pair, pair.frequency, grid)
 
     norm = wavefun.quadrature_norm(sample)

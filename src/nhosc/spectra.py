@@ -59,7 +59,14 @@ class DegenerateEigenvaluesError(ValueError):
         self.pair = pair
 
 
-@dataclass(frozen=True)
+def _finite_float(name, value):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+@dataclass(frozen=True, init=False)
 class ThreeParamOscillator:
     """H = h11 p^2 + i h12 (xp + px) + h22 x^2, all coefficients real."""
 
@@ -67,12 +74,12 @@ class ThreeParamOscillator:
     h12: float
     h22: float
 
-    def __post_init__(self):
-        for name in ("h11", "h12", "h22"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+    def __init__(self, h11, h12, h22):
+        # each field converted, checked and stored once (frozen: via the dict)
+        fields = vars(self)
+        fields["h11"] = _finite_float("h11", h11)
+        fields["h12"] = _finite_float("h12", h12)
+        fields["h22"] = _finite_float("h22", h22)
 
     @property
     def discriminant(self):

@@ -25,6 +25,7 @@ __all__ = [
     "default_grid",
     "hermite_function",
     "hermite_basis",
+    "rm_ground_width",
     "rm_ground_state",
     "synthesize",
     "quadrature_norm",
@@ -127,24 +128,34 @@ def hermite_function(n, omega, x):
     return values
 
 
-def rm_ground_state(alpha, beta, x):
-    """Ground state of the two-parameter transformed oscillator.
+def rm_ground_width(alpha, beta):
+    """Width (1-beta)/(1+alpha) of the two-parameter ground state.
 
-    A Gaussian of width (1-beta)/(1+alpha), normalized to unit square
-    integral; defined only on the region beta < 1, alpha > -1.
+    It is also the signed square-integrability margin; NonNormalizableError
+    outside the region beta < 1, alpha > -1.
     """
     alpha, beta = float(alpha), float(beta)
     if alpha == -1.0:
-        raise NonNormalizableError("alpha = -1: degenerate width", margin=None)
-    margin = (1.0 - beta) / (1.0 + alpha)
+        raise NonNormalizableError("alpha = -1 is degenerate", margin=None)
+    width = (1.0 - beta) / (1.0 + alpha)
     if not (beta < 1.0 and alpha > -1.0):
         raise NonNormalizableError(
-            f"not square integrable: requires beta < 1 and alpha > -1 "
-            f"(margin {margin:g})",
-            margin=margin,
+            f"state is not square integrable (margin {width:g}); "
+            "requires beta < 1 and alpha > -1",
+            margin=width,
         )
+    return width
+
+
+def rm_ground_state(alpha, beta, x):
+    """Ground state of the two-parameter transformed oscillator.
+
+    A Gaussian of width rm_ground_width(alpha, beta), normalized to unit
+    square integral; defined only on the region beta < 1, alpha > -1.
+    """
+    width = rm_ground_width(alpha, beta)
     x = np.asarray(x, dtype=float)
-    values = (margin / math.pi) ** 0.25 * np.exp(-0.5 * margin * x * x)
+    values = (width / math.pi) ** 0.25 * np.exp(-0.5 * width * x * x)
     if np.ndim(values) == 0:
         return float(values)
     return values

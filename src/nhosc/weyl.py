@@ -6,7 +6,8 @@ ladder form).  Normal order is a canonical form, so two polynomials are equal
 iff their term maps are equal.  Coefficients are double-precision complex;
 after each operation, terms whose magnitude falls below 1e-14 of the largest
 coefficient of the result are pruned, which keeps small-integer computations
-exact while suppressing cancellation dust.
+exact while suppressing cancellation dust.  A NaN or infinite coefficient,
+given or reached by overflow, raises NonFiniteError.
 
 The reduction rules are the closed-form reorderings
 
@@ -18,6 +19,7 @@ which follow from [x, p] = i and [a, a+] = 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from types import MappingProxyType
 
@@ -26,6 +28,7 @@ import numpy as np
 PRUNE_REL = 1e-14
 
 __all__ = [
+    "NonFiniteError",
     "WeylPoly",
     "LadderPoly",
     "X",
@@ -46,6 +49,10 @@ __all__ = [
     "to_weyl",
     "fock_matrix",
 ]
+
+
+class NonFiniteError(ValueError):
+    """A NaN or infinite entry; from finite arguments, an overflow on the way."""
 
 
 def _pruned(terms):
@@ -84,6 +91,10 @@ class _Poly:
                 if m < 0 or n < 0 or m != int(m) or n != int(n):
                     raise ValueError(f"exponents must be non-negative integers, got {(m, n)}")
                 c = complex(c)
+                if not cmath.isfinite(c):
+                    sym1, sym2 = self._SYMBOLS
+                    raise NonFiniteError(
+                        f"coefficient of {sym1}^{m} {sym2}^{n} must be finite, got {c!r}")
                 if c != 0:
                     clean[(int(m), int(n))] = clean.get((int(m), int(n)), 0) + c
         self._terms = _pruned(clean)
@@ -180,6 +191,9 @@ class _Poly:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
+    def __str__(self):
+        return _format_terms(self._terms, *self._SYMBOLS)
+
     def isclose(self, other, rel_tol=1e-12, abs_tol=0.0):
         """Coefficient-wise comparison with tolerance scaled to the larger poly."""
         other = self._binary_terms(other)
@@ -197,6 +211,7 @@ class WeylPoly(_Poly):
     """Normal-ordered polynomial sum c_mn x^m p^n with [x, p] = i."""
 
     __slots__ = ()
+    _SYMBOLS = ("x", "p")
 
     @staticmethod
     def _reorder(n1, m2):
@@ -214,9 +229,6 @@ class WeylPoly(_Poly):
     def __repr__(self):
         return f"WeylPoly({dict(sorted(self._terms.items()))!r})"
 
-    def __str__(self):
-        return _format_terms(self._terms, "x", "p")
-
 
 class LadderPoly(_Poly):
     """Normal-ordered polynomial sum c_rs (a+)^r a^s with [a, a+] = 1.
@@ -226,6 +238,7 @@ class LadderPoly(_Poly):
     """
 
     __slots__ = ("omega",)
+    _SYMBOLS = ("a+", "a")
 
     def __init__(self, terms=None, omega=1.0):
         omega = float(omega)
@@ -256,9 +269,6 @@ class LadderPoly(_Poly):
 
     def __repr__(self):
         return f"LadderPoly({dict(sorted(self._terms.items()))!r}, omega={self.omega})"
-
-    def __str__(self):
-        return _format_terms(self._terms, "a+", "a")
 
 
 X = WeylPoly({(1, 0): 1.0})

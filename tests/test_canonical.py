@@ -1,11 +1,16 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nhosc import canonical, weyl
+from nhosc import canonical, spectra, weyl
 from nhosc.canonical import CanonicalTransform, Generator, QuadraticHamiltonian
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def expm_taylor(mat, terms=40):
@@ -332,3 +337,152 @@ class TestQuadraticHelpers:
         assert abs(broken.real) < 1e-14 and broken.imag > 0
         fixed_k = canonical.ahmed_hermitian(5.0, k=2.0).frequency_scale
         assert abs(fixed_k - math.sqrt(2) / 2) < 1e-14
+
+
+class TestValueObjects:
+    """The hand-written __init__ keeps what the generated one gave."""
+
+    def test_fields_in_order(self):
+        assert [f.name for f in dataclasses.fields(CanonicalTransform)] == [
+            "u11", "u12", "u21", "u22"]
+        assert [f.name for f in dataclasses.fields(QuadraticHamiltonian)] == [
+            "c_pp", "c_xp", "c_xx"]
+
+    def test_keyword_and_positional_construction(self):
+        u = canonical.rath_mallick(0.3, 0.2)
+        by_keyword = CanonicalTransform(u22=u.u22, u21=u.u21, u12=u.u12, u11=u.u11)
+        mixed = CanonicalTransform(u.u11, u.u12, u21=u.u21, u22=u.u22)
+        assert by_keyword == u == mixed
+        assert dataclasses.replace(u, u12=u.u12) == u
+        h = QuadraticHamiltonian(c_xx=0.7, c_pp=0.4, c_xp=0.1j)
+        assert h == QuadraticHamiltonian(0.4, 0.1j, 0.7)
+        with pytest.raises(TypeError):
+            QuadraticHamiltonian(0.4, 0.1j)
+
+    def test_frozen(self):
+        u, h = canonical.identity(), canonical.harmonic_oscillator()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            u.u11 = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.c_pp = 1.0
+        assert u == canonical.identity() and h == canonical.harmonic_oscillator()
+
+    def test_equality_hash_and_repr(self):
+        u = CanonicalTransform(1, 0, 0, 1.0)
+        assert u == canonical.identity() and u != canonical.gauge(0.5)
+        assert u != (1, 0, 0, 1)
+        assert hash(u) == hash((1 + 0j, 0j, 0j, 1 + 0j))
+        assert repr(u) == "CanonicalTransform(u11=(1+0j), u12=0j, u21=0j, u22=(1+0j))"
+        h = QuadraticHamiltonian(0.5, 0, 2)
+        assert hash(h) == hash((0.5 + 0j, 0j, 2 + 0j))
+        assert repr(h) == "QuadraticHamiltonian(c_pp=(0.5+0j), c_xp=0j, c_xx=(2+0j))"
+        assert len({h, QuadraticHamiltonian(0.5, 0.0, 2.0), canonical.harmonic_oscillator()}) == 2
+
+    @pytest.mark.parametrize("one", [1, 1.0, 1 + 0j, np.int64(1), np.float64(1.0),
+                                     np.float32(1.0), np.complex128(1.0)])
+    def test_fields_stored_as_complex(self, one):
+        u = CanonicalTransform(one, 0, 0, one)
+        h = QuadraticHamiltonian(one, one, one)
+        for value in (u.u11, u.u12, u.u21, u.u22, h.c_pp, h.c_xp, h.c_xx):
+            assert type(value) is complex
+        assert u == canonical.identity() and h == QuadraticHamiltonian(1, 1, 1)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_first_non_finite_entry_is_named(self, position):
+        # every entry from `position` on is NaN; the first one is reported
+        entries = [1, 0, 0, 1][:position] + [math.nan] * (4 - position)
+        name = ("u11", "u12", "u21", "u22")[position]
+        with pytest.raises(canonical.NonFiniteError) as raised:
+            CanonicalTransform(*entries)
+        assert str(raised.value) == f"{name} must be finite, got (nan+0j)"
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_first_non_finite_coefficient_is_named(self, position):
+        coeffs = [0.5, 0.0, 0.5][:position] + [complex(1, math.inf)] * (3 - position)
+        name = ("c_pp", "c_xp", "c_xx")[position]
+        with pytest.raises(canonical.NonFiniteError) as raised:
+            QuadraticHamiltonian(*coeffs)
+        assert str(raised.value) == f"{name} must be finite, got (1+infj)"
+
+    def test_non_finite_error_is_weyl_class(self):
+        assert canonical.NonFiniteError is weyl.NonFiniteError
+
+
+def _complexes(bound):
+    parts = st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+    return st.builds(complex, parts, parts)
+
+
+# random SL(2, C) elements: exponentials of generators with |a|, |b|, |c| <= sqrt(2)
+transforms = st.builds(
+    lambda a, b, c: canonical.from_generator(Generator(a, b, c)),
+    _complexes(1.0), _complexes(1.0), _complexes(1.0),
+)
+quadratics = st.builds(QuadraticHamiltonian, _complexes(2.0), _complexes(2.0), _complexes(2.0))
+
+# rounding of a few products of doubles, relative to the size of the operands
+REL_TOL = 1e-13
+
+
+def _size(u):
+    return max(1.0, abs(u.u11), abs(u.u12), abs(u.u21), abs(u.u22))
+
+
+def _entries_close(u, v, scale):
+    return all(abs(getattr(u, f) - getattr(v, f)) <= REL_TOL * scale
+               for f in ("u11", "u12", "u21", "u22"))
+
+
+def _discriminant(h):
+    return h.c_pp * h.c_xx - h.c_xp * h.c_xp
+
+
+class TestGroupLawProperties:
+    """Group laws and isospectrality over random SL(2, C) transforms."""
+
+    @given(transforms, transforms, transforms)
+    @PROPERTY_SETTINGS
+    def test_compose_is_associative(self, u, v, w):
+        lhs = canonical.compose(canonical.compose(u, v), w)
+        rhs = canonical.compose(u, canonical.compose(v, w))
+        assert _entries_close(lhs, rhs, _size(u) * _size(v) * _size(w))
+
+    @given(transforms)
+    @PROPERTY_SETTINGS
+    def test_inverse_composes_to_identity(self, u):
+        for product in (canonical.compose(u, canonical.inverse(u)),
+                        canonical.compose(canonical.inverse(u), u)):
+            assert _entries_close(product, canonical.identity(), _size(u) ** 2)
+
+    @given(transforms)
+    @PROPERTY_SETTINGS
+    def test_identity_is_neutral(self, u):
+        assert canonical.compose(canonical.identity(), u) == u
+        assert canonical.compose(u, canonical.identity()) == u
+
+    @given(transforms, transforms, quadratics)
+    @PROPERTY_SETTINGS
+    def test_apply_agrees_with_composition(self, u, v, h):
+        # substituting by u, then by v, is substituting by the product u v
+        twice = canonical.apply_to_quadratic(v, canonical.apply_to_quadratic(u, h))
+        once = canonical.apply_to_quadratic(canonical.compose(u, v), h)
+        scale = max(1.0, abs(h.c_pp), abs(h.c_xp), abs(h.c_xx)) * (_size(u) * _size(v)) ** 2
+        for f in ("c_pp", "c_xp", "c_xx"):
+            assert abs(getattr(twice, f) - getattr(once, f)) <= REL_TOL * scale
+
+    @given(transforms, quadratics)
+    @PROPERTY_SETTINGS
+    def test_discriminant_and_closed_form_spectrum_invariant(self, u, h):
+        image = canonical.apply_to_quadratic(u, h)
+        # the size of the products that cancel in c_pp c_xx - c_xp^2
+        scale = (max(1.0, abs(h.c_pp), abs(h.c_xp), abs(h.c_xx)) * _size(u) ** 2) ** 2
+        gap = abs(_discriminant(image) - _discriminant(h))
+        assert gap <= REL_TOL * scale
+        # E_n = sqrt(D)(2n+1) up to the branch of the root; for any complex a, b
+        # min |sqrt(a) -+ sqrt(b)| <= sqrt|a - b|
+        for n in range(4):
+            e_h = spectra.general_quadratic_spectrum(h, n)
+            e_image = spectra.general_quadratic_spectrum(image, n)
+            miss = min(abs(e_image - e_h), abs(e_image + e_h))
+            assert miss <= (2 * n + 1) * math.sqrt(REL_TOL * scale) + 1e-14 * abs(e_h)
+

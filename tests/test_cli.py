@@ -1,10 +1,12 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -254,6 +256,18 @@ class TestWavefunction:
         assert code == 2
         assert "square integrable" in err
 
+    @pytest.mark.parametrize("alpha, beta, message", [
+        ("0.3", "1.0", "state is not square integrable (margin 0); "
+                       "requires beta < 1 and alpha > -1"),
+        ("-1.5", "0.2", "state is not square integrable (margin -1.6); "
+                        "requires beta < 1 and alpha > -1"),
+        ("-1", "0.2", "alpha = -1 is degenerate"),
+    ])
+    def test_outside_region_messages(self, capsys, alpha, beta, message):
+        code, out, err = run_cli(capsys, "wavefunction", f"--rm-alpha={alpha}",
+                                 f"--rm-beta={beta}")
+        assert (code, out, err) == (2, "", f"nhosc: error: {message}\n")
+
     def test_csv_has_constant_summary_columns(self, capsys):
         code, out, _ = run_cli(
             capsys, "wavefunction", "--level", "1", "--grid-points", "11",
@@ -374,6 +388,16 @@ class TestExitCodes:
         )
         assert code == 3 and out == ""
         assert err == "nhosc: numeric failure: c_xx must be finite, got (nan+0j)\n"
+
+    def test_overflow_in_ladder_form_is_numeric_failure(self, capsys):
+        # 1/(2 omega) overflows; the ladder polynomial used to drop the term silently
+        code, out, err = run_cli(
+            capsys, "spectrum", "--h11", "0.5", "--h12", "0.2", "--h22", "0.5",
+            "-N", "40", "-n", "4", "--omega", "1e-310",
+        )
+        assert (code, out) == (3, "")
+        assert err == ("nhosc: numeric failure: coefficient of a+^2 a^0 must be finite, "
+                       "got (inf+nanj)\n")
 
     def test_unreadable_config_file(self, capsys, tmp_path):
         missing = tmp_path / "missing.cfg"
@@ -716,3 +740,212 @@ class TestFuzz:
     @FUZZ_SETTINGS
     def test_scan(self, argv):
         self.check(argv)
+
+
+class TestJsonRowTables:
+    """A list of flat dicts goes through one C-encoder call; the text is json.dumps's."""
+
+    # braces and brackets in keys and strings force the per-row walk
+    plain = st.text(alphabet=",:\"\\\n\u00e9xy", max_size=4)
+    braced = st.text(alphabet="xy{}[]", min_size=1, max_size=3)
+    numbers = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(TestJsonText.SPECIAL_FLOATS),
+    )
+    keys = st.one_of(plain, braced)
+    scalars = st.one_of(numbers, plain, braced)
+    plain_rows = st.dictionaries(plain, st.one_of(numbers, plain), min_size=1, max_size=5)
+    rows = st.dictionaries(keys, scalars, min_size=1, max_size=5)
+    # the same row table at the top, as a dict value, and inside a list
+    wrappers = st.sampled_from([
+        lambda table: table,
+        lambda table: {"results": {"rows": table}, "z": 1},
+        lambda table: [[table], 0],
+    ])
+
+    @given(wrappers, st.lists(st.one_of(
+        rows,
+        st.lists(rows, min_size=1, max_size=6),
+        st.builds(dict),
+        scalars,
+        st.lists(scalars, max_size=3),
+        st.dictionaries(keys, st.lists(scalars, max_size=2), max_size=2),
+    ), max_size=6))
+    @PROPERTY_SETTINGS
+    def test_mixed_lists_match_json_dumps(self, wrap, items):
+        document = wrap(items)
+        assert cli._json_text(document) == TestJsonText.dumps(document)
+
+    @given(wrappers, st.one_of(st.lists(plain_rows, min_size=1, max_size=8),
+                               st.lists(rows, min_size=1, max_size=8)))
+    @PROPERTY_SETTINGS
+    def test_row_tables_match_json_dumps(self, wrap, table):
+        document = wrap(table)
+        assert cli._json_text(document) == TestJsonText.dumps(document)
+
+    @given(st.lists(plain_rows, min_size=1, max_size=8), st.data())
+    @PROPERTY_SETTINGS
+    def test_non_finite_in_any_row(self, table, data):
+        bad = data.draw(st.sampled_from(TestJsonText.NON_FINITE))
+        index = data.draw(st.integers(0, len(table) - 1))
+        key = data.draw(st.sampled_from(sorted(table[index])))
+        table[index][key] = bad
+        document = {"results": {"rows": table}}
+        with pytest.raises(ValueError) as expected:
+            TestJsonText.dumps(document)
+        with pytest.raises(ValueError) as raised:
+            cli._json_text(document)
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == f"Out of range float values are not JSON compliant: {bad!r}"
+
+    def test_fast_path_taken_only_when_braces_prove_it(self, monkeypatch):
+        results = []
+        row_table = cli._row_table
+
+        def spy(*args):
+            results.append(row_table(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "_row_table", spy)
+        plain = [{"index": 0, "value": 0.5, "margin": None}, {"index": 1, "value": -0.0}]
+        cases = [
+            (plain, True),
+            ([{"a{": 1}, {"b": 2}], False),          # brace in a key
+            ([{"a": "}"}, {"b": "{"}], False),       # braces in strings
+            ([{"a": "["}], False),                   # bracket in a string
+            ([{"a": 1}, {}], False),                 # an empty row
+            ([{"a": 1}, {"b": [1]}], False),         # a container in a row
+            ([{"a": 1}, {"b": math.nan}], False),    # NaN: the walk gives the message
+        ]
+        for table, fast in cases:
+            results.clear()
+            try:
+                assert cli._json_text({"rows": table}) == TestJsonText.dumps({"rows": table})
+            except ValueError:
+                assert not fast
+            assert (results[0] is not None) == fast, table
+
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_batches_join_like_one_call(self, monkeypatch, batch):
+        monkeypatch.setattr(cli, "_ROW_BATCH", batch)
+        plain = [{"i": i, "x": i / 7, "s": "a,b"} for i in range(7)]
+        tables = [plain] + [
+            plain[:k] + [dict(plain[k], s=text)] + plain[k + 1:]
+            for k in range(7) for text in ("{", "]", math.inf)
+        ]
+        for table in tables:
+            document = {"results": {"rows": table}}
+            try:
+                expected = TestJsonText.dumps(document)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match="^" + re.escape(str(exc)) + "$"):
+                    cli._json_text(document)
+            else:
+                assert cli._json_text(document) == expected
+
+
+class TestScanModelFamily:
+    def test_family_resolved_once_per_scan(self, capsys, monkeypatch):
+        calls = []
+        family = cli.model_family
+
+        def counted(ns):
+            calls.append(ns.gamma)
+            return family(ns)
+
+        monkeypatch.setattr(cli, "model_family", counted)
+        code, doc = run_json(capsys, "scan", "--alpha", "1", "--scan", "gamma",
+                             "--start", "0", "--stop", "2", "--step", "0.2")
+        assert code == 0 and len(doc["results"]["rows"]) == 11
+        assert calls == [0.0]
+
+    @pytest.mark.parametrize("argv", [
+        ["--h11", "0.5", "--h12", "0.2", "--h22", "0.4"],
+        ["--rm-alpha", "0.3", "--rm-beta", "0.2"],
+        ["--gamma", "0.5", "--alpha", "1"],
+        ["--gamma", "0.5", "--k", "2"],
+    ])
+    def test_resolve_model_is_family_then_builder(self, argv):
+        ns = cli.build_parser().parse_args(["spectrum"] + argv)
+        model = cli.resolve_model(ns)
+        assert model == cli.model_family(ns)(ns)
+        assert cli.model_family(ns) is cli.model_family(ns)
+
+    # a point inside the sweep fails: the same exit code and message as a
+    # single model built there, and nothing on stdout
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--rm-alpha", "1", "--scan", "rm-beta", "--start=-2", "--stop", "0", "--step", "0.5"],
+         2, "nhosc: error: singular parameters: 1 + lam*beta = 0"),
+        (["--rm-beta", "2", "--scan", "rm-alpha", "--start=-2", "--stop", "0", "--step", "0.25"],
+         2, "nhosc: error: degenerate transform: u22 - i u12 vanishes"),
+        (["--alpha", "1", "--scan", "gamma", "--start=-1e307", "--stop=1e307", "--step=1e307"],
+         3, "nhosc: numeric failure: c_xx must be finite, got (nan+0j)"),
+    ])
+    def test_failure_mid_sweep(self, capsys, fmt, argv, code, message):
+        assert run_cli(capsys, "scan", *argv, "--format", fmt) == (code, "", message + "\n")
+
+
+class TestScanPointCap:
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 5)
+        code, doc = run_json(capsys, "scan", "--alpha", "1", "--scan", "gamma",
+                             "--start", "0", "--stop", "0.4", "--step", "0.1")
+        assert code == 0 and len(doc["results"]["rows"]) == 5
+        code, out, err = run_cli(capsys, "scan", "--alpha", "1", "--scan", "gamma",
+                                 "--start", "0", "--stop", "0.5", "--step", "0.1")
+        assert (code, out) == (2, "")
+        assert err == ("nhosc: error: scan has 6 points, more than the 5 allowed; "
+                       "raise --step or narrow --start/--stop\n")
+
+    def test_huge_scan_exits_before_allocating(self):
+        # under a 1 GiB address-space limit a list of the points would fail
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "nhosc", "scan", "--alpha", "1", "--scan", "gamma",
+             "--start", "0", "--stop", "1", "--step", "1e-300"],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "nhosc: error: scan has 1e+300 points, more than the 1000000 allowed; "
+            "raise --step or narrow --start/--stop"
+        ]
+
+
+README_SCAN = ["scan", "--alpha", "1.0", "--scan", "gamma", "--start", "0", "--stop", "2",
+               "--step", "0.01"]
+
+
+class TestGoldenScans:
+    """sha256 of stdout for the README scan and two 2,001-point sweeps.
+
+    Scans use only cmath and Python floats, so these bytes do not depend on
+    the platform's BLAS or numpy version.
+    """
+
+    @pytest.mark.parametrize("argv, digests", [
+        (README_SCAN,
+         ("0d505e900870cc5e7fe9362a21e6c59d89dcd01c73a02f9a1cef4c57cc96ce64",
+          "dc9d3f86a1769d3e4c031f0aa7696a1df1cfc2b27c0472a7f1dd041969cd3e9e")),
+        (["scan", "--alpha=1.2056942074137735", "--scan", "gamma",
+          "--start=-0.008282451560798203", "--stop=1.9922175484392017", "--step=0.001"],
+         ("0300686ec134ced3e5709d95ed76bb8fbd5794f0a9317bb60355e426ad38f99d",
+          "1397c1c47f141f10434ba42a8efa4b1add4f812aa0cebb204a17921c128dd05c")),
+        (["scan", "--rm-alpha=-0.034311177066519594", "--scan", "rm-beta",
+          "--start=-0.8875924925519162", "--stop=1.1129075074480836", "--step=0.001"],
+         ("4ab8f4fd7b4fd40dfbb66631e870f25bc963cf71da91a2ce172fb3bf5086bbf5",
+          "0531d8bb9f1326ea2abd2d64a15862f56fad8014ed86694dfc102ae18df28cd7")),
+    ])
+    def test_stdout_digest(self, capsys, argv, digests):
+        for fmt, digest in zip(("json", "csv"), digests):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt

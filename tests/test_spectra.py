@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -374,3 +375,36 @@ class TestMixIdentityChain:
                 canonical.rath_mallick(lam, beta), canonical.harmonic_oscillator()
             )
             assert image.isclose(osc.as_quadratic(), tol=1e-13)
+
+
+class TestThreeParamOscillatorValue:
+    """The hand-written __init__ keeps what the generated one gave."""
+
+    def test_fields_equality_hash_repr(self):
+        osc = ThreeParamOscillator(0.5, 0, 1)
+        assert [f.name for f in dataclasses.fields(ThreeParamOscillator)] == ["h11", "h12", "h22"]
+        assert osc == ThreeParamOscillator(h22=1.0, h11=0.5, h12=0.0)
+        assert osc == ThreeParamOscillator(0.5, h12=0.0, h22=1.0)
+        assert osc != SHO and osc != (0.5, 0.0, 1.0)
+        assert hash(osc) == hash((0.5, 0.0, 1.0))
+        assert repr(osc) == "ThreeParamOscillator(h11=0.5, h12=0.0, h22=1.0)"
+        assert dataclasses.replace(osc, h12=0.25) == ThreeParamOscillator(0.5, 0.25, 1.0)
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SHO.h11 = 1.0
+        assert SHO.h11 == 0.5
+
+    @pytest.mark.parametrize("half", [0.5, np.float64(0.5), np.float32(0.5), np.int64(2) / 4])
+    def test_fields_stored_as_float(self, half):
+        osc = ThreeParamOscillator(half, 0, np.int64(1))
+        assert all(type(v) is float for v in (osc.h11, osc.h12, osc.h22))
+        assert osc == ThreeParamOscillator(0.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_first_non_finite_field_is_named(self, position):
+        coeffs = [0.5, 0.0, 0.5][:position] + [math.nan, math.inf, -math.inf][position:]
+        name = ("h11", "h12", "h22")[position]
+        with pytest.raises(ValueError) as raised:
+            ThreeParamOscillator(*coeffs)
+        assert str(raised.value) == f"{name} must be finite"

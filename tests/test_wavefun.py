@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nhosc import spectra, wavefun
+from nhosc import canonical, spectra, wavefun
 from nhosc.spectra import ThreeParamOscillator
 from nhosc.wavefun import Grid, WavefunctionSample
 
@@ -91,6 +91,24 @@ class TestRmGroundState:
         with pytest.raises(wavefun.NonNormalizableError) as info:
             wavefun.rm_ground_state(0.5, 2.0, 0.0)
         assert info.value.margin is not None and info.value.margin < 0
+
+    def test_width_is_the_margin_of_the_mix(self):
+        for alpha, beta in [(0.3, 0.2), (-0.6, 0.9), (1.4, -0.9), (0.0, 0.0)]:
+            width = wavefun.rm_ground_width(alpha, beta)
+            assert width == (1 - beta) / (1 + alpha)
+            margin = canonical.normalizable(canonical.rath_mallick(alpha, beta)).margin
+            assert abs(width - margin) <= 1e-14 * width
+
+    @pytest.mark.parametrize("alpha,beta,message", [
+        (0.3, 1.0, "state is not square integrable (margin 0); requires beta < 1 and alpha > -1"),
+        (-1.5, 0.2, "state is not square integrable (margin -1.6); "
+                    "requires beta < 1 and alpha > -1"),
+        (-1.0, 0.2, "alpha = -1 is degenerate"),
+    ])
+    def test_width_rejection_messages(self, alpha, beta, message):
+        with pytest.raises(wavefun.NonNormalizableError) as info:
+            wavefun.rm_ground_width(alpha, beta)
+        assert str(info.value) == message
 
     def test_unit_norm_across_region(self):
         for alpha in np.linspace(-0.6, 1.4, 5):

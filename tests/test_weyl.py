@@ -328,3 +328,32 @@ class TestLadderFrequencies:
 
     def test_equality_requires_same_frequency(self):
         assert weyl.to_ladder(X**2, 1.0) != weyl.to_ladder(X**2, 2.0)
+
+
+class TestNonFiniteCoefficients:
+    """NaN and infinite coefficients are rejected, not pruned to the zero polynomial."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
+    def test_weyl_poly_names_the_term(self, bad):
+        with pytest.raises(weyl.NonFiniteError) as raised:
+            WeylPoly({(2, 0): bad, (0, 2): 1.0})
+        assert str(raised.value) == f"coefficient of x^2 p^0 must be finite, got {complex(bad)!r}"
+
+    def test_ladder_poly_names_the_term(self):
+        with pytest.raises(weyl.NonFiniteError) as raised:
+            LadderPoly({(1, 1): math.inf}, omega=2.0)
+        assert str(raised.value) == "coefficient of a+^1 a^1 must be finite, got (inf+0j)"
+
+    def test_overflow_in_arithmetic_is_caught(self):
+        huge = WeylPoly({(1, 0): 1e200})
+        with pytest.raises(weyl.NonFiniteError):
+            huge * huge
+        with pytest.raises(weyl.NonFiniteError):
+            huge * 1e200
+
+    def test_non_finite_error_is_a_value_error(self):
+        assert issubclass(weyl.NonFiniteError, ValueError)
+
+    def test_finite_coefficients_still_prune(self):
+        assert WeylPoly({(2, 0): 1.0, (0, 2): 1e-20}) == WeylPoly({(2, 0): 1.0})
+        assert str(WeylPoly({(2, 0): 1.0})) == "((1+0j))*x^2"
