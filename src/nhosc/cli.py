@@ -513,7 +513,7 @@ def cmd_spectrum(ns):
     closed_minus = [-v for v in closed_plus] if model.oscillator is not None else None
 
     fock = spectra.quadratic_fock_matrix(model.quadratic, ns.omega, ns.trunc)
-    eigs, parities = spectra.eigenvalues_by_parity(fock.matrix)
+    eigs, parities = spectra.eigenvalues_by_parity(fock.matrix, levels=ns.levels)
 
     levels = []
     max_dev = None
@@ -591,7 +591,9 @@ def _scan_values(ns):
     _require_positive(ns.step, "step")
     if ns.stop < ns.start:
         raise ConfigError("stop must be >= start")
-    count = int(math.floor((ns.stop - ns.start) / ns.step + 1e-9)) + 1
+    span = (ns.stop - ns.start) / ns.step
+    # a range too wide to count in floating point has more points than the cap
+    count = int(math.floor(span + 1e-9)) + 1 if math.isfinite(span) else math.inf
     if count > MAX_SCAN_POINTS:
         raise ConfigError(f"scan has {count:.7g} points, more than the {MAX_SCAN_POINTS} "
                           "allowed; raise --step or narrow --start/--stop")
@@ -697,7 +699,7 @@ def cmd_verify(ns):
     )
     target = canonical.apply_to_quadratic(transform, base)
     solved = spectra.parity_spectrum(
-        spectra.quadratic_fock_matrix(target, ns.omega, ns.trunc).matrix
+        spectra.quadratic_fock_matrix(target, ns.omega, ns.trunc).matrix, levels=ns.levels
     )
     iso = spectra.verify_isospectral(
         transform, trunc=ns.trunc, n_levels=ns.levels, tol=ns.tol, base=base, omega=ns.omega,

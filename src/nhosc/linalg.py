@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -417,13 +418,21 @@ class _QLBreakdown(Exception):
     """Complex orthogonal QL stalled or needed an oversized rotation."""
 
 
-def _ql_symmetric(d, e, deflation_rel, floor, max_iter):
+def _ql_symmetric(d, e, deflation_rel, floor, max_iter, lowest=None):
     """Eigenvalues of the complex symmetric tridiagonal with diagonal d and
     off-diagonal e (e[k] couples k and k+1; e[-1] = 0), by implicit QL.
 
     Both lists are overwritten.  The rotations satisfy c^2 + s^2 = 1 but are not
     unitary: one with |c| or |s| above ROTATION_BOUND, or more than max_iter
     sweeps for one eigenvalue, raises _QLBreakdown.
+
+    With `lowest`, returns d[:found] as soon as the values deflated so far
+    provably hold the `lowest` of smallest real part.  By Bendixson's theorem
+    every eigenvalue of the trailing block T' has real part at least the
+    smallest eigenvalue of its Hermitian part, which for a complex symmetric T'
+    is Re T'; the Gershgorin bound of that real tridiagonal, less floor, must
+    exceed the lowest-th smallest real part found.  Later sweeps never touch
+    d[:found], so the values returned are those of the full solve.
     """
     n = len(d)
     for lo in range(n):
@@ -469,11 +478,20 @@ def _ql_symmetric(d, e, deflation_rel, floor, max_iter):
                 d[lo] -= p
                 e[lo] = g
                 e[m] = 0.0
+        found = lo + 1
+        if lowest is not None and lowest <= found < n:
+            x = sorted(v.real for v in d[:found])[lowest - 1]
+            # Gershgorin rows of Re T' (e[lo], below the deflation threshold, is
+            # dropped as the sweeps drop it), stopping at the first that fails
+            rows = zip(d[found:], chain((0.0,), e[found:]), e[found:])
+            if all(v.real - abs(a.real) - abs(b.real) - floor > x for v, a, b in rows):
+                return d[:found]
     return d
 
 
-def tridiagonal_eigenvalues(t, max_iter=30, tol=1e-12):
-    """All eigenvalues of a Tridiagonal, sorted like `eigenvalues`.
+def tridiagonal_eigenvalues(t, max_iter=30, tol=1e-12, lowest=None):
+    """All eigenvalues of a Tridiagonal, sorted like `eigenvalues`, or with
+    `lowest` only the first `lowest` of them.
 
     The matrix splits wherever a product upper[k] * lower[k] is negligible by
     the deflation test of `eigenvalues`; at an exact zero it is block
@@ -482,12 +500,19 @@ def tridiagonal_eigenvalues(t, max_iter=30, tol=1e-12):
     implicit QL with complex orthogonal rotations keeps in that form at O(n)
     work per sweep (Cullum & Willoughby, SIAM J. Matrix Anal. Appl. 17 (1996)
     83).  A segment on which QL breaks down goes to the dense QR instead.
+
+    With `lowest`, QL on each segment stops once the values it has deflated
+    provably include the segment's `lowest` of smallest real part (see
+    `_ql_symmetric`).  The result is the first `lowest` values of the full
+    solve, unless that solve would break down on a segment only after the
+    point where this one stopped, and go to the dense QR there.
     """
     n = t.size
     scale = _radix_scale(np.abs(np.concatenate((t.diag, t.lower, t.upper))))
     if scale != 1.0:
         scaled = Tridiagonal(t.diag * scale, t.lower * scale, t.upper * scale)
-        return tridiagonal_eigenvalues(scaled, max_iter=max_iter, tol=tol) / scale
+        return tridiagonal_eigenvalues(scaled, max_iter=max_iter, tol=tol,
+                                       lowest=lowest) / scale
     deflation_rel = min(DEFLATION_REL, max(float(tol), EPS))
     floor = EPS * t.norm()
     # +-sqrt(upper * lower), formed without overflowing the product
@@ -505,12 +530,12 @@ def tridiagonal_eigenvalues(t, max_iter=30, tol=1e-12):
             d = t.diag[lo:hi].tolist()
             e = offdiag[lo : hi - 1].tolist() + [0j]
             try:
-                eig.extend(_ql_symmetric(d, e, deflation_rel, floor, max_iter))
+                eig.extend(_ql_symmetric(d, e, deflation_rel, floor, max_iter, lowest))
             except _QLBreakdown:
                 segment = Tridiagonal(t.diag[lo:hi], t.lower[lo : hi - 1], t.upper[lo : hi - 1])
                 eig.extend(eigenvalues(segment.dense(), max_iter=max_iter, tol=tol))
         lo = hi
-    return _sorted_eigs(np.array(eig, dtype=complex))
+    return _sorted_eigs(np.array(eig, dtype=complex))[:lowest]
 
 
 @dataclass(frozen=True)

@@ -322,13 +322,23 @@ class ParitySpectrum:
     blocks[p] is the parity-p block (basis states p, p+2, ...) as a
     linalg.Tridiagonal when it is tridiagonal, else as a dense array;
     eigenvalues are sorted by real part then imaginary part, and parities[k]
-    is the block eigenvalues[k] came from.
+    is the block eigenvalues[k] came from.  With levels set they hold only the
+    lowest `levels` of them, else the whole spectrum.
     """
 
     matrix: np.ndarray
     blocks: tuple
     eigenvalues: np.ndarray
     parities: np.ndarray
+    levels: int | None = None
+
+    def lowest(self, n_levels):
+        """(eigenvalues, parities) of the lowest n_levels; ValueError when the
+        solution holds fewer."""
+        if n_levels > self.eigenvalues.size:
+            raise ValueError(f"solution holds {self.eigenvalues.size} levels, "
+                             f"fewer than the {n_levels} requested")
+        return self.eigenvalues[:n_levels], self.parities[:n_levels]
 
 
 def _parity_block(block):
@@ -339,12 +349,15 @@ def _parity_block(block):
     return np.array(block)
 
 
-def parity_spectrum(mat, max_iter=30, tol=1e-12):
+def parity_spectrum(mat, max_iter=30, tol=1e-12, levels=None):
     """Split a parity-decoupled matrix into its even and odd blocks and solve each.
 
     The +-2 bands of a quadratic truncation make each block tridiagonal; those
     go to linalg.tridiagonal_eigenvalues, any other block to the dense
-    linalg.eigenvalues.  Rejects matrices with odd-offset coupling.
+    linalg.eigenvalues.  Rejects matrices with odd-offset coupling.  With
+    levels, each tridiagonal block solves only for its lowest `levels`, which
+    are certified to be its lowest, so the merged lowest `levels` are the
+    whole spectrum's.
     """
     mat = np.asarray(mat, dtype=complex)
     size = mat.shape[0]
@@ -359,21 +372,22 @@ def parity_spectrum(mat, max_iter=30, tol=1e-12):
     labels = []
     for par, block in enumerate(blocks):
         if isinstance(block, linalg.Tridiagonal):
-            found = linalg.tridiagonal_eigenvalues(block, max_iter=max_iter, tol=tol)
+            found = linalg.tridiagonal_eigenvalues(block, max_iter=max_iter, tol=tol,
+                                                   lowest=levels)
         else:
             found = linalg.eigenvalues(block, max_iter=max_iter, tol=tol)
         eigs.extend(found)
         labels.extend([par] * len(found))
     eigs = np.array(eigs)
     labels = np.array(labels)
-    order = np.lexsort((eigs.imag, eigs.real))
+    order = np.lexsort((eigs.imag, eigs.real))[:levels]
     return ParitySpectrum(matrix=mat, blocks=blocks, eigenvalues=eigs[order],
-                          parities=labels[order])
+                          parities=labels[order], levels=levels)
 
 
-def eigenvalues_by_parity(mat, max_iter=30, tol=1e-12):
+def eigenvalues_by_parity(mat, max_iter=30, tol=1e-12, levels=None):
     """(eigenvalues, parities) of `parity_spectrum`."""
-    solved = parity_spectrum(mat, max_iter=max_iter, tol=tol)
+    solved = parity_spectrum(mat, max_iter=max_iter, tol=tol, levels=levels)
     return solved.eigenvalues, solved.parities
 
 
@@ -410,7 +424,8 @@ def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, o
     at frequency omega, and compares the lowest n_levels numeric eigenvalues
     to Omega_base (2n+1).  Requires n_levels <= trunc/4 so the retained levels
     are well below the truncation edge.  `solved` is the parity_spectrum of
-    that truncation when the caller has already built and solved it.
+    that truncation, solved for at least n_levels levels, when the caller has
+    already built and solved it.
     """
     trunc = int(trunc)
     n_levels = int(n_levels)
@@ -423,10 +438,11 @@ def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, o
         raise ValueError("base operator must have a real positive spectral scale")
     if solved is None:
         target = canonical.apply_to_quadratic(transform, base)
-        solved = parity_spectrum(quadratic_fock_matrix(target, omega, trunc).matrix)
+        solved = parity_spectrum(quadratic_fock_matrix(target, omega, trunc).matrix,
+                                 levels=n_levels)
     elif solved.matrix.shape[0] != trunc:
         raise ValueError(f"solved truncation has size {solved.matrix.shape[0]}, not {trunc}")
-    eigs, parities = solved.eigenvalues, solved.parities
+    eigs, parities = solved.lowest(n_levels)
     levels = []
     max_dev = 0.0
     notes = []
@@ -493,19 +509,21 @@ def eta_check(fock, n_levels, tol=1e-6):
     eta M - M+ eta, with eta = sum |Phi_n><Phi_n|, is from zero on the span of
     the retained phi_n.  eta is applied through its factors and never formed.
     Retained eigenvalues must be simple with pairwise gaps above 1e-6.  fock
-    is a FockMatrix, a matrix, or its parity_spectrum.
+    is a FockMatrix, a matrix, or its parity_spectrum solved for at least
+    n_levels levels.
     """
-    if isinstance(fock, ParitySpectrum):
-        solved = fock
-    else:
-        solved = parity_spectrum(fock.matrix if isinstance(fock, FockMatrix) else fock)
-    mat = solved.matrix
     n_levels = int(n_levels)
     if n_levels < 1:
         raise ValueError("need at least one retained level")
+    if isinstance(fock, ParitySpectrum):
+        solved = fock
+    else:
+        solved = parity_spectrum(fock.matrix if isinstance(fock, FockMatrix) else fock,
+                                 levels=n_levels)
+    mat = solved.matrix
     if n_levels > mat.shape[0]:
         raise ValueError(f"cannot retain {n_levels} levels from a {mat.shape[0]}-dim truncation")
-    retained = solved.eigenvalues[:n_levels]
+    retained, parities = solved.lowest(n_levels)
     for i in range(n_levels):
         for j in range(i + 1, n_levels):
             gap = abs(retained[i] - retained[j])
@@ -517,7 +535,7 @@ def eta_check(fock, n_levels, tol=1e-6):
     size = mat.shape[0]
     phi = np.zeros((size, n_levels), dtype=complex)
     chi = np.zeros((size, n_levels), dtype=complex)
-    for k, (lam, par) in enumerate(zip(retained, solved.parities)):
+    for k, (lam, par) in enumerate(zip(retained, parities)):
         phi[par::2, k], chi[par::2, k] = _block_eigenvectors(solved.blocks[par], lam)
     overlap = chi.conj().T @ phi
     diag = np.diagonal(overlap)

@@ -48,7 +48,7 @@ class Grid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _finite_samples(self.points, "grid points")
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("grid needs at least two points")
         if not np.all(np.diff(pts) > 0):
@@ -92,14 +92,24 @@ def uniform_grid(halfwidth, n_points=DEFAULT_GRID_POINTS):
 
 
 def default_grid(omega, n_points=DEFAULT_GRID_POINTS):
-    return uniform_grid(DEFAULT_SPAN_SIGMAS / math.sqrt(omega), n_points)
+    return uniform_grid(DEFAULT_SPAN_SIGMAS / math.sqrt(_check_omega(omega)), n_points)
 
 
 def _check_omega(omega):
     omega = float(omega)
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     if omega <= 0:
         raise ValueError(f"frequency must be positive, got {omega}")
     return omega
+
+
+def _finite_samples(x, name="x"):
+    """x as a float array; ValueError naming it when a sample is NaN or infinite."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
 
 
 def hermite_basis(n_max, omega, x):
@@ -107,7 +117,7 @@ def hermite_basis(n_max, omega, x):
     omega = _check_omega(omega)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    x = np.asarray(x, dtype=float)
+    x = _finite_samples(x)
     y = math.sqrt(omega) * x
     out = np.empty((n_max + 1,) + y.shape, dtype=float)
     out[0] = (omega / math.pi) ** 0.25 * np.exp(-0.5 * y * y)
@@ -154,7 +164,7 @@ def rm_ground_state(alpha, beta, x):
     square integral; defined only on the region beta < 1, alpha > -1.
     """
     width = rm_ground_width(alpha, beta)
-    x = np.asarray(x, dtype=float)
+    x = _finite_samples(x)
     values = (width / math.pi) ** 0.25 * np.exp(-0.5 * width * x * x)
     if np.ndim(values) == 0:
         return float(values)

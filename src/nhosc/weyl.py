@@ -55,6 +55,16 @@ class NonFiniteError(ValueError):
     """A NaN or infinite entry; from finite arguments, an overflow on the way."""
 
 
+def _frequency(omega):
+    """omega as a float; NonFiniteError unless finite, ValueError unless positive."""
+    omega = float(omega)
+    if not math.isfinite(omega):
+        raise NonFiniteError(f"omega must be finite, got {omega}")
+    if omega <= 0:
+        raise ValueError(f"frequency must be positive, got {omega}")
+    return omega
+
+
 def _pruned(terms):
     """Drop exact zeros and coefficients below PRUNE_REL of the largest one."""
     if not terms:
@@ -241,9 +251,7 @@ class LadderPoly(_Poly):
     _SYMBOLS = ("a+", "a")
 
     def __init__(self, terms=None, omega=1.0):
-        omega = float(omega)
-        if omega <= 0:
-            raise ValueError(f"frequency must be positive, got {omega}")
+        omega = _frequency(omega)
         super().__init__(terms)
         self.omega = omega
 
@@ -384,9 +392,7 @@ def gauge_conjugate(h, u):
 
 def to_ladder(a, omega):
     """Rewrite in ladder form via x = (a + a+)/sqrt(2 w), p = i sqrt(w/2)(a+ - a)."""
-    omega = float(omega)
-    if omega <= 0:
-        raise ValueError(f"frequency must be positive, got {omega}")
+    omega = _frequency(omega)
     rx = 1.0 / math.sqrt(2.0 * omega)
     rp = math.sqrt(omega / 2.0)
     x_img = LadderPoly({(1, 0): rx, (0, 1): rx}, omega)
@@ -405,18 +411,22 @@ def to_weyl(lad):
     return _substitute(lad, adag_img, a_img, WeylPoly)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fock_matrix(lad, size):
     """Dense matrix of a ladder polynomial on the number basis |0>..|size-1>.
 
     Entry (m, n) of (a+)^r a^s is sqrt(n!/(n-s)!) sqrt((n-s+r)!/(n-s)!) at
     m = n - s + r, computed as ratio products so no factorial overflows up to
-    size ~ 1e4.
+    size ~ 1e4.  An entry that overflows raises OverflowError.
     """
     size = int(size)
     if size < 1:
         raise ValueError("matrix size must be at least 1")
     out = np.zeros((size, size), dtype=complex)
     n_all = np.arange(size, dtype=float)
+    # a term's entries grow with n, so the sum of the terms' last entries
+    # bounds every entry; only when it overflows are the entries checked
+    bound = 0.0
     for (r, s), c in lad.terms.items():
         n = n_all[s:]
         m = n - s + r
@@ -429,5 +439,9 @@ def fock_matrix(lad, size):
             amp *= n - j
         for j in range(1, r + 1):
             amp *= n - s + j
-        out[m.astype(int), n.astype(int)] += c * np.sqrt(amp)
+        values = c * np.sqrt(amp)
+        bound += abs(values[-1])
+        out[m.astype(int), n.astype(int)] += values
+    if not math.isfinite(bound) and not np.isfinite(out).all():
+        raise OverflowError(f"number-basis matrix of size {size} overflows")
     return out

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhosc import cli, spectra
+from nhosc import cli, linalg, spectra
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -398,6 +398,12 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == ("nhosc: numeric failure: coefficient of a+^2 a^0 must be finite, "
                        "got (inf+nanj)\n")
+
+    def test_overflow_in_number_basis_matrix_is_numeric_failure(self):
+        code, out, err, caught = run_quiet(
+            ["verify", "--gauge-g", "0.3", "-N", "40", "-n", "4", "--base-k", "1e308"])
+        assert caught == [] and (code, out) == (3, "")
+        assert err == "nhosc: numeric failure: number-basis matrix of size 40 overflows\n"
 
     def test_unreadable_config_file(self, capsys, tmp_path):
         missing = tmp_path / "missing.cfg"
@@ -902,6 +908,14 @@ class TestScanPointCap:
         assert err == ("nhosc: error: scan has 6 points, more than the 5 allowed; "
                        "raise --step or narrow --start/--stop\n")
 
+    def test_range_too_wide_to_count(self, capsys):
+        # stop - start overflows to inf, which used to fail converting to int
+        code, out, err = run_cli(capsys, "scan", "--alpha", "1", "--scan", "gamma",
+                                 "--start=-1e308", "--stop=1e308", "--step=1e307")
+        assert (code, out) == (2, "")
+        assert err == ("nhosc: error: scan has inf points, more than the 1000000 allowed; "
+                       "raise --step or narrow --start/--stop\n")
+
     def test_huge_scan_exits_before_allocating(self):
         # under a 1 GiB address-space limit a list of the points would fail
         def limit_memory():
@@ -949,3 +963,60 @@ class TestGoldenScans:
             code, out, err = run_cli(capsys, *argv, "--format", fmt)
             assert (code, err) == (0, "")
             assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+# The README's spectrum and verify commands and the seed-1 verify and spectrum
+# tasks of bench/workloads.py.
+LOWEST_LEVEL_COMMANDS = [
+    ["spectrum", "--h11", "0.5", "--h12", "0", "--h22", "0.5", "-n", "5"],
+    ["spectrum", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-n", "10", "-N", "200"],
+    ["verify", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-N", "200", "-n", "8"],
+    ["verify", "--rm-alpha=0.34430518977014", "--rm-beta=0.6682360721558334", "-N", "200",
+     "-n", "8"],
+    ["verify", "--rm-alpha=-0.3706471101068152", "--rm-beta=-0.7395725002604754", "-N", "200",
+     "-n", "8"],
+    ["verify", "--rm-alpha=0.6027841474780662", "--rm-beta=-0.2966335167713954", "-N", "200",
+     "-n", "8"],
+    ["verify", "--rm-alpha=-0.660731455595799", "--rm-beta=0.3308871894704164", "-N", "200",
+     "-n", "8"],
+    ["verify", "--gauge-g=0.6271697522812801", "-N", "200", "-n", "8"],
+    ["verify", "--gauge-g=-0.32030982143585024", "-N", "200", "-n", "8"],
+    ["verify", "--u11=(0.8823152190458334+0j)", "--u12=-0.30517329409337585j",
+     "--u21=-0.40529654843212487j", "--u22=(0.9931986871743752+0j)", "-N", "200", "-n", "8"],
+    ["verify", "--u11=(1.0206944050979585+0j)", "--u12=-0.48404146440671036j",
+     "--u21=-0.3785775900413258j", "--u22=(0.8001932261463192+0j)", "-N", "200", "-n", "8"],
+    ["spectrum", "--h11=0.5130987192066295", "--h12=-0.391023287380625",
+     "--h22=0.5928202026889786", "-n", "10", "-N", "100"],
+    ["spectrum", "--rm-alpha=0.3190507606532735", "--rm-beta=0.21687723671431253", "-n", "10",
+     "-N", "100"],
+    ["spectrum", "--gamma=0.30662806220126215", "--alpha=1.0380897237222373", "-n", "10",
+     "-N", "100"],
+    ["spectrum", "--h11=0.32041746369561314", "--h12=0.16996941664222537",
+     "--h22=0.5476547371014461", "-n", "10", "-N", "200"],
+    ["spectrum", "--rm-alpha=-0.38753848988818723", "--rm-beta=-0.2479253690310007", "-n",
+     "10", "-N", "200"],
+    ["spectrum", "--gamma=0.1104788100017771", "--alpha=1.0326180015019755", "-n", "10",
+     "-N", "200"],
+    ["spectrum", "--h11=0.5103847594360817", "--h12=0.2574171661963569",
+     "--h22=0.37622130850727764", "-n", "10", "-N", "400"],
+    ["spectrum", "--rm-alpha=0.7218889872961263", "--rm-beta=-0.17155837111220518", "-n",
+     "10", "-N", "400"],
+    ["spectrum", "--gamma=-0.20049890770249762", "--alpha=1.1377126496463152", "-n", "10",
+     "-N", "400"],
+]
+
+
+class TestLowestLevelsOutput:
+    """Solving only the reported levels leaves every byte of output as it was."""
+
+    @pytest.mark.parametrize("argv", LOWEST_LEVEL_COMMANDS, ids=" ".join)
+    def test_same_bytes_as_full_solve(self, monkeypatch, argv):
+        early = run_quiet(argv)
+        full_solve = linalg.tridiagonal_eigenvalues
+
+        def ignore_lowest(t, max_iter=30, tol=1e-12, lowest=None):
+            return full_solve(t, max_iter=max_iter, tol=tol)
+
+        monkeypatch.setattr(linalg, "tridiagonal_eigenvalues", ignore_lowest)
+        assert early == run_quiet(argv)
+        assert early[0] in (0, 4) and early[2:] == ("", [])

@@ -220,3 +220,131 @@ class TestStructuredRoute:
         with pytest.raises(ValueError, match="size"):
             spectra.verify_isospectral(canonical.rath_mallick(0.3, 0.2), trunc=100,
                                        n_levels=8, solved=solved)
+
+
+@st.composite
+def graded_tridiagonals(draw, max_size=30):
+    """Real symmetric, imaginary-off-diagonal symmetric or general complex
+    tridiagonals, the diagonal graded like a truncation's so that QL can stop
+    early on some of them."""
+    kind = draw(st.sampled_from(["real_symmetric", "imaginary_offdiagonal", "complex"]))
+    t = draw(tridiagonals(max_size))
+    grade = draw(st.sampled_from([0.0, 1.0, 4.0]))
+    diag = t.diag + grade * np.arange(t.size)
+    if kind == "complex":
+        return linalg.Tridiagonal(diag, t.lower, t.upper)
+    if kind == "real_symmetric":
+        return linalg.Tridiagonal(diag.real, t.lower.real, t.lower.real)
+    return linalg.Tridiagonal(diag.real, 1j * t.lower.real, 1j * t.lower.real)
+
+
+def lowest_prefixes(t):
+    """(k, tridiagonal_eigenvalues(t, lowest=k), full[:k]) for every k."""
+    full = linalg.tridiagonal_eigenvalues(t)
+    return [(k, linalg.tridiagonal_eigenvalues(t, lowest=k), full[:k])
+            for k in range(1, t.size + 1)]
+
+
+def gamma_block(trunc):
+    """Even block of the gamma-family truncation (p - x/4)^2/2 + (1 - 1/16) x^2/2."""
+    quad = canonical.ahmed_hermitian(0.25, alpha=1.0)
+    mat = spectra.quadratic_fock_matrix(quad, 1.0, trunc).matrix
+    block = spectra.parity_spectrum(mat).blocks[0]
+    assert isinstance(block, linalg.Tridiagonal)
+    return block
+
+
+class TestLowestLevels:
+    """`lowest` stops QL early and returns the full solve's first values."""
+
+    @PROPERTY_SETTINGS
+    @given(graded_tridiagonals())
+    def test_prefix_of_full_solve(self, t):
+        for k, lowest, prefix in lowest_prefixes(t):
+            assert np.array_equal(lowest, prefix), k
+
+    @PROPERTY_SETTINGS
+    @given(graded_tridiagonals())
+    def test_k_smallest_real_parts_of_lapack(self, t):
+        expected, kappa = lapack_eigenvalues_and_condition(t.dense())
+        scale = max(t.norm(), np.finfo(float).tiny)
+        # every eigenvalue within its tolerance of LAPACK's moves each order
+        # statistic of the real parts by at most the largest tolerance
+        slack = 1e-10 * kappa.max() * scale
+        smallest = np.sort(expected.real)
+        for k in range(1, t.size + 1):
+            found = linalg.tridiagonal_eigenvalues(t, lowest=k)
+            assert found.size == k
+            assert np.all(np.abs(np.sort(found.real) - smallest[:k]) <= slack)
+
+    @pytest.mark.parametrize("force", ["rotation_bound", "raise"])
+    def test_prefix_under_breakdown(self, monkeypatch, force):
+        rng = np.random.default_rng(29)
+        t = random_tridiagonal(rng, 12)
+        t = linalg.Tridiagonal(t.diag + 3.0 * np.arange(12), t.lower, t.upper)
+        if force == "rotation_bound":
+            monkeypatch.setattr(linalg, "ROTATION_BOUND", 1.0)
+        else:
+            def broken(*args):
+                raise linalg._QLBreakdown
+
+            monkeypatch.setattr(linalg, "_ql_symmetric", broken)
+        full = linalg.tridiagonal_eigenvalues(t)
+        assert np.array_equal(full, linalg.eigenvalues(t.dense()))
+        for k in range(1, 13):
+            assert np.array_equal(linalg.tridiagonal_eigenvalues(t, lowest=k), full[:k])
+
+    def test_prefix_of_radix_scaled_matrix(self):
+        block = gamma_block(80)
+        huge = linalg.Tridiagonal(block.diag * 1e200, block.lower * 1e200, block.upper * 1e200)
+        full = linalg.tridiagonal_eigenvalues(huge)
+        for k in (1, 5, 10, 40):
+            assert np.array_equal(linalg.tridiagonal_eigenvalues(huge, lowest=k), full[:k])
+
+    def test_exit_fires_on_gamma_block(self, monkeypatch):
+        block = gamma_block(400)
+        returned = []
+        ql = linalg._ql_symmetric
+
+        def spy(*args):
+            values = ql(*args)
+            returned.append(len(values))
+            return values
+
+        monkeypatch.setattr(linalg, "_ql_symmetric", spy)
+        lowest = linalg.tridiagonal_eigenvalues(block, lowest=10)
+        assert block.size == 200 and len(returned) == 1 and returned[0] <= 3 * 10
+        monkeypatch.undo()
+        assert np.array_equal(lowest, linalg.tridiagonal_eigenvalues(block)[:10])
+
+    @pytest.mark.parametrize("trunc", [100, 400])
+    @pytest.mark.parametrize("quad", [
+        canonical.apply_to_quadratic(canonical.rath_mallick(0.5, 0.3),
+                                     canonical.harmonic_oscillator()),
+        spectra.ThreeParamOscillator(0.5, 0.3, 0.6).as_quadratic(),
+        canonical.ahmed_hermitian(-0.4, alpha=1.1),
+    ], ids=["mix", "three_param", "gamma"])
+    def test_parity_spectrum_levels(self, quad, trunc):
+        mat = spectra.quadratic_fock_matrix(quad, 1.0, trunc).matrix
+        full = spectra.parity_spectrum(mat)
+        for levels in (1, 10, 25):
+            solved = spectra.parity_spectrum(mat, levels=levels)
+            assert solved.levels == levels and full.levels is None
+            assert np.array_equal(solved.eigenvalues, full.eigenvalues[:levels])
+            assert np.array_equal(solved.parities, full.parities[:levels])
+        eigs, parities = spectra.eigenvalues_by_parity(mat, levels=10)
+        assert np.array_equal(eigs, full.eigenvalues[:10])
+        assert np.array_equal(parities, full.parities[:10])
+
+    def test_checks_reject_a_short_solution(self):
+        transform = canonical.rath_mallick(0.3, 0.2)
+        target = canonical.apply_to_quadratic(transform, canonical.harmonic_oscillator())
+        solved = spectra.parity_spectrum(
+            spectra.quadratic_fock_matrix(target, 1.0, 120).matrix, levels=4)
+        assert solved.eigenvalues.size == 4
+        with pytest.raises(ValueError, match="solution holds 4 levels, fewer than the 8"):
+            spectra.eta_check(solved, 8)
+        with pytest.raises(ValueError, match="solution holds 4 levels, fewer than the 8"):
+            spectra.verify_isospectral(transform, trunc=120, n_levels=8, solved=solved)
+        assert spectra.eta_check(solved, 4).passed
+        assert spectra.verify_isospectral(transform, trunc=120, n_levels=4, solved=solved).passed

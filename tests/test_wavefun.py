@@ -65,6 +65,20 @@ class TestHermiteFunction:
         with pytest.raises(ValueError):
             wavefun.hermite_function(0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_frequency(self, bad):
+        with pytest.raises(ValueError, match=f"omega must be finite, got {bad}"):
+            wavefun.hermite_function(2, bad, np.zeros(3))
+        with pytest.raises(ValueError, match="omega must be finite"):
+            wavefun.default_grid(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="x must be finite"):
+            wavefun.hermite_function(2, 1.0, np.array([0.0, bad]))
+        with pytest.raises(ValueError, match="x must be finite"):
+            wavefun.rm_ground_state(0.3, 0.2, bad)
+
 
 class TestRmGroundState:
     def test_reduces_to_oscillator(self):
@@ -190,6 +204,11 @@ class TestGrid:
     def test_requires_increasing(self):
         with pytest.raises(ValueError):
             Grid(np.array([0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_requires_finite_points(self, bad):
+        with pytest.raises(ValueError, match="grid points must be finite"):
+            Grid(np.array([0.0, 1.0, bad]))
 
     def test_requires_two_points(self):
         with pytest.raises(ValueError):

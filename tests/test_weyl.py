@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -353,6 +354,23 @@ class TestNonFiniteCoefficients:
 
     def test_non_finite_error_is_a_value_error(self):
         assert issubclass(weyl.NonFiniteError, ValueError)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_ladder_poly_names_the_frequency(self, bad):
+        for make in (lambda: LadderPoly({(1, 1): 1.0}, omega=bad), lambda: weyl.to_ladder(X, bad)):
+            with pytest.raises(weyl.NonFiniteError) as raised:
+                make()
+            assert str(raised.value) == f"omega must be finite, got {bad}"
+
+    def test_overflow_in_number_basis_matrix(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="number-basis matrix of size 40 overflows"):
+                weyl.fock_matrix(LadderPoly({(2, 0): 1e307}, omega=1.0), 40)
+            # both terms finite at |1>, their sum not
+            with pytest.raises(OverflowError):
+                weyl.fock_matrix(LadderPoly({(1, 1): 1e308, (0, 0): 1e308}, omega=1.0), 2)
+            assert np.isfinite(weyl.fock_matrix(LadderPoly({(2, 0): 1e300}, omega=1.0), 40)).all()
 
     def test_finite_coefficients_still_prune(self):
         assert WeylPoly({(2, 0): 1.0, (0, 2): 1e-20}) == WeylPoly({(2, 0): 1.0})
