@@ -824,6 +824,9 @@ def cmd_wavefunction(ns):
         sample = wavefun.synthesize(pair, pair.frequency, grid)
 
     norm = wavefun.quadrature_norm(sample)
+    if norm == 0.0:
+        raise FloatingPointError("every sample of the state underflows to 0; "
+                                 "the grid does not resolve it")
     try:
         nodes = wavefun.count_nodes(sample)
     except ValueError:
@@ -874,7 +877,8 @@ def main(argv=None):
     except (linalg.EigenConvergenceError, spectra.DegenerateEigenvaluesError) as exc:
         print(f"nhosc: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (spectra.BrokenPhaseError, canonical.NonFiniteError, OverflowError) as exc:
+    except (spectra.BrokenPhaseError, canonical.NonFiniteError, OverflowError,
+            FloatingPointError) as exc:
         print(f"nhosc: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -1,13 +1,13 @@
-"""Complex eigensolvers for general (non-normal) matrices.
+"""Complex eigensolvers for the parity blocks of quadratic truncations.
 
-Dense pipeline: diagonal balancing, Householder reduction to upper Hessenberg
-form, then single-shift QR iteration with Wilkinson shifts, deflating one or
-two eigenvalues at a time.  Eigenvectors come from shifted inverse iteration
-on an LU factorization with partial pivoting.
+Every parity block is a `Tridiagonal`.  Its eigenvalues come from implicit QL
+with complex orthogonal rotations on the symmetrized matrix, O(n) per sweep;
+its eigenvectors from inverse iteration on an O(n) LU with partial pivoting.
 
-Tridiagonal pipeline: implicit QL with complex orthogonal rotations on the
-symmetrized matrix, O(n) per sweep, falling back to the dense QR where it
-breaks down; eigenvectors from inverse iteration on an O(n) LU.
+The dense `eigenvalues` (diagonal balancing, Householder reduction to upper
+Hessenberg form, single-shift QR with Wilkinson shifts, deflating one or two
+eigenvalues at a time) has two roles only: it solves a segment on which QL
+breaks down, and the tests use it as the reference for the tridiagonal solver.
 
 Matrices are plain numpy complex128 arrays (bands for a `Tridiagonal`); numpy
 is used for storage and vectorized arithmetic only.
@@ -35,13 +35,11 @@ SCALE_MAX = 2.0 ** 256
 
 __all__ = [
     "EigenConvergenceError",
+    "check_square",
     "as_cmatrix",
     "frobenius_norm",
     "balance",
-    "hessenberg",
     "eigenvalues",
-    "eigenvector",
-    "solve",
     "Tridiagonal",
     "TridiagonalLU",
     "tridiagonal_eigenvalues",
@@ -63,13 +61,18 @@ class EigenConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def as_cmatrix(m):
-    """Validate and copy into a square complex128 array."""
-    a = np.array(m, dtype=complex, order="C")
+def check_square(a):
+    """ValueError unless the array a is a non-empty square matrix."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix dimensions must be positive")
+
+
+def as_cmatrix(m):
+    """Validate and copy into a square complex128 array."""
+    a = np.array(m, dtype=complex, order="C")
+    check_square(a)
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
@@ -143,26 +146,17 @@ def _householder_vector(col):
     return v / vnorm
 
 
-def _hessenberg_reduce(a, want_q):
+def _hessenberg_reduce(a):
+    """Upper Hessenberg H = Q+ a Q by Householder reflections (Q not formed)."""
     h = a.copy()
-    n = h.shape[0]
-    q = np.eye(n, dtype=complex) if want_q else None
-    for k in range(n - 2):
+    for k in range(h.shape[0] - 2):
         v = _householder_vector(h[k + 1 :, k])
         if v is None:
             continue
         h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
         h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-        if want_q:
-            q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
         h[k + 2 :, k] = 0.0
-    return h, q
-
-
-def hessenberg(m):
-    """Unitary reduction m = Q H Q+ with H upper Hessenberg."""
-    a = as_cmatrix(m)
-    return _hessenberg_reduce(a, want_q=True)
+    return h
 
 
 def _eig2(a, b, c, d):
@@ -225,7 +219,7 @@ def eigenvalues(m, max_iter=30, tol=1e-12):
     scale = _radix_scale(np.abs(a))
     if scale != 1.0:
         return eigenvalues(a * scale, max_iter=max_iter, tol=tol) / scale
-    h, _ = _hessenberg_reduce(balance(a), want_q=False)
+    h = _hessenberg_reduce(balance(a))
     hnorm = frobenius_norm(h)
     # a tighter requested tolerance postpones deflation; the default keeps
     # the standard 1e-14 relative threshold
@@ -286,85 +280,6 @@ def _lifted_pivot(pivot, floor, k):
     if floor == 0.0:
         raise EigenConvergenceError(f"singular pivot at column {k}")
     return (pivot / abs(pivot) if pivot != 0 else 1.0) * floor
-
-
-def _lu_factor(a, pivot_floor=0.0):
-    """In-place partial-pivot LU; tiny pivots lifted to pivot_floor if given."""
-    lu = a.copy()
-    n = lu.shape[0]
-    perm = np.arange(n)
-    for k in range(n):
-        j = k + int(np.argmax(np.abs(lu[k:, k])))
-        if j != k:
-            lu[[k, j], :] = lu[[j, k], :]
-            perm[[k, j]] = perm[[j, k]]
-        pivot = lu[k, k] = _lifted_pivot(lu[k, k], pivot_floor, k)
-        if k + 1 < n:
-            lu[k + 1 :, k] /= pivot
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm
-
-
-def _lu_solve(lu, perm, b):
-    n = lu.shape[0]
-    y = b[perm].astype(complex)
-    for k in range(1, n):
-        y[k] -= lu[k, :k] @ y[:k]
-    for k in range(n - 1, -1, -1):
-        y[k] = (y[k] - lu[k, k + 1 :] @ y[k + 1 :]) / lu[k, k]
-    return y
-
-
-def solve(a, b):
-    """Solve a x = b by LU with partial pivoting."""
-    a = as_cmatrix(a)
-    b = np.asarray(b, dtype=complex)
-    lu, perm = _lu_factor(a)
-    return _lu_solve(lu, perm, b)
-
-
-def _inverse_iteration(solve_shifted, apply_shifted, n, scale, tol, max_iter):
-    """Unit v with ||(A - lam) v|| <= tol * scale, given solves with and products
-    by A - lam; raises with the best residual achieved."""
-    rng = np.random.default_rng(1914)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= math.sqrt(float((np.abs(v) ** 2).sum()))
-    best_res = math.inf
-    for _ in range(max_iter):
-        w = solve_shifted(v)
-        # near a defective eigenvalue w can be too large to square
-        wmax = float(np.abs(w).max())
-        if wmax == 0.0 or not np.isfinite(wmax):
-            break
-        w = w / wmax
-        v = w / math.sqrt(float((np.abs(w) ** 2).sum()))
-        res = _norm(np.abs(apply_shifted(v)))
-        best_res = min(best_res, res)
-        if res <= tol * scale:
-            return v
-    raise EigenConvergenceError(
-        f"inverse iteration did not reach tol {tol:g}; best residual {best_res:.3e}",
-        residual=best_res,
-    )
-
-
-def eigenvector(m, lam, tol=1e-12, max_iter=20):
-    """Unit right eigenvector for an approximate eigenvalue via inverse iteration.
-
-    Accepts when ||(m - lam) v|| <= tol * ||m||_F; otherwise raises with the
-    best residual achieved.
-    """
-    a = as_cmatrix(m)
-    n = a.shape[0]
-    scale = frobenius_norm(a)
-    if scale == 0.0:
-        scale = 1.0
-    shifted = a - complex(lam) * np.eye(n, dtype=complex)
-    floor = EPS * max(1.0, float(np.abs(shifted).max()))
-    lu, perm = _lu_factor(shifted, pivot_floor=floor)
-    return _inverse_iteration(
-        lambda v: _lu_solve(lu, perm, v), lambda v: shifted @ v, n, scale, tol, max_iter
-    )
 
 
 @dataclass(frozen=True)
@@ -600,7 +515,12 @@ def tridiagonal_lu(t, pivot_floor=0.0):
 
 
 def tridiagonal_eigenvector(t, lam, tol=1e-12, max_iter=20):
-    """`eigenvector` for a Tridiagonal, with O(n) factorization and solves."""
+    """Unit right eigenvector of a Tridiagonal for an approximate eigenvalue, by
+    inverse iteration on the O(n) LU of t - lam.
+
+    Accepts when ||(t - lam) v|| <= tol * ||t||_F; otherwise raises
+    EigenConvergenceError with the best residual achieved.
+    """
     scale = t.norm()
     if scale == 0.0:
         scale = 1.0
@@ -608,4 +528,23 @@ def tridiagonal_eigenvector(t, lam, tol=1e-12, max_iter=20):
     bands = np.concatenate((shifted.diag, shifted.lower, shifted.upper))
     floor = EPS * max(1.0, float(np.abs(bands).max()))
     lu = tridiagonal_lu(shifted, pivot_floor=floor)
-    return _inverse_iteration(lu.solve, shifted.matvec, t.size, scale, tol, max_iter)
+    rng = np.random.default_rng(1914)
+    v = rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size)
+    v /= math.sqrt(float((np.abs(v) ** 2).sum()))
+    best_res = math.inf
+    for _ in range(max_iter):
+        w = lu.solve(v)
+        # near a defective eigenvalue w can be too large to square
+        wmax = float(np.abs(w).max())
+        if wmax == 0.0 or not np.isfinite(wmax):
+            break
+        w = w / wmax
+        v = w / math.sqrt(float((np.abs(w) ** 2).sum()))
+        res = _norm(np.abs(shifted.matvec(v)))
+        best_res = min(best_res, res)
+        if res <= tol * scale:
+            return v
+    raise EigenConvergenceError(
+        f"inverse iteration did not reach tol {tol:g}; best residual {best_res:.3e}",
+        residual=best_res,
+    )

@@ -320,10 +320,9 @@ class ParitySpectrum:
     """A parity-decoupled truncation solved once, for every check that needs it.
 
     blocks[p] is the parity-p block (basis states p, p+2, ...) as a
-    linalg.Tridiagonal when it is tridiagonal, else as a dense array;
-    eigenvalues are sorted by real part then imaginary part, and parities[k]
-    is the block eigenvalues[k] came from.  With levels set they hold only the
-    lowest `levels` of them, else the whole spectrum.
+    linalg.Tridiagonal; eigenvalues are sorted by real part then imaginary
+    part, and parities[k] is the block eigenvalues[k] came from.  With levels
+    set they hold only the lowest `levels` of them, else the whole spectrum.
     """
 
     matrix: np.ndarray
@@ -342,24 +341,27 @@ class ParitySpectrum:
 
 
 def _parity_block(block):
-    """linalg.Tridiagonal when the block has no entry off its three bands."""
+    """The block as a linalg.Tridiagonal; ValueError when it has an entry off
+    its three bands."""
     bands = [np.diagonal(block, k) for k in (0, -1, 1)]
-    if np.count_nonzero(block) == sum(np.count_nonzero(band) for band in bands):
-        return linalg.Tridiagonal(*bands)
-    return np.array(block)
+    if np.count_nonzero(block) != sum(np.count_nonzero(band) for band in bands):
+        raise ValueError("parity block has entries off its three bands; "
+                         "only the truncation of a quadratic is solved")
+    return linalg.Tridiagonal(*bands)
 
 
 def parity_spectrum(mat, max_iter=30, tol=1e-12, levels=None):
     """Split a parity-decoupled matrix into its even and odd blocks and solve each.
 
-    The +-2 bands of a quadratic truncation make each block tridiagonal; those
-    go to linalg.tridiagonal_eigenvalues, any other block to the dense
-    linalg.eigenvalues.  Rejects matrices with odd-offset coupling.  With
-    levels, each tridiagonal block solves only for its lowest `levels`, which
-    are certified to be its lowest, so the merged lowest `levels` are the
-    whole spectrum's.
+    The +-2 bands of a quadratic truncation make each block tridiagonal, and
+    each goes to linalg.tridiagonal_eigenvalues.  Rejects with ValueError a
+    matrix that is not square and non-empty, one with odd-offset coupling,
+    and one whose blocks are not tridiagonal.  With levels, each block solves
+    only for its lowest `levels`, which are certified to be its lowest, so
+    the merged lowest `levels` are the whole spectrum's.
     """
     mat = np.asarray(mat, dtype=complex)
+    linalg.check_square(mat)
     size = mat.shape[0]
     coupling = 0.0
     if size > 1:
@@ -371,11 +373,7 @@ def parity_spectrum(mat, max_iter=30, tol=1e-12, levels=None):
     eigs = []
     labels = []
     for par, block in enumerate(blocks):
-        if isinstance(block, linalg.Tridiagonal):
-            found = linalg.tridiagonal_eigenvalues(block, max_iter=max_iter, tol=tol,
-                                                   lowest=levels)
-        else:
-            found = linalg.eigenvalues(block, max_iter=max_iter, tol=tol)
+        found = linalg.tridiagonal_eigenvalues(block, max_iter=max_iter, tol=tol, lowest=levels)
         eigs.extend(found)
         labels.extend([par] * len(found))
     eigs = np.array(eigs)
@@ -492,14 +490,6 @@ class EtaReport:
     passed: bool
 
 
-def _block_eigenvectors(block, lam):
-    """Right eigenvectors of a parity block at lam and of its adjoint at conj(lam)."""
-    if isinstance(block, linalg.Tridiagonal):
-        return (linalg.tridiagonal_eigenvector(block, lam),
-                linalg.tridiagonal_eigenvector(block.adjoint(), lam.conjugate()))
-    return linalg.eigenvector(block, lam), linalg.eigenvector(block.conj().T, lam.conjugate())
-
-
 def eta_check(fock, n_levels, tol=1e-6):
     """Numerical pseudo-Hermiticity check on the lowest retained levels.
 
@@ -536,7 +526,9 @@ def eta_check(fock, n_levels, tol=1e-6):
     phi = np.zeros((size, n_levels), dtype=complex)
     chi = np.zeros((size, n_levels), dtype=complex)
     for k, (lam, par) in enumerate(zip(retained, parities)):
-        phi[par::2, k], chi[par::2, k] = _block_eigenvectors(solved.blocks[par], lam)
+        block = solved.blocks[par]
+        phi[par::2, k] = linalg.tridiagonal_eigenvector(block, lam)
+        chi[par::2, k] = linalg.tridiagonal_eigenvector(block.adjoint(), lam.conjugate())
     overlap = chi.conj().T @ phi
     diag = np.diagonal(overlap)
     if np.abs(diag).min() < 1e-12:

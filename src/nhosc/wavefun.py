@@ -86,8 +86,12 @@ class WavefunctionSample:
 
 
 def uniform_grid(halfwidth, n_points=DEFAULT_GRID_POINTS):
+    """n_points equally spaced on [-halfwidth, halfwidth]; OverflowError when
+    the width 2 * halfwidth overflows."""
     if halfwidth <= 0:
         raise ValueError("halfwidth must be positive")
+    if halfwidth < math.inf and 2.0 * halfwidth == math.inf:
+        raise OverflowError(f"grid width 2 * {halfwidth:g} overflows")
     return Grid(np.linspace(-halfwidth, halfwidth, int(n_points)))
 
 
@@ -120,7 +124,9 @@ def hermite_basis(n_max, omega, x):
     x = _finite_samples(x)
     y = math.sqrt(omega) * x
     out = np.empty((n_max + 1,) + y.shape, dtype=float)
-    out[0] = (omega / math.pi) ** 0.25 * np.exp(-0.5 * y * y)
+    # y * y overflows only where the Gaussian's exact value underflows to 0
+    with np.errstate(over="ignore"):
+        out[0] = (omega / math.pi) ** 0.25 * np.exp(-0.5 * y * y)
     if n_max >= 1:
         out[1] = math.sqrt(2.0) * y * out[0]
     for k in range(1, n_max):

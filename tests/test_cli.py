@@ -444,6 +444,18 @@ class TestHugeCoefficients:
         assert doc["diagnostics"]["passed"] is False
         assert doc["results"]["isospectral"]["passed"] is False
 
+    def test_wavefunction_grid_width_overflows(self):
+        code, out, err, caught = run_quiet(["wavefunction", "--level", "1", "--grid-span", "1e308"])
+        assert caught == [] and (code, out) == (3, "")
+        assert err == "nhosc: numeric failure: grid width 2 * 1e+308 overflows\n"
+
+    def test_wavefunction_grid_too_wide_for_state(self):
+        argv = ["wavefunction", "--level", "1", "--grid-span", "1e300", "--grid-points", "5"]
+        code, out, err, caught = run_quiet(argv)
+        assert caught == [] and (code, out) == (3, "")
+        assert err == ("nhosc: numeric failure: every sample of the state underflows to 0; "
+                       "the grid does not resolve it\n")
+
     def test_spectrum(self):
         argv = ["spectrum", "--h11", "1e160", "--h12", "0.3", "--h22", "0.5", "-N", "40", "-n", "4"]
         code, out, err, caught = run_quiet(argv)

@@ -1,4 +1,4 @@
-"""The tridiagonal eigensolver and O(n) LU against LAPACK and the dense route."""
+"""The tridiagonal eigensolver and O(n) LU against LAPACK and the dense QR."""
 
 import numpy as np
 import pytest
@@ -158,6 +158,27 @@ class TestTridiagonal:
             linalg.tridiagonal_lu(singular)
 
 
+@st.composite
+def quadratics(draw):
+    """Raw three-parameter oscillators, and images of an oscillator under
+    admissible mix, gauge and explicit (det = 1) transforms."""
+    kind = draw(st.sampled_from(["three_param", "mix", "gauge", "explicit"]))
+    if kind == "three_param":
+        coeff = st.floats(-5.0, 5.0)
+        return spectra.ThreeParamOscillator(draw(coeff), draw(coeff), draw(coeff)).as_quadratic()
+    unit = st.floats(-0.95, 0.95)
+    if kind == "mix":
+        transform = canonical.rath_mallick(draw(unit), draw(unit))
+    elif kind == "gauge":
+        transform = canonical.gauge(draw(st.floats(-5.0, 5.0)))
+    else:
+        u11 = complex(draw(st.floats(0.5, 2.0)), draw(unit))
+        u12, u21 = (complex(draw(unit), draw(unit)) for _ in range(2))
+        transform = canonical.from_matrix(u11, u12, u21, (1 + u12 * u21) / u11)
+    base = canonical.scaled_oscillator(draw(st.sampled_from([1.0, 0.25, 3.0])))
+    return canonical.apply_to_quadratic(transform, base)
+
+
 class TestStructuredRoute:
     def test_critical_frequency_gives_exact_diagonal(self):
         rng = np.random.default_rng(19)
@@ -197,13 +218,24 @@ class TestStructuredRoute:
             assert np.abs(np.sort_complex(found) - np.sort_complex(lapack)).max() <= 1e-8
             checked += 1
 
-    def test_non_tridiagonal_block_takes_dense_route(self):
+    def test_non_tridiagonal_block_rejected(self):
         mat = np.diag(np.arange(1.0, 9.0)).astype(complex)
         mat[0, 4] = 0.5  # even block entry two places off its diagonal
-        solved = spectra.parity_spectrum(mat)
-        assert isinstance(solved.blocks[0], np.ndarray)
-        assert isinstance(solved.blocks[1], linalg.Tridiagonal)
-        assert np.array_equal(solved.eigenvalues, np.arange(1.0, 9.0))
+        with pytest.raises(ValueError, match="off its three bands"):
+            spectra.parity_spectrum(mat)
+        with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(4, 5\)"):
+            spectra.parity_spectrum(np.eye(4, 5))
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            spectra.parity_spectrum(np.zeros((0, 0)))
+
+    @PROPERTY_SETTINGS
+    @given(quadratics(), st.floats(0.1, 10.0),
+           st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 41)))
+    def test_quadratic_truncation_blocks_are_tridiagonal(self, quad, omega, size):
+        solved = spectra.parity_spectrum(spectra.quadratic_fock_matrix(quad, omega, size).matrix)
+        assert len(solved.blocks) == min(size, 2)
+        assert all(isinstance(block, linalg.Tridiagonal) for block in solved.blocks)
+        assert solved.eigenvalues.size == size
 
     def test_eta_check_reuses_solution(self):
         target = canonical.apply_to_quadratic(

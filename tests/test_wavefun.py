@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,8 +59,12 @@ class TestHermiteFunction:
         assert abs(lhs - rhs) < 1e-13
 
     def test_extreme_argument_finite(self):
-        values = wavefun.hermite_function(3, 1.0, np.array([-40.0, 40.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = wavefun.hermite_function(3, 1.0, np.array([-1e300, -40.0, 40.0, 1e300]))
         assert np.isfinite(values).all()
+        # (1e300)^2 overflows, but the Gaussian's limit is an exact 0
+        assert values[0] == values[-1] == 0.0
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
@@ -217,6 +222,13 @@ class TestGrid:
     def test_spacing_detection(self):
         assert Grid(np.linspace(0, 1, 11)).spacing == pytest.approx(0.1)
         assert Grid(np.array([0.0, 0.5, 2.0])).spacing is None
+
+    def test_width_overflow_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflows"):
+                wavefun.uniform_grid(1e308, 5)
+            assert wavefun.uniform_grid(8e307, 5).points[-1] == 8e307
 
     def test_sample_length_checked(self):
         grid = wavefun.uniform_grid(1.0, 11)
