@@ -513,7 +513,7 @@ def cmd_spectrum(ns):
     closed_minus = [-v for v in closed_plus] if model.oscillator is not None else None
 
     fock = spectra.quadratic_fock_matrix(model.quadratic, ns.omega, ns.trunc)
-    eigs, parities = spectra.eigenvalues_by_parity(fock.matrix, levels=ns.levels)
+    eigs, parities = spectra.eigenvalues_by_parity(fock, levels=ns.levels)
 
     levels = []
     max_dev = None
@@ -699,7 +699,7 @@ def cmd_verify(ns):
     )
     target = canonical.apply_to_quadratic(transform, base)
     solved = spectra.parity_spectrum(
-        spectra.quadratic_fock_matrix(target, ns.omega, ns.trunc).matrix, levels=ns.levels
+        spectra.quadratic_fock_matrix(target, ns.omega, ns.trunc), levels=ns.levels
     )
     iso = spectra.verify_isospectral(
         transform, trunc=ns.trunc, n_levels=ns.levels, tol=ns.tol, base=base, omega=ns.omega,
@@ -761,10 +761,18 @@ def cmd_verify(ns):
 
 
 def _grid(ns, omega):
-    """The --grid-span grid, or by default the grid that covers frequency omega."""
-    if ns.grid_span:
-        return wavefun.uniform_grid(ns.grid_span, ns.grid_points)
-    return wavefun.default_grid(omega, ns.grid_points)
+    """The grid that covers frequency omega, or the --grid-span grid;
+    FloatingPointError when fewer than 3 of its points lie within the default
+    span of omega, where the state lives."""
+    if not ns.grid_span:
+        return wavefun.default_grid(omega, ns.grid_points)
+    grid = wavefun.uniform_grid(ns.grid_span, ns.grid_points)
+    bound = wavefun.DEFAULT_SPAN_SIGMAS / math.sqrt(omega)
+    inside = int(np.count_nonzero(np.abs(grid.points) <= bound))
+    if inside < 3:
+        raise FloatingPointError(f"{inside} of the {grid.size} grid points lie within {bound:g} "
+                                 "of 0, where the state lives; fewer than 3 do not resolve it")
+    return grid
 
 
 def cmd_wavefunction(ns):
@@ -824,9 +832,6 @@ def cmd_wavefunction(ns):
         sample = wavefun.synthesize(pair, pair.frequency, grid)
 
     norm = wavefun.quadrature_norm(sample)
-    if norm == 0.0:
-        raise FloatingPointError("every sample of the state underflows to 0; "
-                                 "the grid does not resolve it")
     try:
         nodes = wavefun.count_nodes(sample)
     except ValueError:

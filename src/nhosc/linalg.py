@@ -35,7 +35,6 @@ SCALE_MAX = 2.0 ** 256
 
 __all__ = [
     "EigenConvergenceError",
-    "check_square",
     "as_cmatrix",
     "frobenius_norm",
     "balance",
@@ -61,18 +60,13 @@ class EigenConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def check_square(a):
-    """ValueError unless the array a is a non-empty square matrix."""
+def as_cmatrix(m):
+    """Validate and copy into a non-empty square complex128 array."""
+    a = np.array(m, dtype=complex, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix dimensions must be positive")
-
-
-def as_cmatrix(m):
-    """Validate and copy into a square complex128 array."""
-    a = np.array(m, dtype=complex, order="C")
-    check_square(a)
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
@@ -103,7 +97,8 @@ def _radix_scale(modulus):
     big = float(modulus.max())
     if big == 0.0 or SCALE_MIN <= big <= SCALE_MAX or not math.isfinite(big):
         return 1.0
-    return math.ldexp(1.0, -math.frexp(big)[1])
+    # 2^1023, the largest power of two, lifts even a subnormal big above SCALE_MIN
+    return math.ldexp(1.0, min(-math.frexp(big)[1], 1023))
 
 
 def balance(m, max_sweeps=10):
@@ -316,9 +311,11 @@ class Tridiagonal:
         return Tridiagonal(self.diag.conj(), self.upper.conj(), self.lower.conj())
 
     def matvec(self, v):
-        out = self.diag * v
-        out[:-1] += self.upper * v[1:]
-        out[1:] += self.lower * v[:-1]
+        """T v for a vector of shape (n,) or each column of an (n, k) array."""
+        shape = (-1,) + (1,) * (v.ndim - 1)
+        out = self.diag.reshape(shape) * v
+        out[:-1] += self.upper.reshape(shape) * v[1:]
+        out[1:] += self.lower.reshape(shape) * v[:-1]
         return out
 
     def dense(self):

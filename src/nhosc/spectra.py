@@ -8,6 +8,10 @@ roots w of C_n(w) = 0 the matrix becomes upper triangular, the diagonal is
 the eigenvector coefficients terminates, giving finitely many Fock
 components per state.  Away from those roots the truncated matrix is
 diagonalized numerically and compared against the closed forms.
+
+Any quadratic operator couples the same states, so a truncation (`FockMatrix`)
+is stored as its two parity blocks, tridiagonals built straight from the bands;
+no N x N matrix is formed on the way to a spectrum or a check.
 """
 
 from __future__ import annotations
@@ -202,15 +206,32 @@ def closed_form_eigenvalue(h, n, branch):
 
 @dataclass(frozen=True)
 class FockMatrix:
-    """Dense truncation of an operator in the number basis at one frequency."""
+    """Truncation of a quadratic to |0>..|size-1> at one frequency: blocks[p]
+    is the linalg.Tridiagonal on the states p, p+2, ... (even only at size 1)."""
 
-    matrix: np.ndarray
+    blocks: tuple
     omega: float
     size: int
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.size, self.size):
-            raise ValueError("matrix shape does not match declared size")
+    def dense(self):
+        """The size x size matrix, for tests and oracles only."""
+        out = np.zeros((self.size, self.size), dtype=complex)
+        for par, block in enumerate(self.blocks):
+            out[par::2, par::2] = block.dense()
+        return out
+
+
+def _from_bands(bands, omega, size):
+    """FockMatrix from bands in the layout of weyl.fock_bands, a missing one
+    zero; ValueError for a band other than 0 and +-2, which no quadratic has."""
+    if not set(bands) <= {-2, 0, 2}:
+        raise ValueError(f"operator couples |n> to |n + d> for d in {sorted(bands)}; "
+                         "only the truncation of a quadratic is built")
+    zero = np.zeros(size)
+    diag, lower, upper = (bands.get(d, zero[abs(d):]) for d in (0, 2, -2))
+    blocks = tuple(linalg.Tridiagonal(diag[par::2], lower[par::2], upper[par::2])
+                   for par in range(min(size, 2)))
+    return FockMatrix(blocks=blocks, omega=omega, size=size)
 
 
 def build_fock_matrix(h, omega, size):
@@ -223,27 +244,21 @@ def build_fock_matrix(h, omega, size):
         raise ValueError("size must be at least 1")
     half_diff = -0.5 * h.h11 * omega + 0.5 * h.h22 / omega
     n = np.arange(size, dtype=float)
-    mat = np.zeros((size, size), dtype=complex)
-    mat[np.arange(size), np.arange(size)] = (
-        0.5 * h.h11 * omega + 0.5 * h.h22 / omega
-    ) * (2 * n + 1)
-    if size >= 3:
-        nn = n[2:]
-        # column n, row n-2 holds A_n; column n, row n+2 holds C_n
-        mat[np.arange(size - 2), np.arange(2, size)] = (half_diff + h.h12) * np.sqrt(
-            nn * (nn - 1)
-        )
-        mm = n[: size - 2]
-        mat[np.arange(2, size), np.arange(size - 2)] = (half_diff - h.h12) * np.sqrt(
-            (mm + 1) * (mm + 2)
-        )
-    return FockMatrix(matrix=mat, omega=omega, size=size)
+    low = n[: max(size - 2, 0)]
+    high = n[2:]
+    return _from_bands({
+        0: (0.5 * h.h11 * omega + 0.5 * h.h22 / omega) * (2 * n + 1),
+        # row m+2, column m holds C_m; row n-2, column n holds A_n
+        2: (half_diff - h.h12) * np.sqrt((low + 1) * (low + 2)),
+        -2: (half_diff + h.h12) * np.sqrt(high * (high - 1)),
+    }, omega, size)
 
 
 def quadratic_fock_matrix(q, omega, size):
-    """Truncation of a general quadratic via the symbolic ladder rewriting."""
+    """Truncation of a general quadratic via the symbolic ladder rewriting;
+    ValueError when a term of the ladder form is off the 0 and +-2 bands."""
     ladder = weyl.to_ladder(q.weyl_poly(), omega)
-    return FockMatrix(matrix=weyl.fock_matrix(ladder, size), omega=float(omega), size=int(size))
+    return _from_bands(weyl.fock_bands(ladder, size), float(omega), int(size))
 
 
 @dataclass(frozen=True)
@@ -291,8 +306,9 @@ def eigenvector_coefficients(h, branch, excitation, parity, trunc=None):
             _, b_here, _ = fock_coefficients(h, omega, n)
             d[n + 2] = (e_val - b_here) / a_next * d[n]
     d /= math.sqrt(float((np.abs(d) ** 2).sum()))
-    m = build_fock_matrix(h, omega, size).matrix
-    residual = float(np.sqrt((np.abs(m @ d - e_val * d) ** 2).sum()))
+    part = d[parity::2]  # M d has no entry off the parity block of d
+    m_part = build_fock_matrix(h, omega, size).blocks[parity].matvec(part)
+    residual = float(np.sqrt((np.abs(m_part - e_val * part) ** 2).sum()))
     return EigenPair(
         eigenvalue=complex(e_val),
         coefficients=d,
@@ -317,16 +333,15 @@ def general_quadratic_spectrum(q, n):
 
 @dataclass(frozen=True)
 class ParitySpectrum:
-    """A parity-decoupled truncation solved once, for every check that needs it.
+    """A truncation solved once, for every check that needs it.
 
-    blocks[p] is the parity-p block (basis states p, p+2, ...) as a
-    linalg.Tridiagonal; eigenvalues are sorted by real part then imaginary
-    part, and parities[k] is the block eigenvalues[k] came from.  With levels
-    set they hold only the lowest `levels` of them, else the whole spectrum.
+    fock is the FockMatrix solved; eigenvalues are sorted by real part then
+    imaginary part, and parities[k] is the block eigenvalues[k] came from.
+    With levels set they hold only the lowest `levels` of them, else the
+    whole spectrum.
     """
 
-    matrix: np.ndarray
-    blocks: tuple
+    fock: FockMatrix
     eigenvalues: np.ndarray
     parities: np.ndarray
     levels: int | None = None
@@ -340,52 +355,29 @@ class ParitySpectrum:
         return self.eigenvalues[:n_levels], self.parities[:n_levels]
 
 
-def _parity_block(block):
-    """The block as a linalg.Tridiagonal; ValueError when it has an entry off
-    its three bands."""
-    bands = [np.diagonal(block, k) for k in (0, -1, 1)]
-    if np.count_nonzero(block) != sum(np.count_nonzero(band) for band in bands):
-        raise ValueError("parity block has entries off its three bands; "
-                         "only the truncation of a quadratic is solved")
-    return linalg.Tridiagonal(*bands)
+def parity_spectrum(fock, max_iter=30, tol=1e-12, levels=None):
+    """Solve each parity block of a FockMatrix with linalg.tridiagonal_eigenvalues.
 
-
-def parity_spectrum(mat, max_iter=30, tol=1e-12, levels=None):
-    """Split a parity-decoupled matrix into its even and odd blocks and solve each.
-
-    The +-2 bands of a quadratic truncation make each block tridiagonal, and
-    each goes to linalg.tridiagonal_eigenvalues.  Rejects with ValueError a
-    matrix that is not square and non-empty, one with odd-offset coupling,
-    and one whose blocks are not tridiagonal.  With levels, each block solves
-    only for its lowest `levels`, which are certified to be its lowest, so
-    the merged lowest `levels` are the whole spectrum's.
+    With levels, each block solves only for its lowest `levels`, which are
+    certified to be its lowest, so the merged lowest `levels` are the whole
+    spectrum's.
     """
-    mat = np.asarray(mat, dtype=complex)
-    linalg.check_square(mat)
-    size = mat.shape[0]
-    coupling = 0.0
-    if size > 1:
-        coupling = max(np.abs(mat[0::2, 1::2]).max(), np.abs(mat[1::2, 0::2]).max())
-    scale = np.abs(mat).max()
-    if scale > 0 and coupling > 1e-12 * scale:
-        raise ValueError("matrix couples even and odd sectors; no parity split")
-    blocks = tuple(_parity_block(mat[par::2, par::2]) for par in range(min(size, 2)))
     eigs = []
     labels = []
-    for par, block in enumerate(blocks):
+    for par, block in enumerate(fock.blocks):
         found = linalg.tridiagonal_eigenvalues(block, max_iter=max_iter, tol=tol, lowest=levels)
         eigs.extend(found)
         labels.extend([par] * len(found))
     eigs = np.array(eigs)
     labels = np.array(labels)
     order = np.lexsort((eigs.imag, eigs.real))[:levels]
-    return ParitySpectrum(matrix=mat, blocks=blocks, eigenvalues=eigs[order],
+    return ParitySpectrum(fock=fock, eigenvalues=eigs[order],
                           parities=labels[order], levels=levels)
 
 
-def eigenvalues_by_parity(mat, max_iter=30, tol=1e-12, levels=None):
+def eigenvalues_by_parity(fock, max_iter=30, tol=1e-12, levels=None):
     """(eigenvalues, parities) of `parity_spectrum`."""
-    solved = parity_spectrum(mat, max_iter=max_iter, tol=tol, levels=levels)
+    solved = parity_spectrum(fock, max_iter=max_iter, tol=tol, levels=levels)
     return solved.eigenvalues, solved.parities
 
 
@@ -436,10 +428,9 @@ def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, o
         raise ValueError("base operator must have a real positive spectral scale")
     if solved is None:
         target = canonical.apply_to_quadratic(transform, base)
-        solved = parity_spectrum(quadratic_fock_matrix(target, omega, trunc).matrix,
-                                 levels=n_levels)
-    elif solved.matrix.shape[0] != trunc:
-        raise ValueError(f"solved truncation has size {solved.matrix.shape[0]}, not {trunc}")
+        solved = parity_spectrum(quadratic_fock_matrix(target, omega, trunc), levels=n_levels)
+    elif solved.fock.size != trunc:
+        raise ValueError(f"solved truncation has size {solved.fock.size}, not {trunc}")
     eigs, parities = solved.lowest(n_levels)
     levels = []
     max_dev = 0.0
@@ -497,22 +488,15 @@ def eta_check(fock, n_levels, tol=1e-6):
     transpose, each on the parity block of its level and embedded in the full
     basis, rescales to <Phi_m|phi_n> = delta_mn, and measures how far
     eta M - M+ eta, with eta = sum |Phi_n><Phi_n|, is from zero on the span of
-    the retained phi_n.  eta is applied through its factors and never formed.
-    Retained eigenvalues must be simple with pairwise gaps above 1e-6.  fock
-    is a FockMatrix, a matrix, or its parity_spectrum solved for at least
-    n_levels levels.
+    the retained phi_n.  eta is applied through its factors and never formed,
+    and M and M+ act block by block on the parity slices.  Retained
+    eigenvalues must be simple with pairwise gaps above 1e-6.  fock is a
+    FockMatrix, or its parity_spectrum solved for at least n_levels levels.
     """
     n_levels = int(n_levels)
     if n_levels < 1:
         raise ValueError("need at least one retained level")
-    if isinstance(fock, ParitySpectrum):
-        solved = fock
-    else:
-        solved = parity_spectrum(fock.matrix if isinstance(fock, FockMatrix) else fock,
-                                 levels=n_levels)
-    mat = solved.matrix
-    if n_levels > mat.shape[0]:
-        raise ValueError(f"cannot retain {n_levels} levels from a {mat.shape[0]}-dim truncation")
+    solved = fock if isinstance(fock, ParitySpectrum) else parity_spectrum(fock, levels=n_levels)
     retained, parities = solved.lowest(n_levels)
     for i in range(n_levels):
         for j in range(i + 1, n_levels):
@@ -522,11 +506,11 @@ def eta_check(fock, n_levels, tol=1e-6):
                     f"eigenvalues {retained[i]} and {retained[j]} separated by {gap:.2e}",
                     pair=(complex(retained[i]), complex(retained[j])),
                 )
-    size = mat.shape[0]
+    size = solved.fock.size
     phi = np.zeros((size, n_levels), dtype=complex)
     chi = np.zeros((size, n_levels), dtype=complex)
     for k, (lam, par) in enumerate(zip(retained, parities)):
-        block = solved.blocks[par]
+        block = solved.fock.blocks[par]
         phi[par::2, k] = linalg.tridiagonal_eigenvector(block, lam)
         chi[par::2, k] = linalg.tridiagonal_eigenvector(block.adjoint(), lam.conjugate())
     overlap = chi.conj().T @ phi
@@ -537,17 +521,26 @@ def eta_check(fock, n_levels, tol=1e-6):
     overlap = overlap / diag[:, None]
     bio_defect = float(np.abs(overlap - np.eye(n_levels)).max())
 
-    norm = linalg.frobenius_norm(mat)
+    blocks = solved.fock.blocks
+    norm = math.hypot(*(block.norm() for block in blocks))
     if norm > linalg.SCALE_MAX:
         # the defect is unchanged when M is scaled by a power of two, which is
         # exact; scaling a huge truncation keeps the residual norms finite
         scale = math.ldexp(1.0, -math.frexp(norm)[1])
-        mat, norm = mat * scale, norm * scale
+        blocks = [linalg.Tridiagonal(block.diag * scale, block.lower * scale,
+                                     block.upper * scale) for block in blocks]
+        norm *= scale
 
-    def adjoint_times(v):
-        return (v.conj().T @ mat).conj().T
+    def times(parts, v):
+        """The block-diagonal matrix with diagonal blocks `parts` times v."""
+        out = np.empty_like(v)
+        for par, part in enumerate(parts):
+            out[par::2] = part.matvec(v[par::2])
+        return out
 
-    residual = chi @ (chi.conj().T @ (mat @ phi)) - adjoint_times(chi @ (chi.conj().T @ phi))
+    adjoints = [block.adjoint() for block in blocks]
+    residual = (chi @ (chi.conj().T @ times(blocks, phi))
+                - times(adjoints, chi @ (chi.conj().T @ phi)))
     col_scale = np.sqrt((np.abs(chi) ** 2).sum(axis=0)) * norm
     pseudo_defect = float(
         (np.sqrt((np.abs(residual) ** 2).sum(axis=0)) / col_scale).max()

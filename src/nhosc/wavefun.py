@@ -122,11 +122,13 @@ def hermite_basis(n_max, omega, x):
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     x = _finite_samples(x)
-    y = math.sqrt(omega) * x
-    out = np.empty((n_max + 1,) + y.shape, dtype=float)
-    # y * y overflows only where the Gaussian's exact value underflows to 0
+    # y and y * y overflow only where the Gaussian's exact value, and so every
+    # row's, underflows to 0; a finite y there keeps the rows from inf * 0
     with np.errstate(over="ignore"):
+        y = math.sqrt(omega) * x
+        out = np.empty((n_max + 1,) + np.shape(y), dtype=float)
         out[0] = (omega / math.pi) ** 0.25 * np.exp(-0.5 * y * y)
+    y = np.where(np.isinf(y), 0.0, y)
     if n_max >= 1:
         out[1] = math.sqrt(2.0) * y * out[0]
     for k in range(1, n_max):

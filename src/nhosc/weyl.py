@@ -47,6 +47,7 @@ __all__ = [
     "gauge_conjugate",
     "to_ladder",
     "to_weyl",
+    "fock_bands",
     "fock_matrix",
 ]
 
@@ -412,8 +413,10 @@ def to_weyl(lad):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def fock_matrix(lad, size):
-    """Dense matrix of a ladder polynomial on the number basis |0>..|size-1>.
+def fock_bands(lad, size):
+    """Bands {d: band} of a ladder polynomial on the number basis |0>..|size-1>,
+    one per offset d = r - s of a term (a+)^r a^s; band[j] is entry
+    (j + max(d, 0), j - min(d, 0)).
 
     Entry (m, n) of (a+)^r a^s is sqrt(n!/(n-s)!) sqrt((n-s+r)!/(n-s)!) at
     m = n - s + r, computed as ratio products so no factorial overflows up to
@@ -422,16 +425,14 @@ def fock_matrix(lad, size):
     size = int(size)
     if size < 1:
         raise ValueError("matrix size must be at least 1")
-    out = np.zeros((size, size), dtype=complex)
-    n_all = np.arange(size, dtype=float)
+    bands = {}
     # a term's entries grow with n, so the sum of the terms' last entries
     # bounds every entry; only when it overflows are the entries checked
     bound = 0.0
     for (r, s), c in lad.terms.items():
-        n = n_all[s:]
-        m = n - s + r
-        keep = m < size
-        n, m = n[keep], m[keep]
+        d = r - s
+        band = bands.setdefault(d, np.zeros(max(size - abs(d), 0), dtype=complex))
+        n = np.arange(s, size - max(d, 0), dtype=float)
         if n.size == 0:
             continue
         amp = np.ones_like(n)
@@ -441,7 +442,18 @@ def fock_matrix(lad, size):
             amp *= n - s + j
         values = c * np.sqrt(amp)
         bound += abs(values[-1])
-        out[m.astype(int), n.astype(int)] += values
-    if not math.isfinite(bound) and not np.isfinite(out).all():
+        # entry (n + d, n) sits at index min(n + d, n), from min(r, s) on
+        band[min(r, s) : min(r, s) + n.size] += values
+    if not math.isfinite(bound) and not all(np.isfinite(b).all() for b in bands.values()):
         raise OverflowError(f"number-basis matrix of size {size} overflows")
+    return bands
+
+
+def fock_matrix(lad, size):
+    """Dense matrix of `fock_bands`, the tests' reference for the banded route."""
+    bands = fock_bands(lad, size)
+    out = np.zeros((int(size), int(size)), dtype=complex)
+    for d, band in bands.items():
+        j = np.arange(band.size)
+        out[j + max(d, 0), j - min(d, 0)] = band
     return out

@@ -450,11 +450,35 @@ class TestHugeCoefficients:
         assert err == "nhosc: numeric failure: grid width 2 * 1e+308 overflows\n"
 
     def test_wavefunction_grid_too_wide_for_state(self):
+        # every sample but the one at 0, where level 1 vanishes, underflows
         argv = ["wavefunction", "--level", "1", "--grid-span", "1e300", "--grid-points", "5"]
         code, out, err, caught = run_quiet(argv)
         assert caught == [] and (code, out) == (3, "")
-        assert err == ("nhosc: numeric failure: every sample of the state underflows to 0; "
-                       "the grid does not resolve it\n")
+        assert err == ("nhosc: numeric failure: 1 of the 5 grid points lie within 12 of 0, "
+                       "where the state lives; fewer than 3 do not resolve it\n")
+
+    @pytest.mark.parametrize("argv, inside", [
+        # one nonzero sample, 5e299 wide: the norm would read 4.3e149
+        (["--level", "0", "--grid-span", "1e300", "--grid-points", "5"], "1 of the 5"),
+        # sqrt(omega) x overflows on the grid
+        (["--level", "1", "--omega", "1e200", "--grid-span", "1e250", "--grid-points", "5"],
+         "1 of the 5"),
+        (["--rm-alpha", "0.3", "--rm-beta", "0.2", "--grid-span", "100", "--grid-points", "9"],
+         "1 of the 9"),
+        (["--h11", "0.4", "--h12", "0.3", "--h22", "0.6", "--grid-span", "1e5",
+          "--grid-points", "4001"], "1 of the 4001"),
+    ])
+    def test_wavefunction_grid_too_coarse_for_state(self, argv, inside):
+        code, out, err, caught = run_quiet(["wavefunction", *argv])
+        assert caught == [] and (code, out) == (3, "")
+        assert err.startswith(f"nhosc: numeric failure: {inside} grid points lie within ")
+        assert err.count("\n") == 1
+
+    def test_wavefunction_grid_with_three_points_on_the_state(self):
+        argv = ["wavefunction", "--level", "0", "--grid-span", "12", "--grid-points", "3"]
+        code, out, err, caught = run_quiet(argv)
+        assert caught == [] and (code, err) == (0, "")
+        assert strict_json(out)["results"]["x"] == [-12.0, 0.0, 12.0]
 
     def test_spectrum(self):
         argv = ["spectrum", "--h11", "1e160", "--h12", "0.3", "--h22", "0.5", "-N", "40", "-n", "4"]

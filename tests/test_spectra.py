@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -123,7 +125,7 @@ class TestClosedForm:
 
 class TestBuildFockMatrix:
     def test_sho_diagonal(self):
-        mat = spectra.build_fock_matrix(SHO, 1.0, 5).matrix
+        mat = spectra.build_fock_matrix(SHO, 1.0, 5).dense()
         assert np.abs(mat - np.diag(np.arange(5) + 0.5)).max() < 1e-15
 
     def test_triangular_at_critical_frequency(self):
@@ -131,7 +133,7 @@ class TestBuildFockMatrix:
         for _ in range(20):
             osc = random_oscillator(rng)
             crit = spectra.critical_frequencies(osc)
-            mat = spectra.build_fock_matrix(osc, crit.omega_plus, 40).matrix
+            mat = spectra.build_fock_matrix(osc, crit.omega_plus, 40).dense()
             norm = np.abs(mat).max()
             assert np.abs(np.tril(mat, -1)).max() < 1e-12 * norm
 
@@ -141,13 +143,13 @@ class TestBuildFockMatrix:
             osc = random_oscillator(rng)
             omega = rng.uniform(0.3, 2.0)
             size = int(rng.integers(5, 30))
-            direct = spectra.build_fock_matrix(osc, omega, size).matrix
-            symbolic = spectra.quadratic_fock_matrix(osc.as_quadratic(), omega, size).matrix
+            direct = spectra.build_fock_matrix(osc, omega, size).dense()
+            symbolic = spectra.quadratic_fock_matrix(osc.as_quadratic(), omega, size).dense()
             scale = max(1.0, np.abs(direct).max())
             assert np.abs(direct - symbolic).max() < 1e-12 * scale
 
     def test_band_structure(self):
-        mat = spectra.build_fock_matrix(ThreeParamOscillator(0.4, 0.3, 0.6), 0.9, 12).matrix
+        mat = spectra.build_fock_matrix(ThreeParamOscillator(0.4, 0.3, 0.6), 0.9, 12).dense()
         for offset in (1, 3, 4, 5):
             assert np.abs(np.diagonal(mat, offset)).max() == 0.0
             assert np.abs(np.diagonal(mat, -offset)).max() == 0.0
@@ -254,7 +256,7 @@ class TestGeneralQuadraticSpectrum:
                 continue
             target = canonical.apply_to_quadratic(u, base)
             fock = spectra.quadratic_fock_matrix(target, 1.0, 80)
-            eigs, _ = spectra.eigenvalues_by_parity(fock.matrix)
+            eigs, _ = spectra.eigenvalues_by_parity(fock)
             for n in range(4):
                 expected = spectra.general_quadratic_spectrum(target, n)
                 assert abs(eigs[n] - expected) < 1e-8
@@ -311,14 +313,19 @@ class TestEtaCheck:
         assert report.biorthonormality_defect <= 1e-8
 
     def test_degenerate_rejection(self):
-        mat = np.diag(np.array([1.0, 1.0 + 1e-9, 2.0], dtype=complex))
+        # diag(1, 1 + 1e-9, 2): 1 and 2 in the even block, 1 + 1e-9 in the odd
+        fock = spectra.FockMatrix(
+            blocks=(linalg.Tridiagonal([1.0, 2.0], [0.0], [0.0]),
+                    linalg.Tridiagonal([1.0 + 1e-9], [], [])),
+            omega=1.0, size=3)
         with pytest.raises(spectra.DegenerateEigenvaluesError) as info:
-            spectra.eta_check(mat, 2)
+            spectra.eta_check(fock, 2)
         assert info.value.pair is not None
 
     def test_level_count_bounded_by_truncation(self):
-        with pytest.raises(ValueError, match="retain"):
-            spectra.eta_check(np.eye(3, dtype=complex), 5)
+        fock = spectra.quadratic_fock_matrix(canonical.harmonic_oscillator(), 1.0, 3)
+        with pytest.raises(ValueError, match="solution holds 3 levels, fewer than the 5"):
+            spectra.eta_check(fock, 5)
 
 
 class TestStructuralInvariants:
@@ -327,7 +334,7 @@ class TestStructuralInvariants:
         for _ in range(10):
             osc = random_oscillator(rng)
             crit = spectra.critical_frequencies(osc)
-            mat = spectra.build_fock_matrix(osc, crit.omega_plus, 50).matrix
+            mat = spectra.build_fock_matrix(osc, crit.omega_plus, 50).dense()
             eigs = np.sort_complex(linalg.eigenvalues(mat))
             expected = np.sort(
                 [spectra.closed_form_eigenvalue(osc, n, 1) for n in range(50)]
@@ -340,7 +347,7 @@ class TestStructuralInvariants:
         for _ in range(10):
             osc = random_oscillator(rng)
             crit = spectra.critical_frequencies(osc)
-            minus = spectra.build_fock_matrix(osc, crit.omega_minus, 30).matrix
+            minus = spectra.build_fock_matrix(osc, crit.omega_minus, 30).dense()
             diag = np.real(np.diagonal(minus))
             expected = np.array(
                 [spectra.closed_form_eigenvalue(osc, n, -1) for n in range(30)]
@@ -353,16 +360,50 @@ class TestStructuralInvariants:
         deviations = []
         for size in (50, 100, 200, 400):
             fock = spectra.build_fock_matrix(osc, 1.0, size)
-            eigs, _ = spectra.eigenvalues_by_parity(fock.matrix)
+            eigs, _ = spectra.eigenvalues_by_parity(fock)
             deviations.append(abs(eigs[target_level] - (target_level + 0.5)))
         for previous, current in zip(deviations, deviations[1:]):
             assert current <= previous + 1e-12
 
     def test_parity_split_rejects_coupled_matrix(self):
-        mat = np.eye(6, dtype=complex)
-        mat[0, 1] = 1.0
-        with pytest.raises(ValueError, match="parity"):
-            spectra.eigenvalues_by_parity(mat)
+        # a linear term couples |n> to |n +- 1>, across the parity sectors
+        coupled = canonical.harmonic_oscillator().weyl_poly() + weyl.X
+        operator = types.SimpleNamespace(weyl_poly=lambda: coupled)
+        with pytest.raises(ValueError, match=r"\|n \+ d> for d in \[-1, 0, 1\]"):
+            spectra.quadratic_fock_matrix(operator, 1.0, 6)
+
+
+def held_arrays(value):
+    """Every numpy array reachable through the fields of a (nested) dataclass."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for item in dataclasses.fields(value):
+            yield from held_arrays(getattr(value, item.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from held_arrays(item)
+
+
+def test_truncation_memory_is_linear_in_size():
+    """A truncation is stored as its bands; nothing N x N is built or kept."""
+    size = 2000
+    target = canonical.apply_to_quadratic(
+        canonical.rath_mallick(0.3, 0.2), canonical.harmonic_oscillator()
+    )
+    tracemalloc.start()
+    try:
+        fock = spectra.quadratic_fock_matrix(target, 1.0, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense route peaked at 61 MiB here
+    assert peak < 2 ** 20
+    gamma = spectra.quadratic_fock_matrix(canonical.ahmed_hermitian(0.3, alpha=1.0), 1.0, size)
+    solved = spectra.parity_spectrum(gamma, levels=8)
+    for held in (fock, gamma, solved):
+        sizes = [array.size for array in held_arrays(held)]
+        assert sizes and max(sizes) <= 3 * size
 
 
 class TestMixIdentityChain:

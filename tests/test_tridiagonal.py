@@ -1,12 +1,15 @@
 """The tridiagonal eigensolver and O(n) LU against LAPACK and the dense QR."""
 
+import math
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nhosc import canonical, linalg, spectra
+from nhosc import canonical, linalg, spectra, weyl
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -158,6 +161,30 @@ class TestTridiagonal:
             linalg.tridiagonal_lu(singular)
 
 
+def dense_pseudo_hermiticity_defect(mat, solved, n_levels):
+    """eta_check's pseudo-Hermiticity defect with M the dense matrix `mat`.
+
+    The eigenvectors are those eta_check computes; only the products with M
+    and M+ and the Frobenius norm of M are formed densely.
+    """
+    retained, parities = solved.lowest(n_levels)
+    phi = np.zeros((mat.shape[0], n_levels), dtype=complex)
+    chi = np.zeros_like(phi)
+    for k, (lam, par) in enumerate(zip(retained, parities)):
+        block = solved.fock.blocks[par]
+        phi[par::2, k] = linalg.tridiagonal_eigenvector(block, lam)
+        chi[par::2, k] = linalg.tridiagonal_eigenvector(block.adjoint(), lam.conjugate())
+    chi = chi / np.diagonal(chi.conj().T @ phi).conj()
+    norm = linalg.frobenius_norm(mat)
+    if norm > linalg.SCALE_MAX:
+        scale = math.ldexp(1.0, -math.frexp(norm)[1])
+        mat, norm = mat * scale, norm * scale
+    residual = (chi @ (chi.conj().T @ (mat @ phi))
+                - mat.conj().T @ (chi @ (chi.conj().T @ phi)))
+    col_scale = np.sqrt((np.abs(chi) ** 2).sum(axis=0)) * norm
+    return float((np.sqrt((np.abs(residual) ** 2).sum(axis=0)) / col_scale).max())
+
+
 @st.composite
 def quadratics(draw):
     """Raw three-parameter oscillators, and images of an oscillator under
@@ -189,10 +216,10 @@ class TestStructuredRoute:
             omega = spectra.critical_frequencies(osc).omega_plus
             if omega <= 0:
                 continue
-            mat = spectra.quadratic_fock_matrix(osc.as_quadratic(), omega, 60).matrix
+            fock = spectra.quadratic_fock_matrix(osc.as_quadratic(), omega, 60)
+            mat = fock.dense()
             assert not np.tril(mat, -1).any()
-            solved = spectra.parity_spectrum(mat)
-            assert all(isinstance(b, linalg.Tridiagonal) for b in solved.blocks)
+            solved = spectra.parity_spectrum(fock)
             assert np.array_equal(np.sort_complex(solved.eigenvalues),
                                   np.sort_complex(np.diagonal(mat)))
 
@@ -205,44 +232,57 @@ class TestStructuredRoute:
             if 1 + alpha * beta < 0.1:
                 continue
             size = (80, 200)[checked % 2]
-            mat = spectra.build_fock_matrix(
-                spectra.rath_mallick_oscillator(alpha, beta), 1.0, size
-            ).matrix
+            fock = spectra.build_fock_matrix(spectra.rath_mallick_oscillator(alpha, beta), 1.0, size)
+            mat = fock.dense()
             lapack = np.concatenate([np.linalg.eigvals(mat[p::2, p::2]) for p in (0, 1)])
             lapack = lapack[np.lexsort((lapack.imag, lapack.real))][:8]
             exact = np.arange(8) + 0.5
             if np.abs(lapack - exact).max() > 1e-8:
                 continue
-            found = spectra.eigenvalues_by_parity(mat)[0][:8]
+            found = spectra.eigenvalues_by_parity(fock)[0][:8]
             assert np.abs(found - exact).max() <= 1e-8
             assert np.abs(np.sort_complex(found) - np.sort_complex(lapack)).max() <= 1e-8
             checked += 1
 
     def test_non_tridiagonal_block_rejected(self):
-        mat = np.diag(np.arange(1.0, 9.0)).astype(complex)
-        mat[0, 4] = 0.5  # even block entry two places off its diagonal
-        with pytest.raises(ValueError, match="off its three bands"):
-            spectra.parity_spectrum(mat)
-        with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(4, 5\)"):
-            spectra.parity_spectrum(np.eye(4, 5))
-        with pytest.raises(ValueError, match="dimensions must be positive"):
-            spectra.parity_spectrum(np.zeros((0, 0)))
+        # x^4 couples |n> to |n +- 4>: an even-block entry two places off its diagonal
+        quartic = types.SimpleNamespace(weyl_poly=lambda: weyl.X ** 4)
+        with pytest.raises(ValueError, match=r"\|n \+ d> for d in \[-4, -2, 0, 2, 4\]"):
+            spectra.quadratic_fock_matrix(quartic, 1.0, 8)
+        with pytest.raises(ValueError, match="matrix size must be at least 1"):
+            spectra.quadratic_fock_matrix(canonical.harmonic_oscillator(), 1.0, 0)
 
     @PROPERTY_SETTINGS
     @given(quadratics(), st.floats(0.1, 10.0),
            st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 41)))
     def test_quadratic_truncation_blocks_are_tridiagonal(self, quad, omega, size):
-        solved = spectra.parity_spectrum(spectra.quadratic_fock_matrix(quad, omega, size).matrix)
-        assert len(solved.blocks) == min(size, 2)
-        assert all(isinstance(block, linalg.Tridiagonal) for block in solved.blocks)
+        fock = spectra.quadratic_fock_matrix(quad, omega, size)
+        assert len(fock.blocks) == min(size, 2)
+        assert all(isinstance(block, linalg.Tridiagonal) for block in fock.blocks)
+        # the blocks hold the whole symbolic truncation, which is banded
+        mat = fock.dense()
+        symbolic = weyl.fock_matrix(weyl.to_ladder(quad.weyl_poly(), omega), size)
+        assert mat.tobytes() == symbolic.tobytes()
+        rows, cols = np.nonzero(mat)
+        assert set((rows - cols).tolist()) <= {-2, 0, 2}
+        solved = spectra.parity_spectrum(fock)
         assert solved.eigenvalues.size == size
+        levels = min(size, 4)
+        try:
+            report = spectra.eta_check(solved, levels)
+        except (spectra.DegenerateEigenvaluesError, linalg.EigenConvergenceError):
+            return
+        # both read NaN (0 / 0) for the zero operator
+        expected = dense_pseudo_hermiticity_defect(mat, solved, levels)
+        assert report.pseudo_hermiticity_defect == pytest.approx(expected, rel=0, abs=1e-12,
+                                                                 nan_ok=True)
 
     def test_eta_check_reuses_solution(self):
         target = canonical.apply_to_quadratic(
             canonical.rath_mallick(0.3, 0.2), canonical.harmonic_oscillator()
         )
         fock = spectra.quadratic_fock_matrix(target, 1.0, 120)
-        solved = spectra.parity_spectrum(fock.matrix)
+        solved = spectra.parity_spectrum(fock)
         from_solution = spectra.eta_check(solved, 8)
         assert from_solution == spectra.eta_check(fock, 8)
         assert from_solution.pseudo_hermiticity_defect < 1e-12
@@ -280,8 +320,7 @@ def lowest_prefixes(t):
 def gamma_block(trunc):
     """Even block of the gamma-family truncation (p - x/4)^2/2 + (1 - 1/16) x^2/2."""
     quad = canonical.ahmed_hermitian(0.25, alpha=1.0)
-    mat = spectra.quadratic_fock_matrix(quad, 1.0, trunc).matrix
-    block = spectra.parity_spectrum(mat).blocks[0]
+    block = spectra.quadratic_fock_matrix(quad, 1.0, trunc).blocks[0]
     assert isinstance(block, linalg.Tridiagonal)
     return block
 
@@ -333,6 +372,17 @@ class TestLowestLevels:
         for k in (1, 5, 10, 40):
             assert np.array_equal(linalg.tridiagonal_eigenvalues(huge, lowest=k), full[:k])
 
+    def test_subnormal_matrix_is_scaled(self):
+        # scaling 2^-1030 to 1 needs more than 2^1023; the largest power of two
+        # is enough
+        tiny = math.ldexp(1.0, -1030)
+        t = linalg.Tridiagonal([3 * tiny, tiny, 2 * tiny], [tiny, 0.0], [tiny, 0.0])
+        found = linalg.tridiagonal_eigenvalues(t)
+        assert not found.imag.any()
+        # a subnormal keeps 2^-1074 absolute precision, about 44 bits here
+        expected = [2 - math.sqrt(2), 2, 2 + math.sqrt(2)]
+        assert np.abs(np.ldexp(found.real, 1030) - expected).max() <= 2.0 ** -40
+
     def test_exit_fires_on_gamma_block(self, monkeypatch):
         block = gamma_block(400)
         returned = []
@@ -357,14 +407,14 @@ class TestLowestLevels:
         canonical.ahmed_hermitian(-0.4, alpha=1.1),
     ], ids=["mix", "three_param", "gamma"])
     def test_parity_spectrum_levels(self, quad, trunc):
-        mat = spectra.quadratic_fock_matrix(quad, 1.0, trunc).matrix
-        full = spectra.parity_spectrum(mat)
+        fock = spectra.quadratic_fock_matrix(quad, 1.0, trunc)
+        full = spectra.parity_spectrum(fock)
         for levels in (1, 10, 25):
-            solved = spectra.parity_spectrum(mat, levels=levels)
+            solved = spectra.parity_spectrum(fock, levels=levels)
             assert solved.levels == levels and full.levels is None
             assert np.array_equal(solved.eigenvalues, full.eigenvalues[:levels])
             assert np.array_equal(solved.parities, full.parities[:levels])
-        eigs, parities = spectra.eigenvalues_by_parity(mat, levels=10)
+        eigs, parities = spectra.eigenvalues_by_parity(fock, levels=10)
         assert np.array_equal(eigs, full.eigenvalues[:10])
         assert np.array_equal(parities, full.parities[:10])
 
@@ -372,7 +422,7 @@ class TestLowestLevels:
         transform = canonical.rath_mallick(0.3, 0.2)
         target = canonical.apply_to_quadratic(transform, canonical.harmonic_oscillator())
         solved = spectra.parity_spectrum(
-            spectra.quadratic_fock_matrix(target, 1.0, 120).matrix, levels=4)
+            spectra.quadratic_fock_matrix(target, 1.0, 120), levels=4)
         assert solved.eigenvalues.size == 4
         with pytest.raises(ValueError, match="solution holds 4 levels, fewer than the 8"):
             spectra.eta_check(solved, 8)

@@ -65,6 +65,12 @@ class TestHermiteFunction:
         assert np.isfinite(values).all()
         # (1e300)^2 overflows, but the Gaussian's limit is an exact 0
         assert values[0] == values[-1] == 0.0
+        # so does the scaled coordinate sqrt(omega) x, and every row's limit is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = wavefun.hermite_basis(1, 1e200, np.array([-1e250, 0.0, 1e250]))
+        assert np.isfinite(basis).all()
+        assert not basis[:, [0, 2]].any() and basis[0, 1] > 0
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):

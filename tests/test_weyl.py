@@ -305,8 +305,9 @@ class TestFockMatrix:
             assert np.abs(lhs[block] - rhs[block]).max() < 1e-10 * scale
 
     def test_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            weyl.fock_matrix(LadderPoly({(0, 0): 1.0}, 1.0), 0)
+        for size in (0, -3):
+            with pytest.raises(ValueError, match="matrix size must be at least 1"):
+                weyl.fock_matrix(LadderPoly({(0, 0): 1.0}, 1.0), size)
 
     def test_amplitudes_stable_at_large_index(self):
         # ratio products keep the quartic band finite and accurate far beyond
