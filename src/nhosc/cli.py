@@ -213,6 +213,7 @@ def _require_finite(ns):
 
 
 def _validate_run(ns):
+    _require_positive(ns.omega, "omega")
     _require_positive(ns.tol, "tol")
     if ns.levels < 1:
         raise ConfigError("levels must be at least 1")
@@ -504,8 +505,6 @@ def cmd_spectrum(ns):
     _default(ns, "tol", 1e-8)
     _default(ns, "format", "json")
     _validate_run(ns)
-    if ns.omega == 0:
-        raise ConfigError("omega must be nonzero")
     model = resolve_model(ns)
     scale = model.quadratic.frequency_scale
     broken = abs(scale.imag) > 1e-12 * max(1.0, abs(scale))
@@ -760,14 +759,14 @@ def cmd_verify(ns):
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def _grid(ns, omega):
-    """The grid that covers frequency omega, or the --grid-span grid;
-    FloatingPointError when fewer than 3 of its points lie within the default
-    span of omega, where the state lives."""
+def _grid(ns, omega, level=0):
+    """The grid that covers level `level` at frequency omega, or the --grid-span
+    grid; FloatingPointError when fewer than 3 of its points lie within the
+    default half-width, where the state lives."""
     if not ns.grid_span:
-        return wavefun.default_grid(omega, ns.grid_points)
+        return wavefun.default_grid(omega, ns.grid_points, level)
     grid = wavefun.uniform_grid(ns.grid_span, ns.grid_points)
-    bound = wavefun.DEFAULT_SPAN_SIGMAS / math.sqrt(omega)
+    bound = wavefun.default_halfwidth(omega, level)
     inside = int(np.count_nonzero(np.abs(grid.points) <= bound))
     if inside < 3:
         raise FloatingPointError(f"{inside} of the {grid.size} grid points lie within {bound:g} "
@@ -806,7 +805,7 @@ def cmd_wavefunction(ns):
         _require_positive(ns.omega, "omega")
         if ns.level < 0:
             raise ConfigError("level must be non-negative")
-        grid = _grid(ns, ns.omega)
+        grid = _grid(ns, ns.omega, ns.level)
         values = wavefun.hermite_function(ns.level, ns.omega, grid.points)
         sample = wavefun.WavefunctionSample(
             grid=grid, values=values, omega=ns.omega,
@@ -828,7 +827,7 @@ def cmd_wavefunction(ns):
                 f"branch frequency {pair.frequency:g} is not positive; the state is "
                 "square integrable along the imaginary axis only and is not sampled"
             )
-        grid = _grid(ns, pair.frequency)
+        grid = _grid(ns, pair.frequency, 2 * ns.excitation + ns.parity)
         sample = wavefun.synthesize(pair, pair.frequency, grid)
 
     norm = wavefun.quadrature_norm(sample)

@@ -9,9 +9,11 @@ the eigenvector coefficients terminates, giving finitely many Fock
 components per state.  Away from those roots the truncated matrix is
 diagonalized numerically and compared against the closed forms.
 
-Any quadratic operator couples the same states, so a truncation (`FockMatrix`)
-is stored as its two parity blocks, tridiagonals built straight from the bands;
-no N x N matrix is formed on the way to a spectrum or a check.
+Any quadratic c_pp p^2 + c_xp (xp + px) + c_xx x^2 couples the same states,
+with amplitudes in closed form, so one band formula (`quadratic_fock_matrix`)
+builds every truncation (`FockMatrix`) as its two parity blocks, tridiagonals;
+no N x N matrix is formed on the way to a spectrum or a check.  The symbolic
+ladder route of `weyl` computes the same bands and is the tests' reference.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import canonical, linalg, weyl
+from . import canonical, linalg
 from .canonical import NormalizabilityResult, QuadraticHamiltonian
+from .weyl import PRUNE_REL
 
 __all__ = [
     "BrokenPhaseError",
@@ -35,12 +38,10 @@ __all__ = [
     "SpectrumReport",
     "EtaReport",
     "rath_mallick_oscillator",
-    "fock_coefficients",
     "critical_frequencies",
     "branch_frequency",
     "closed_form_eigenvalue",
     "eigenvector_coefficients",
-    "build_fock_matrix",
     "quadratic_fock_matrix",
     "ParitySpectrum",
     "parity_spectrum",
@@ -92,9 +93,6 @@ class ThreeParamOscillator:
     def as_quadratic(self):
         return QuadraticHamiltonian(self.h11, 1j * self.h12, self.h22)
 
-    def weyl_poly(self):
-        return self.as_quadratic().weyl_poly()
-
 
 def rath_mallick_oscillator(lam, beta):
     """Coefficients of the oscillator produced by the two-parameter mix.
@@ -110,20 +108,6 @@ def rath_mallick_oscillator(lam, beta):
         (lam + beta) / denom,
         (1.0 - beta * beta) / denom,
     )
-
-
-def fock_coefficients(h, omega, n):
-    """(A_n, B_n, C_n): the |n-2>, |n>, |n+2> amplitudes of H|n> at frequency omega."""
-    omega = float(omega)
-    if omega == 0:
-        raise ValueError("frequency must be nonzero")
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    half_diff = -0.5 * h.h11 * omega + 0.5 * h.h22 / omega
-    a_n = (half_diff + h.h12) * math.sqrt(n * (n - 1)) if n >= 2 else 0.0
-    b_n = (0.5 * h.h11 * omega + 0.5 * h.h22 / omega) * (2 * n + 1)
-    c_n = (half_diff - h.h12) * math.sqrt((n + 1) * (n + 2))
-    return a_n, b_n, c_n
 
 
 @dataclass(frozen=True)
@@ -221,44 +205,40 @@ class FockMatrix:
         return out
 
 
-def _from_bands(bands, omega, size):
-    """FockMatrix from bands in the layout of weyl.fock_bands, a missing one
-    zero; ValueError for a band other than 0 and +-2, which no quadratic has."""
-    if not set(bands) <= {-2, 0, 2}:
-        raise ValueError(f"operator couples |n> to |n + d> for d in {sorted(bands)}; "
-                         "only the truncation of a quadratic is built")
-    zero = np.zeros(size)
-    diag, lower, upper = (bands.get(d, zero[abs(d):]) for d in (0, 2, -2))
+@np.errstate(over="ignore", invalid="ignore")
+def quadratic_fock_matrix(q, omega, size):
+    """Truncation of q = c_pp p^2 + c_xp (xp + px) + c_xx x^2 to |0>..|size-1>
+    at a finite nonzero frequency omega; a negative omega gives the truncation
+    of the negative-eigenvalue branch.
+
+    With x = (a + a+)/sqrt(2w) and p = i sqrt(w/2)(a+ - a), q is
+    (c_pp w/2 + c_xx/2w)(2 a+ a + 1) + (c_xx/2w - c_pp w/2 +- i c_xp) (a+^2, a^2),
+    so q|n> = A_n |n-2> + B_n |n> + C_n |n+2>: B_n on the diagonal, C_m at
+    row m+2, column m and A_n at row n-2, column n.  A +-2 amplitude within
+    PRUNE_REL of the largest term forming it is cancellation dust and is set
+    to 0, so the truncation at a critical frequency is exactly triangular.
+    OverflowError when an entry overflows.
+    """
+    omega = float(omega)
+    size = int(size)
+    if not math.isfinite(omega) or omega == 0:
+        raise ValueError(f"frequency must be finite and nonzero, got {omega}")
+    if size < 1:
+        raise ValueError("matrix size must be at least 1")
+    # in the real three-parameter formula's operation order: its bands, bit for bit
+    pp, xx, i_xp = 0.5 * q.c_pp * omega, 0.5 * q.c_xx / omega, 1j * q.c_xp
+    dust = PRUNE_REL * max(abs(pp), abs(xx), abs(i_xp))
+    raising, lowering = (0.0 if abs(amp) <= dust else amp
+                         for amp in (-pp + xx + i_xp, -pp + xx - i_xp))
+    n = np.arange(size, dtype=float)
+    diag = (pp + xx) * (2 * n + 1)
+    lower = raising * np.sqrt((n[:-2] + 1) * (n[:-2] + 2))
+    upper = lowering * np.sqrt(n[2:] * (n[2:] - 1))
+    if not all(np.isfinite(band).all() for band in (diag, lower, upper)):
+        raise OverflowError(f"number-basis matrix of size {size} overflows")
     blocks = tuple(linalg.Tridiagonal(diag[par::2], lower[par::2], upper[par::2])
                    for par in range(min(size, 2)))
     return FockMatrix(blocks=blocks, omega=omega, size=size)
-
-
-def build_fock_matrix(h, omega, size):
-    """Banded truncation with entries A_n, B_n, C_n on the +-2 bands and diagonal."""
-    omega = float(omega)
-    size = int(size)
-    if omega == 0:
-        raise ValueError("frequency must be nonzero")
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    half_diff = -0.5 * h.h11 * omega + 0.5 * h.h22 / omega
-    n = np.arange(size, dtype=float)
-    low = n[: max(size - 2, 0)]
-    high = n[2:]
-    return _from_bands({
-        0: (0.5 * h.h11 * omega + 0.5 * h.h22 / omega) * (2 * n + 1),
-        # row m+2, column m holds C_m; row n-2, column n holds A_n
-        2: (half_diff - h.h12) * np.sqrt((low + 1) * (low + 2)),
-        -2: (half_diff + h.h12) * np.sqrt(high * (high - 1)),
-    }, omega, size)
-
-
-def quadratic_fock_matrix(q, omega, size):
-    """Truncation of a general quadratic via the symbolic ladder rewriting;
-    ValueError when a term of the ladder form is off the 0 and +-2 bands."""
-    ladder = weyl.to_ladder(q.weyl_poly(), omega)
-    return _from_bands(weyl.fock_bands(ladder, size), float(omega), int(size))
 
 
 @dataclass(frozen=True)
@@ -283,8 +263,9 @@ def eigenvector_coefficients(h, branch, excitation, parity, trunc=None):
     """Finite-support eigenvector from the terminating three-term recurrence.
 
     At the branch frequency every C_n vanishes, so d_{n+2} = (E - B_n)/A_{n+2} d_n
-    terminates at n = 2k+s with E = B_{2k+s}.  For h12 = 0 the matrix is already
-    diagonal and the unit vector at 2k+s is returned.
+    terminates at n = 2k+s with E = B_{2k+s}; B_n and A_n are read off the
+    truncation at that frequency.  When the A_n vanish too (h12 = 0) the matrix
+    is diagonal and the unit vector at 2k+s is returned.
     """
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
@@ -295,20 +276,21 @@ def eigenvector_coefficients(h, branch, excitation, parity, trunc=None):
     size = int(trunc) if trunc is not None else top + 8
     if size <= top:
         raise ValueError(f"truncation {size} does not contain index {top}")
-    _, e_val, _ = fock_coefficients(h, omega, top)
+    block = quadratic_fock_matrix(h.as_quadratic(), omega, size).blocks[parity]
+    # row j of the block is |parity + 2j>: diag[j] is its B_n, upper[j] the A_{n+2}
+    b_n, a_next = block.diag.real, block.upper.real
+    e_val = b_n[excitation]
     d = np.zeros(size, dtype=complex)
-    if h.h12 == 0.0:
+    if not a_next.any():
         d[top] = 1.0
     else:
         d[parity] = 1.0
-        for n in range(parity, top, 2):
-            a_next, b_n, _ = fock_coefficients(h, omega, n + 2)
-            _, b_here, _ = fock_coefficients(h, omega, n)
-            d[n + 2] = (e_val - b_here) / a_next * d[n]
+        for j in range(excitation):
+            n = parity + 2 * j
+            d[n + 2] = (e_val - b_n[j]) / a_next[j] * d[n]
     d /= math.sqrt(float((np.abs(d) ** 2).sum()))
     part = d[parity::2]  # M d has no entry off the parity block of d
-    m_part = build_fock_matrix(h, omega, size).blocks[parity].matvec(part)
-    residual = float(np.sqrt((np.abs(m_part - e_val * part) ** 2).sum()))
+    residual = float(np.sqrt((np.abs(block.matvec(part) - e_val * part) ** 2).sum()))
     return EigenPair(
         eigenvalue=complex(e_val),
         coefficients=d,
@@ -542,7 +524,8 @@ def eta_check(fock, n_levels, tol=1e-6):
     residual = (chi @ (chi.conj().T @ times(blocks, phi))
                 - times(adjoints, chi @ (chi.conj().T @ phi)))
     col_scale = np.sqrt((np.abs(chi) ** 2).sum(axis=0)) * norm
-    pseudo_defect = float(
+    # M = 0 leaves the residual exactly 0
+    pseudo_defect = 0.0 if norm == 0 else float(
         (np.sqrt((np.abs(residual) ** 2).sum(axis=0)) / col_scale).max()
     )
     passed = bool(bio_defect <= tol and pseudo_defect <= tol)

@@ -4,7 +4,9 @@ states, synthesis from Fock coefficients, quadrature norms, node counting.
 Hermite functions are evaluated by the stable three-term recurrence in the
 scaled coordinate sqrt(w) x and carry the frequency in their normalization,
 so they are orthonormal on the line for every w > 0.  Default grids span
-+-12/sqrt(w), which covers the Gaussian tail far below double precision.
++-12/sqrt(w), which covers the Gaussian tail far below double precision, or
+for level n its turning point sqrt(2n+1)/sqrt(w) plus 6/sqrt(w) of tail, when
+that is wider (n >= 18).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "Grid",
     "WavefunctionSample",
     "uniform_grid",
+    "default_halfwidth",
     "default_grid",
     "hermite_function",
     "hermite_basis",
@@ -95,8 +98,14 @@ def uniform_grid(halfwidth, n_points=DEFAULT_GRID_POINTS):
     return Grid(np.linspace(-halfwidth, halfwidth, int(n_points)))
 
 
-def default_grid(omega, n_points=DEFAULT_GRID_POINTS):
-    return uniform_grid(DEFAULT_SPAN_SIGMAS / math.sqrt(_check_omega(omega)), n_points)
+def default_halfwidth(omega, level=0):
+    """Half-width within which level n at frequency omega lives:
+    max(12, sqrt(2n+1) + 6)/sqrt(omega)."""
+    return max(DEFAULT_SPAN_SIGMAS, math.sqrt(2 * level + 1) + 6.0) / math.sqrt(_check_omega(omega))
+
+
+def default_grid(omega, n_points=DEFAULT_GRID_POINTS, level=0):
+    return uniform_grid(default_halfwidth(omega, level), n_points)
 
 
 def _check_omega(omega):

@@ -15,6 +15,9 @@ The reduction rules are the closed-form reorderings
     a^s (a+)^r = sum_k k! C(s,k) C(r,k) (a+)^(r-k) a^(s-k)
 
 which follow from [x, p] = i and [a, a+] = 1.
+
+The ladder form (`to_ladder`) and its number-basis bands (`fock_bands`,
+`fock_matrix`) are the tests' reference for `spectra.quadratic_fock_matrix`.
 """
 
 from __future__ import annotations

@@ -69,7 +69,7 @@ def test_criterion_02_triangular_exactness():
         for osc in sample_oscillators(100, seed=2202):
             crit = spectra.critical_frequencies(osc)
             assert crit.kind == "pair" and osc.h11 > 0
-            mat = spectra.build_fock_matrix(osc, crit.omega_plus, 100).dense()
+            mat = spectra.quadratic_fock_matrix(osc.as_quadratic(), crit.omega_plus, 100).dense()
             norm = np.abs(mat).max()
             assert np.abs(np.tril(mat, -1)).max() <= 1e-12 * norm
             expected = np.array(
@@ -102,7 +102,7 @@ def test_criterion_05_negative_spectrum():
                 minus = spectra.closed_form_eigenvalue(osc, n, -1)
                 assert minus == -plus
             crit = spectra.critical_frequencies(osc)
-            mat = spectra.build_fock_matrix(osc, crit.omega_minus, 100).dense()
+            mat = spectra.quadratic_fock_matrix(osc.as_quadratic(), crit.omega_minus, 100).dense()
             expected = np.array(
                 [spectra.closed_form_eigenvalue(osc, n, -1) for n in range(100)]
             )
@@ -226,7 +226,8 @@ def test_criterion_12_oracle_equivalence():
             )
             omega = rng.uniform(0.3, 2.5)
             size = int(rng.integers(4, 61))
-            direct = spectra.build_fock_matrix(osc, omega, size).dense()
-            symbolic = weyl.fock_matrix(weyl.to_ladder(osc.weyl_poly(), omega), size)
+            quad = osc.as_quadratic()
+            direct = spectra.quadratic_fock_matrix(quad, omega, size).dense()
+            symbolic = weyl.fock_matrix(weyl.to_ladder(quad.weyl_poly(), omega), size)
             scale = max(1.0, np.abs(direct).max())
             assert np.abs(direct - symbolic).max() <= 1e-12 * scale

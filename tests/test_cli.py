@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhosc import cli, linalg, spectra
+from nhosc import cli, linalg, spectra, weyl
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -213,6 +213,25 @@ class TestVerify:
         assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--h11", "0.4", "--h12", "0.3", "--h22", "0.6", "-N", "40", "-n", "4"],
+    ["spectrum", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-N", "40", "-n", "4"],
+    ["spectrum", "--gamma", "0.3", "--alpha", "1", "-N", "40", "-n", "4", "--omega", "0.7"],
+    ["verify", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-N", "40", "-n", "4"],
+    ["verify", "--gauge-g", "0.3", "-N", "40", "-n", "4", "--base-k", "2"],
+    ["verify", "--u11", "1", "--u12", "0", "--u21", "0.2j", "--u22", "1", "-N", "40", "-n", "4"],
+])
+def test_truncation_never_enters_the_ladder_route(capsys, monkeypatch, argv):
+    """spectrum and verify build their truncation from the band formula; the
+    symbolic ladder rewriting is the tests' reference only."""
+    calls = []
+    for name in ("to_ladder", "fock_bands"):
+        monkeypatch.setattr(weyl, name, lambda *args, name=name: calls.append(name))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err, calls) == (0, "", [])
+    assert out
+
+
 class TestWavefunction:
     def test_mix_ground_state(self, capsys):
         code, doc = run_json(
@@ -267,6 +286,16 @@ class TestWavefunction:
         code, out, err = run_cli(capsys, "wavefunction", f"--rm-alpha={alpha}",
                                  f"--rm-beta={beta}")
         assert (code, out, err) == (2, "", f"nhosc: error: {message}\n")
+
+    @pytest.mark.parametrize("level", [17, 18, 60, 200])
+    def test_high_level_on_its_default_grid(self, capsys, level):
+        code, doc = run_json(capsys, "wavefunction", "--level", str(level))
+        assert code == 0
+        # the grid reaches past the turning point sqrt(2n+1); a fixed +-12
+        # grid reads norm 0.999995 at level 60 and 0.639 at level 200
+        assert doc["diagnostics"]["grid_span"] == max(12.0, math.sqrt(2 * level + 1) + 6.0)
+        assert abs(doc["results"]["norm"] - 1.0) <= 1e-13
+        assert doc["results"]["nodes"] == level
 
     def test_csv_has_constant_summary_columns(self, capsys):
         code, out, _ = run_cli(
@@ -389,15 +418,24 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == "nhosc: numeric failure: c_xx must be finite, got (nan+0j)\n"
 
-    def test_overflow_in_ladder_form_is_numeric_failure(self, capsys):
-        # 1/(2 omega) overflows; the ladder polynomial used to drop the term silently
-        code, out, err = run_cli(
-            capsys, "spectrum", "--h11", "0.5", "--h12", "0.2", "--h22", "0.5",
+    def test_overflow_in_ladder_form_is_numeric_failure(self):
+        # c_xx / (2 omega) overflows
+        code, out, err, caught = run_quiet([
+            "spectrum", "--h11", "0.5", "--h12", "0.2", "--h22", "0.5",
             "-N", "40", "-n", "4", "--omega", "1e-310",
-        )
-        assert (code, out) == (3, "")
-        assert err == ("nhosc: numeric failure: coefficient of a+^2 a^0 must be finite, "
-                       "got (inf+nanj)\n")
+        ])
+        assert caught == [] and (code, out) == (3, "")
+        assert err == "nhosc: numeric failure: number-basis matrix of size 40 overflows\n"
+
+    @pytest.mark.parametrize("argv, value", [
+        (["spectrum", "--omega", "0"], "0.0"),
+        (["spectrum", "--omega", "-1"], "-1.0"),
+        (["verify", "--omega", "-2"], "-2.0"),
+    ])
+    def test_non_positive_omega_rejected(self, capsys, argv, value):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"nhosc: error: omega must be positive, got {value}\n"
 
     def test_overflow_in_number_basis_matrix_is_numeric_failure(self):
         code, out, err, caught = run_quiet(

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -21,23 +20,34 @@ def random_oscillator(rng, positive=True):
     return ThreeParamOscillator(h11, h12, h22)
 
 
+def truncation(osc, omega, size):
+    """Dense truncation of a three-parameter oscillator."""
+    return spectra.quadratic_fock_matrix(osc.as_quadratic(), omega, size).dense()
+
+
+def fock_coefficients(osc, omega, n):
+    """(A_n, B_n, C_n): the |n-2>, |n>, |n+2> amplitudes of H|n>, read off the truncation."""
+    mat = truncation(osc, omega, n + 3)
+    return (mat[n - 2, n] if n >= 2 else 0.0), mat[n, n], mat[n + 2, n]
+
+
 class TestFockCoefficients:
     def test_sho_diagonal(self):
         for n in range(6):
-            a, b, c = spectra.fock_coefficients(SHO, 1.0, n)
+            a, b, c = fock_coefficients(SHO, 1.0, n)
             assert a == 0.0 and c == 0.0
             assert abs(b - (n + 0.5)) < 1e-15
 
     def test_displayed_values(self):
-        a2, b2, c2 = spectra.fock_coefficients(SHO, 2.0, 2)
+        a2, b2, c2 = fock_coefficients(SHO, 2.0, 2)
         assert abs(a2 - (-0.5 + 0.125) * math.sqrt(2)) < 1e-15
         assert abs(b2 - (0.5 + 0.125) * 5) < 1e-15
         assert abs(c2 - (-0.5 + 0.125) * math.sqrt(12)) < 1e-15
 
     def test_vanishing_lowering_below_two(self):
-        osc = ThreeParamOscillator(0.4, 0.3, 0.6)
+        mat = truncation(ThreeParamOscillator(0.4, 0.3, 0.6), 0.8, 6)
         for n in (0, 1):
-            assert spectra.fock_coefficients(osc, 0.8, n)[0] == 0.0
+            assert np.nonzero(mat[:, n])[0].tolist() == [n, n + 2]
 
     def test_against_ladder_route(self):
         rng = np.random.default_rng(157)
@@ -46,8 +56,8 @@ class TestFockCoefficients:
             omega = rng.uniform(0.3, 2.5)
             n = int(rng.integers(0, 41))
             size = n + 3
-            mat = weyl.fock_matrix(weyl.to_ladder(osc.weyl_poly(), omega), size)
-            a, b, c = spectra.fock_coefficients(osc, omega, n)
+            mat = weyl.fock_matrix(weyl.to_ladder(osc.as_quadratic().weyl_poly(), omega), size)
+            a, b, c = fock_coefficients(osc, omega, n)
             scale = max(1.0, abs(b))
             assert abs(mat[n, n] - b) < 1e-12 * scale
             if n >= 2:
@@ -55,8 +65,9 @@ class TestFockCoefficients:
             assert abs(mat[n + 2, n] - c) < 1e-12 * scale
 
     def test_rejects_zero_frequency(self):
-        with pytest.raises(ValueError):
-            spectra.fock_coefficients(SHO, 0.0, 1)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="frequency must be finite and nonzero"):
+                spectra.quadratic_fock_matrix(SHO.as_quadratic(), bad, 3)
 
 
 class TestCriticalFrequencies:
@@ -123,9 +134,20 @@ class TestClosedForm:
             spectra.closed_form_eigenvalue(ThreeParamOscillator(0.5, 0.0, -0.5), 0, 1)
 
 
+def three_param_bands(h, omega, size):
+    """(diag, lower, upper) by the three-parameter formula in real arithmetic."""
+    half_diff = -0.5 * h.h11 * omega + 0.5 * h.h22 / omega
+    n = np.arange(size, dtype=float)
+    low = n[: max(size - 2, 0)]
+    high = n[2:]
+    return ((0.5 * h.h11 * omega + 0.5 * h.h22 / omega) * (2 * n + 1),
+            (half_diff - h.h12) * np.sqrt((low + 1) * (low + 2)),
+            (half_diff + h.h12) * np.sqrt(high * (high - 1)))
+
+
 class TestBuildFockMatrix:
     def test_sho_diagonal(self):
-        mat = spectra.build_fock_matrix(SHO, 1.0, 5).dense()
+        mat = truncation(SHO, 1.0, 5)
         assert np.abs(mat - np.diag(np.arange(5) + 0.5)).max() < 1e-15
 
     def test_triangular_at_critical_frequency(self):
@@ -133,9 +155,9 @@ class TestBuildFockMatrix:
         for _ in range(20):
             osc = random_oscillator(rng)
             crit = spectra.critical_frequencies(osc)
-            mat = spectra.build_fock_matrix(osc, crit.omega_plus, 40).dense()
-            norm = np.abs(mat).max()
-            assert np.abs(np.tril(mat, -1)).max() < 1e-12 * norm
+            for omega in (crit.omega_plus, crit.omega_minus):
+                # the C_n cancel at a critical frequency: exactly 0, not dust
+                assert not np.tril(truncation(osc, omega, 40), -1).any()
 
     def test_matches_ladder_route(self):
         rng = np.random.default_rng(179)
@@ -143,13 +165,30 @@ class TestBuildFockMatrix:
             osc = random_oscillator(rng)
             omega = rng.uniform(0.3, 2.0)
             size = int(rng.integers(5, 30))
-            direct = spectra.build_fock_matrix(osc, omega, size).dense()
-            symbolic = spectra.quadratic_fock_matrix(osc.as_quadratic(), omega, size).dense()
+            direct = truncation(osc, omega, size)
+            symbolic = weyl.fock_matrix(
+                weyl.to_ladder(osc.as_quadratic().weyl_poly(), omega), size)
             scale = max(1.0, np.abs(direct).max())
             assert np.abs(direct - symbolic).max() < 1e-12 * scale
 
+    def test_three_param_bands_bit_for_bit(self):
+        """The general formula, fed h11, i h12, h22, computes the real
+        three-parameter formula's bands, at both signs of omega."""
+        rng = np.random.default_rng(181)
+        for _ in range(100):
+            osc = random_oscillator(rng, positive=False)
+            size = int(rng.integers(1, 40))
+            omega = rng.uniform(0.2, 3.0) * (-1) ** int(rng.integers(2))
+            fock = spectra.quadratic_fock_matrix(osc.as_quadratic(), omega, size)
+            for band, expected in zip(("diag", "lower", "upper"),
+                                      three_param_bands(osc, omega, size)):
+                got = np.concatenate([getattr(block, band) for block in fock.blocks])
+                want = np.concatenate([expected[par::2] for par in range(min(size, 2))])
+                assert got.real.tobytes() == want.tobytes()
+                assert not got.imag.any()
+
     def test_band_structure(self):
-        mat = spectra.build_fock_matrix(ThreeParamOscillator(0.4, 0.3, 0.6), 0.9, 12).dense()
+        mat = truncation(ThreeParamOscillator(0.4, 0.3, 0.6), 0.9, 12)
         for offset in (1, 3, 4, 5):
             assert np.abs(np.diagonal(mat, offset)).max() == 0.0
             assert np.abs(np.diagonal(mat, -offset)).max() == 0.0
@@ -168,6 +207,13 @@ class TestEigenvectorCoefficients:
         support = np.nonzero(np.abs(pair.coefficients) > 0)[0]
         assert support.tolist() == [5]
         assert abs(pair.eigenvalue - 5.5) < 1e-14
+
+    def test_cancelled_lowering_band_gives_unit_vector(self):
+        # A_n = 2 h12 sqrt(n(n-1)) is dust next to h11 w/2 = 0.25: the block is
+        # diagonal, where the recurrence would divide by it and overflow
+        pair = spectra.eigenvector_coefficients(ThreeParamOscillator(0.5, 1e-200, 0.5), 1, 3, 0)
+        assert np.nonzero(pair.coefficients)[0].tolist() == [6]
+        assert pair.eigenvalue == 6.5 and pair.residual == 0.0
 
     def test_generic_residual_on_large_truncation(self):
         osc = ThreeParamOscillator(0.4, 0.3, 0.6)
@@ -191,9 +237,9 @@ class TestEigenvectorCoefficients:
             omega = pair.frequency
             d = pair.coefficients
             for n in range(0, 7, 2):
-                a_next, b_n, _ = spectra.fock_coefficients(osc, omega, n)
-                a_plus = spectra.fock_coefficients(osc, omega, n + 2)[0]
-                c_prev = spectra.fock_coefficients(osc, omega, n - 2)[2] if n >= 2 else 0.0
+                _, b_n, _ = fock_coefficients(osc, omega, n)
+                a_plus = fock_coefficients(osc, omega, n + 2)[0]
+                c_prev = fock_coefficients(osc, omega, n - 2)[2] if n >= 2 else 0.0
                 lhs = a_plus * d[n + 2] + (b_n - pair.eigenvalue) * d[n]
                 if n >= 2:
                     lhs += c_prev * d[n - 2]
@@ -322,6 +368,11 @@ class TestEtaCheck:
             spectra.eta_check(fock, 2)
         assert info.value.pair is not None
 
+    def test_zero_operator_has_zero_defect(self):
+        fock = spectra.quadratic_fock_matrix(canonical.QuadraticHamiltonian(0, 0, 0), 1.0, 6)
+        report = spectra.eta_check(fock, 1)
+        assert report.pseudo_hermiticity_defect == 0.0 and report.passed
+
     def test_level_count_bounded_by_truncation(self):
         fock = spectra.quadratic_fock_matrix(canonical.harmonic_oscillator(), 1.0, 3)
         with pytest.raises(ValueError, match="solution holds 3 levels, fewer than the 5"):
@@ -334,7 +385,7 @@ class TestStructuralInvariants:
         for _ in range(10):
             osc = random_oscillator(rng)
             crit = spectra.critical_frequencies(osc)
-            mat = spectra.build_fock_matrix(osc, crit.omega_plus, 50).dense()
+            mat = truncation(osc, crit.omega_plus, 50)
             eigs = np.sort_complex(linalg.eigenvalues(mat))
             expected = np.sort(
                 [spectra.closed_form_eigenvalue(osc, n, 1) for n in range(50)]
@@ -347,7 +398,7 @@ class TestStructuralInvariants:
         for _ in range(10):
             osc = random_oscillator(rng)
             crit = spectra.critical_frequencies(osc)
-            minus = spectra.build_fock_matrix(osc, crit.omega_minus, 30).dense()
+            minus = truncation(osc, crit.omega_minus, 30)
             diag = np.real(np.diagonal(minus))
             expected = np.array(
                 [spectra.closed_form_eigenvalue(osc, n, -1) for n in range(30)]
@@ -359,18 +410,11 @@ class TestStructuralInvariants:
         target_level = 10
         deviations = []
         for size in (50, 100, 200, 400):
-            fock = spectra.build_fock_matrix(osc, 1.0, size)
+            fock = spectra.quadratic_fock_matrix(osc.as_quadratic(), 1.0, size)
             eigs, _ = spectra.eigenvalues_by_parity(fock)
             deviations.append(abs(eigs[target_level] - (target_level + 0.5)))
         for previous, current in zip(deviations, deviations[1:]):
             assert current <= previous + 1e-12
-
-    def test_parity_split_rejects_coupled_matrix(self):
-        # a linear term couples |n> to |n +- 1>, across the parity sectors
-        coupled = canonical.harmonic_oscillator().weyl_poly() + weyl.X
-        operator = types.SimpleNamespace(weyl_poly=lambda: coupled)
-        with pytest.raises(ValueError, match=r"\|n \+ d> for d in \[-1, 0, 1\]"):
-            spectra.quadratic_fock_matrix(operator, 1.0, 6)
 
 
 def held_arrays(value):

@@ -1,7 +1,6 @@
 """The tridiagonal eigensolver and O(n) LU against LAPACK and the dense QR."""
 
 import math
-import types
 
 import numpy as np
 import pytest
@@ -181,6 +180,8 @@ def dense_pseudo_hermiticity_defect(mat, solved, n_levels):
         mat, norm = mat * scale, norm * scale
     residual = (chi @ (chi.conj().T @ (mat @ phi))
                 - mat.conj().T @ (chi @ (chi.conj().T @ phi)))
+    if norm == 0:
+        return 0.0
     col_scale = np.sqrt((np.abs(chi) ** 2).sum(axis=0)) * norm
     return float((np.sqrt((np.abs(residual) ** 2).sum(axis=0)) / col_scale).max())
 
@@ -232,7 +233,8 @@ class TestStructuredRoute:
             if 1 + alpha * beta < 0.1:
                 continue
             size = (80, 200)[checked % 2]
-            fock = spectra.build_fock_matrix(spectra.rath_mallick_oscillator(alpha, beta), 1.0, size)
+            osc = spectra.rath_mallick_oscillator(alpha, beta)
+            fock = spectra.quadratic_fock_matrix(osc.as_quadratic(), 1.0, size)
             mat = fock.dense()
             lapack = np.concatenate([np.linalg.eigvals(mat[p::2, p::2]) for p in (0, 1)])
             lapack = lapack[np.lexsort((lapack.imag, lapack.real))][:8]
@@ -244,11 +246,7 @@ class TestStructuredRoute:
             assert np.abs(np.sort_complex(found) - np.sort_complex(lapack)).max() <= 1e-8
             checked += 1
 
-    def test_non_tridiagonal_block_rejected(self):
-        # x^4 couples |n> to |n +- 4>: an even-block entry two places off its diagonal
-        quartic = types.SimpleNamespace(weyl_poly=lambda: weyl.X ** 4)
-        with pytest.raises(ValueError, match=r"\|n \+ d> for d in \[-4, -2, 0, 2, 4\]"):
-            spectra.quadratic_fock_matrix(quartic, 1.0, 8)
+    def test_empty_truncation_rejected(self):
         with pytest.raises(ValueError, match="matrix size must be at least 1"):
             spectra.quadratic_fock_matrix(canonical.harmonic_oscillator(), 1.0, 0)
 
@@ -259,10 +257,12 @@ class TestStructuredRoute:
         fock = spectra.quadratic_fock_matrix(quad, omega, size)
         assert len(fock.blocks) == min(size, 2)
         assert all(isinstance(block, linalg.Tridiagonal) for block in fock.blocks)
-        # the blocks hold the whole symbolic truncation, which is banded
+        # the blocks hold the whole symbolic truncation, which is banded; the
+        # routes round differently, and the symbolic one drops terms below
+        # PRUNE_REL = 1e-14 of the largest, hence 10 * PRUNE_REL
         mat = fock.dense()
         symbolic = weyl.fock_matrix(weyl.to_ladder(quad.weyl_poly(), omega), size)
-        assert mat.tobytes() == symbolic.tobytes()
+        assert np.abs(mat - symbolic).max() <= 1e-13 * np.abs(mat).max()
         rows, cols = np.nonzero(mat)
         assert set((rows - cols).tolist()) <= {-2, 0, 2}
         solved = spectra.parity_spectrum(fock)
@@ -272,10 +272,8 @@ class TestStructuredRoute:
             report = spectra.eta_check(solved, levels)
         except (spectra.DegenerateEigenvaluesError, linalg.EigenConvergenceError):
             return
-        # both read NaN (0 / 0) for the zero operator
         expected = dense_pseudo_hermiticity_defect(mat, solved, levels)
-        assert report.pseudo_hermiticity_defect == pytest.approx(expected, rel=0, abs=1e-12,
-                                                                 nan_ok=True)
+        assert report.pseudo_hermiticity_defect == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_eta_check_reuses_solution(self):
         target = canonical.apply_to_quadratic(
