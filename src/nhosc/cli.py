@@ -512,7 +512,8 @@ def cmd_spectrum(ns):
     closed_minus = [-v for v in closed_plus] if model.oscillator is not None else None
 
     fock = spectra.quadratic_fock_matrix(model.quadratic, ns.omega, ns.trunc)
-    eigs, parities = spectra.eigenvalues_by_parity(fock, levels=ns.levels)
+    solved = spectra.parity_spectrum(fock, levels=ns.levels)
+    eigs, parities = solved.eigenvalues, solved.parities
 
     levels = []
     max_dev = None

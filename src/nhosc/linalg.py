@@ -4,13 +4,13 @@ Every parity block is a `Tridiagonal`.  Its eigenvalues come from implicit QL
 with complex orthogonal rotations on the symmetrized matrix, O(n) per sweep;
 its eigenvectors from inverse iteration on an O(n) LU with partial pivoting.
 
-The dense `eigenvalues` (diagonal balancing, Householder reduction to upper
-Hessenberg form, single-shift QR with Wilkinson shifts, deflating one or two
-eigenvalues at a time) has two roles only: it solves a segment on which QL
-breaks down, and the tests use it as the reference for the tridiagonal solver.
+`eigenvalues` runs single-shift QR with Wilkinson shifts, deflating one or two
+eigenvalues at a time, on the dense form of the same symmetrized matrix.  It
+has two roles only: it solves a segment on which QL breaks down, and the tests
+use it as the reference for the tridiagonal solver.
 
-Matrices are plain numpy complex128 arrays (bands for a `Tridiagonal`); numpy
-is used for storage and vectorized arithmetic only.
+A `Tridiagonal` holds its bands as numpy complex128 arrays; numpy is used for
+storage and vectorized arithmetic only.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 
 DEFLATION_REL = 1e-14
 EPS = 2.220446049250313e-16
+# QL or QR sweeps spent on one eigenvalue before giving up
+MAX_SWEEPS = 30
 # largest |c| or |s| accepted in a complex orthogonal QL rotation
 ROTATION_BOUND = 1e4
 # The eigenvalue solvers scale a matrix whose largest modulus lies outside
@@ -35,9 +37,7 @@ SCALE_MAX = 2.0 ** 256
 
 __all__ = [
     "EigenConvergenceError",
-    "as_cmatrix",
     "frobenius_norm",
-    "balance",
     "eigenvalues",
     "Tridiagonal",
     "TridiagonalLU",
@@ -48,28 +48,12 @@ __all__ = [
 
 
 class EigenConvergenceError(RuntimeError):
-    """QR or inverse iteration failed to converge.
+    """QR or inverse iteration failed to converge; for inverse iteration it
+    carries the best residual achieved."""
 
-    Carries how far the computation got: eigenvalues already deflated for the
-    QR loop, or the best residual achieved for inverse iteration.
-    """
-
-    def __init__(self, message, deflated=None, residual=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
-        self.deflated = deflated
         self.residual = residual
-
-
-def as_cmatrix(m):
-    """Validate and copy into a non-empty square complex128 array."""
-    a = np.array(m, dtype=complex, order="C")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("matrix dimensions must be positive")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return a
 
 
 def _norm(modulus):
@@ -101,59 +85,6 @@ def _radix_scale(modulus):
     return math.ldexp(1.0, min(-math.frexp(big)[1], 1023))
 
 
-def balance(m, max_sweeps=10):
-    """Diagonal similarity scaling by powers of two equalizing row/col norms.
-
-    Leaves the spectrum unchanged and introduces no rounding error since the
-    scale factors are exact powers of the radix.
-    """
-    a = as_cmatrix(m)
-    n = a.shape[0]
-    for _ in range(max_sweeps):
-        changed = False
-        for i in range(n):
-            r = np.abs(a[i]).sum() - abs(a[i, i])
-            c = np.abs(a[:, i]).sum() - abs(a[i, i])
-            if r == 0.0 or c == 0.0:
-                continue
-            f = 2.0 ** round(math.log2(math.sqrt(r / c)))
-            if f != 1.0 and (r / f + c * f) < 0.95 * (r + c):
-                a[i, :] /= f
-                a[:, i] *= f
-                changed = True
-        if not changed:
-            break
-    return a
-
-
-def _householder_vector(col):
-    """Unit reflector v with (I - 2 v v+) col = alpha e1, or None if skippable."""
-    norm = _norm(np.abs(col))
-    if norm == 0.0:
-        return None
-    a0 = col[0]
-    phase = a0 / abs(a0) if a0 != 0 else 1.0
-    v = col.copy()
-    v[0] += phase * norm
-    vnorm = _norm(np.abs(v))
-    if vnorm == 0.0:
-        return None
-    return v / vnorm
-
-
-def _hessenberg_reduce(a):
-    """Upper Hessenberg H = Q+ a Q by Householder reflections (Q not formed)."""
-    h = a.copy()
-    for k in range(h.shape[0] - 2):
-        v = _householder_vector(h[k + 1 :, k])
-        if v is None:
-            continue
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-        h[k + 2 :, k] = 0.0
-    return h
-
-
 def _eig2(a, b, c, d):
     """Eigenvalues of [[a, b], [c, d]], larger-magnitude root first."""
     mid = 0.5 * (a + d)
@@ -162,10 +93,6 @@ def _eig2(a, b, c, d):
     det = a * d - b * c
     l2 = det / l1 if l1 != 0 else mid - q
     return l1, l2
-
-
-def _is_triangular(a):
-    return not np.tril(a, -1).any() or not np.triu(a, 1).any()
 
 
 def _qr_sweep(h, lo, hi, shift):
@@ -200,31 +127,27 @@ def _qr_sweep(h, lo, hi, shift):
             z = h[k + 2, k]
 
 
-def eigenvalues(m, max_iter=30, tol=1e-12):
-    """All eigenvalues, sorted by real part then imaginary part.
+def eigenvalues(t):
+    """All eigenvalues of a Tridiagonal, sorted by real part then imaginary part.
 
-    max_iter bounds the QR sweeps spent per deflation; exceeding it raises
-    EigenConvergenceError carrying the number of eigenvalues already found.
-    Triangular input short-circuits to the diagonal.
+    QR runs on the dense form of the complex symmetric tridiagonal diagonally
+    similar to t (see `_symmetric_offdiagonal`), the matrix QL is given, which
+    is already in Hessenberg form; O(n^2) per sweep.  More than MAX_SWEEPS
+    sweeps for one eigenvalue raise EigenConvergenceError.
     """
-    a = as_cmatrix(m)
-    n = a.shape[0]
-    if n == 1 or _is_triangular(a):
-        return _sorted_eigs(np.diagonal(a).astype(complex))
-    scale = _radix_scale(np.abs(a))
+    scale, scaled = _radix_scaled(t)
     if scale != 1.0:
-        return eigenvalues(a * scale, max_iter=max_iter, tol=tol) / scale
-    h = _hessenberg_reduce(balance(a))
+        return eigenvalues(scaled) / scale
+    offdiag = _symmetric_offdiagonal(t)
+    h = Tridiagonal(t.diag, offdiag, offdiag).dense()
     hnorm = frobenius_norm(h)
-    # a tighter requested tolerance postpones deflation; the default keeps
-    # the standard 1e-14 relative threshold
-    deflation_rel = min(DEFLATION_REL, max(float(tol), EPS))
+    n = t.size
     eig = np.empty(n, dtype=complex)
     hi = n
     sweeps = 0
     while hi > 0:
         for k in range(1, hi):
-            thresh = deflation_rel * (abs(h[k - 1, k - 1]) + abs(h[k, k]))
+            thresh = DEFLATION_REL * (abs(h[k - 1, k - 1]) + abs(h[k, k]))
             if thresh == 0.0:
                 thresh = EPS * hnorm
             if abs(h[k, k - 1]) <= thresh:
@@ -244,11 +167,9 @@ def eigenvalues(m, max_iter=30, tol=1e-12):
             hi -= 2
             sweeps = 0
             continue
-        if sweeps >= max_iter:
+        if sweeps >= MAX_SWEEPS:
             raise EigenConvergenceError(
-                f"QR iteration stalled on block [{lo}, {hi}) after {sweeps} sweeps",
-                deflated=n - hi,
-            )
+                f"QR iteration stalled on block [{lo}, {hi}) after {sweeps} sweeps")
         sweeps += 1
         if sweeps % 10 == 0:
             # exceptional shift to break symmetry-induced cycles
@@ -310,6 +231,10 @@ class Tridiagonal:
     def adjoint(self):
         return Tridiagonal(self.diag.conj(), self.upper.conj(), self.lower.conj())
 
+    def scaled(self, factor):
+        """factor * T, exactly when factor is a power of two."""
+        return Tridiagonal(self.diag * factor, self.lower * factor, self.upper * factor)
+
     def matvec(self, v):
         """T v for a vector of shape (n,) or each column of an (n, k) array."""
         shape = (-1,) + (1,) * (v.ndim - 1)
@@ -326,16 +251,33 @@ class Tridiagonal:
         return a
 
 
+def _radix_scaled(t):
+    """(s, s * t) for the power of two s = _radix_scale of t's moduli; t
+    itself when s is 1."""
+    scale = _radix_scale(np.abs(np.concatenate((t.diag, t.lower, t.upper))))
+    return scale, (t if scale == 1.0 else t.scaled(scale))
+
+
+def _symmetric_offdiagonal(t):
+    """+-sqrt(upper * lower), formed without overflowing the product.
+
+    The complex symmetric tridiagonal with t's diagonal and this off-diagonal
+    has t's eigenvalues: it is diagonally similar to t where no product
+    vanishes, and where one does both split there into the same blocks.
+    """
+    return np.sqrt(t.upper) * np.sqrt(t.lower)
+
+
 class _QLBreakdown(Exception):
     """Complex orthogonal QL stalled or needed an oversized rotation."""
 
 
-def _ql_symmetric(d, e, deflation_rel, floor, max_iter, lowest=None):
+def _ql_symmetric(d, e, floor, lowest=None):
     """Eigenvalues of the complex symmetric tridiagonal with diagonal d and
     off-diagonal e (e[k] couples k and k+1; e[-1] = 0), by implicit QL.
 
     Both lists are overwritten.  The rotations satisfy c^2 + s^2 = 1 but are not
-    unitary: one with |c| or |s| above ROTATION_BOUND, or more than max_iter
+    unitary: one with |c| or |s| above ROTATION_BOUND, or more than MAX_SWEEPS
     sweeps for one eigenvalue, raises _QLBreakdown.
 
     With `lowest`, returns d[:found] as soon as the values deflated so far
@@ -347,6 +289,8 @@ def _ql_symmetric(d, e, deflation_rel, floor, max_iter, lowest=None):
     d[:found], so the values returned are those of the full solve.
     """
     n = len(d)
+    # read once, as locals: the loops below test them at every step
+    deflation_rel, max_sweeps = DEFLATION_REL, MAX_SWEEPS
     for lo in range(n):
         sweeps = 0
         while True:
@@ -358,7 +302,7 @@ def _ql_symmetric(d, e, deflation_rel, floor, max_iter, lowest=None):
                 m += 1
             if m == lo:
                 break
-            if sweeps == max_iter:
+            if sweeps == max_sweeps:
                 raise _QLBreakdown
             sweeps += 1
             # Wilkinson shift from the leading 2x2, entering only through g
@@ -401,7 +345,7 @@ def _ql_symmetric(d, e, deflation_rel, floor, max_iter, lowest=None):
     return d
 
 
-def tridiagonal_eigenvalues(t, max_iter=30, tol=1e-12, lowest=None):
+def tridiagonal_eigenvalues(t, lowest=None):
     """All eigenvalues of a Tridiagonal, sorted like `eigenvalues`, or with
     `lowest` only the first `lowest` of them.
 
@@ -411,7 +355,8 @@ def tridiagonal_eigenvalues(t, max_iter=30, tol=1e-12, lowest=None):
     symmetric tridiagonal with off-diagonal sqrt(upper[k] * lower[k]), which
     implicit QL with complex orthogonal rotations keeps in that form at O(n)
     work per sweep (Cullum & Willoughby, SIAM J. Matrix Anal. Appl. 17 (1996)
-    83).  A segment on which QL breaks down goes to the dense QR instead.
+    83).  A segment on which QL breaks down goes to `eigenvalues` instead,
+    which runs QR on the same symmetric matrix.
 
     With `lowest`, QL on each segment stops once the values it has deflated
     provably include the segment's `lowest` of smallest real part (see
@@ -419,17 +364,13 @@ def tridiagonal_eigenvalues(t, max_iter=30, tol=1e-12, lowest=None):
     solve, unless that solve would break down on a segment only after the
     point where this one stopped, and go to the dense QR there.
     """
-    n = t.size
-    scale = _radix_scale(np.abs(np.concatenate((t.diag, t.lower, t.upper))))
+    scale, scaled = _radix_scaled(t)
     if scale != 1.0:
-        scaled = Tridiagonal(t.diag * scale, t.lower * scale, t.upper * scale)
-        return tridiagonal_eigenvalues(scaled, max_iter=max_iter, tol=tol,
-                                       lowest=lowest) / scale
-    deflation_rel = min(DEFLATION_REL, max(float(tol), EPS))
+        return tridiagonal_eigenvalues(scaled, lowest) / scale
+    n = t.size
     floor = EPS * t.norm()
-    # +-sqrt(upper * lower), formed without overflowing the product
-    offdiag = np.sqrt(t.upper) * np.sqrt(t.lower)
-    thresh = deflation_rel * (np.abs(t.diag[:-1]) + np.abs(t.diag[1:]))
+    offdiag = _symmetric_offdiagonal(t)
+    thresh = DEFLATION_REL * (np.abs(t.diag[:-1]) + np.abs(t.diag[1:]))
     thresh[thresh == 0.0] = floor
     cuts = np.flatnonzero(np.abs(offdiag) <= thresh).tolist()
     eig = []
@@ -442,10 +383,10 @@ def tridiagonal_eigenvalues(t, max_iter=30, tol=1e-12, lowest=None):
             d = t.diag[lo:hi].tolist()
             e = offdiag[lo : hi - 1].tolist() + [0j]
             try:
-                eig.extend(_ql_symmetric(d, e, deflation_rel, floor, max_iter, lowest))
+                eig.extend(_ql_symmetric(d, e, floor, lowest))
             except _QLBreakdown:
                 segment = Tridiagonal(t.diag[lo:hi], t.lower[lo : hi - 1], t.upper[lo : hi - 1])
-                eig.extend(eigenvalues(segment.dense(), max_iter=max_iter, tol=tol))
+                eig.extend(eigenvalues(segment))
         lo = hi
     return _sorted_eigs(np.array(eig, dtype=complex))[:lowest]
 
@@ -516,14 +457,20 @@ def tridiagonal_eigenvector(t, lam, tol=1e-12, max_iter=20):
     inverse iteration on the O(n) LU of t - lam.
 
     Accepts when ||(t - lam) v|| <= tol * ||t||_F; otherwise raises
-    EigenConvergenceError with the best residual achieved.
+    EigenConvergenceError with the best residual achieved.  Pivots are lifted
+    to EPS times the largest modulus of t - lam (EPS when t - lam is 0), and t
+    and lam are radix-scaled first, so the result does not depend on the
+    scale of t.
     """
+    radix, scaled = _radix_scaled(t)
+    if radix != 1.0:
+        t, lam = scaled, complex(lam) * radix
     scale = t.norm()
     if scale == 0.0:
         scale = 1.0
     shifted = Tridiagonal(t.diag - complex(lam), t.lower, t.upper)
     bands = np.concatenate((shifted.diag, shifted.lower, shifted.upper))
-    floor = EPS * max(1.0, float(np.abs(bands).max()))
+    floor = EPS * (float(np.abs(bands).max()) or 1.0)
     lu = tridiagonal_lu(shifted, pivot_floor=floor)
     rng = np.random.default_rng(1914)
     v = rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size)
@@ -541,6 +488,7 @@ def tridiagonal_eigenvector(t, lam, tol=1e-12, max_iter=20):
         best_res = min(best_res, res)
         if res <= tol * scale:
             return v
+    best_res /= radix
     raise EigenConvergenceError(
         f"inverse iteration did not reach tol {tol:g}; best residual {best_res:.3e}",
         residual=best_res,

@@ -45,7 +45,6 @@ __all__ = [
     "quadratic_fock_matrix",
     "ParitySpectrum",
     "parity_spectrum",
-    "eigenvalues_by_parity",
     "general_quadratic_spectrum",
     "verify_isospectral",
     "eta_check",
@@ -337,7 +336,7 @@ class ParitySpectrum:
         return self.eigenvalues[:n_levels], self.parities[:n_levels]
 
 
-def parity_spectrum(fock, max_iter=30, tol=1e-12, levels=None):
+def parity_spectrum(fock, levels=None):
     """Solve each parity block of a FockMatrix with linalg.tridiagonal_eigenvalues.
 
     With levels, each block solves only for its lowest `levels`, which are
@@ -347,7 +346,7 @@ def parity_spectrum(fock, max_iter=30, tol=1e-12, levels=None):
     eigs = []
     labels = []
     for par, block in enumerate(fock.blocks):
-        found = linalg.tridiagonal_eigenvalues(block, max_iter=max_iter, tol=tol, lowest=levels)
+        found = linalg.tridiagonal_eigenvalues(block, lowest=levels)
         eigs.extend(found)
         labels.extend([par] * len(found))
     eigs = np.array(eigs)
@@ -355,12 +354,6 @@ def parity_spectrum(fock, max_iter=30, tol=1e-12, levels=None):
     order = np.lexsort((eigs.imag, eigs.real))[:levels]
     return ParitySpectrum(fock=fock, eigenvalues=eigs[order],
                           parities=labels[order], levels=levels)
-
-
-def eigenvalues_by_parity(fock, max_iter=30, tol=1e-12, levels=None):
-    """(eigenvalues, parities) of `parity_spectrum`."""
-    solved = parity_spectrum(fock, max_iter=max_iter, tol=tol, levels=levels)
-    return solved.eigenvalues, solved.parities
 
 
 @dataclass(frozen=True)
@@ -472,18 +465,20 @@ def eta_check(fock, n_levels, tol=1e-6):
     eta M - M+ eta, with eta = sum |Phi_n><Phi_n|, is from zero on the span of
     the retained phi_n.  eta is applied through its factors and never formed,
     and M and M+ act block by block on the parity slices.  Retained
-    eigenvalues must be simple with pairwise gaps above 1e-6.  fock is a
-    FockMatrix, or its parity_spectrum solved for at least n_levels levels.
+    eigenvalues must be simple, with pairwise gaps above 1e-6 times the
+    largest retained modulus.  fock is a FockMatrix, or its parity_spectrum
+    solved for at least n_levels levels.
     """
     n_levels = int(n_levels)
     if n_levels < 1:
         raise ValueError("need at least one retained level")
     solved = fock if isinstance(fock, ParitySpectrum) else parity_spectrum(fock, levels=n_levels)
     retained, parities = solved.lowest(n_levels)
+    min_gap = 1e-6 * float(np.abs(retained).max())
     for i in range(n_levels):
         for j in range(i + 1, n_levels):
             gap = abs(retained[i] - retained[j])
-            if gap <= 1e-6:
+            if gap <= min_gap:
                 raise DegenerateEigenvaluesError(
                     f"eigenvalues {retained[i]} and {retained[j]} separated by {gap:.2e}",
                     pair=(complex(retained[i]), complex(retained[j])),
@@ -509,8 +504,7 @@ def eta_check(fock, n_levels, tol=1e-6):
         # the defect is unchanged when M is scaled by a power of two, which is
         # exact; scaling a huge truncation keeps the residual norms finite
         scale = math.ldexp(1.0, -math.frexp(norm)[1])
-        blocks = [linalg.Tridiagonal(block.diag * scale, block.lower * scale,
-                                     block.upper * scale) for block in blocks]
+        blocks = [block.scaled(scale) for block in blocks]
         norm *= scale
 
     def times(parts, v):

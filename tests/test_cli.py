@@ -227,6 +227,14 @@ def test_truncation_never_enters_the_ladder_route(capsys, monkeypatch, argv):
     calls = []
     for name in ("to_ladder", "fock_bands"):
         monkeypatch.setattr(weyl, name, lambda *args, name=name: calls.append(name))
+    # nor does QL break down and hand a segment to the QR fallback
+    qr = linalg.eigenvalues
+
+    def spy(segment):
+        calls.append("eigenvalues")
+        return qr(segment)
+
+    monkeypatch.setattr(linalg, "eigenvalues", spy)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err, calls) == (0, "", [])
     assert out
@@ -527,6 +535,22 @@ class TestHugeCoefficients:
         doc = strict_json(out)
         eigs = [level["eigenvalue"]["re"] for level in doc["results"]["numeric"]]
         assert all(math.isfinite(v) for v in eigs)
+
+
+@pytest.mark.parametrize("scale, argv", [
+    (1e-7, ["--gauge-g", "1e-8", "--base-k", "1e-14", "--omega", "1e-7"]),
+    (1e-13, ["--gauge-g", "1e-14", "--base-k", "1e-26", "--omega", "1e-13"]),
+])
+def test_verify_at_small_scale(scale, argv):
+    """`verify --gauge-g 0.1 -N 40 -n 4` with every energy scaled down: the
+    levels are scale * (n + 1/2), and their gaps are not taken for degeneracy."""
+    code, out, err, caught = run_quiet(["verify", *argv, "-N", "40", "-n", "4"])
+    assert (code, err, caught) == (0, "", [])
+    doc = strict_json(out)
+    assert doc["diagnostics"]["passed"] is True
+    levels = [level["eigenvalue"] for level in doc["results"]["isospectral"]["levels"]]
+    for n, level in enumerate(levels):
+        assert abs(complex(level["re"], level["im"]) - scale * (n + 0.5)) <= 1e-13 * scale
 
 
 class TestJsonText:
@@ -1088,8 +1112,8 @@ class TestLowestLevelsOutput:
         early = run_quiet(argv)
         full_solve = linalg.tridiagonal_eigenvalues
 
-        def ignore_lowest(t, max_iter=30, tol=1e-12, lowest=None):
-            return full_solve(t, max_iter=max_iter, tol=tol)
+        def ignore_lowest(t, lowest=None):
+            return full_solve(t)
 
         monkeypatch.setattr(linalg, "tridiagonal_eigenvalues", ignore_lowest)
         assert early == run_quiet(argv)

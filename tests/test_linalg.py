@@ -73,113 +73,82 @@ def greedy_match_distance(found, expected):
     return worst
 
 
-def random_complex(rng, n):
-    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+def random_tridiagonal(rng, n):
+    return linalg.Tridiagonal(*(rng.normal(size=k) + 1j * rng.normal(size=k)
+                                for k in (n, n - 1, n - 1)))
 
 
-class TestHessenberg:
-    """The Householder reduction inside the dense `eigenvalues`."""
-
-    def test_diagonal_fixed_point(self):
-        mat = np.diag(np.array([1.0, 2.0, -3.0, 4.0j]))
-        assert np.array_equal(linalg._hessenberg_reduce(mat), mat)
-
-    def test_hessenberg_input_moduli_preserved(self):
-        rng = np.random.default_rng(103)
-        mat = np.triu(random_complex(rng, 8), -1)
-        h = linalg._hessenberg_reduce(mat)
-        assert np.abs(np.abs(h) - np.abs(mat)).max() < 1e-12
-
-    def test_reconstruction(self):
-        # a unitary similarity keeps the Frobenius norm and the trace
-        rng = np.random.default_rng(107)
-        mat = random_complex(rng, 20)
-        h = linalg._hessenberg_reduce(mat)
-        norm = linalg.frobenius_norm(mat)
-        assert abs(linalg.frobenius_norm(h) - norm) < 1e-12 * norm
-        assert abs(np.trace(h) - np.trace(mat)) < 1e-12 * norm
-        assert np.abs(np.tril(h, -2)).max() == 0.0
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            linalg.eigenvalues(np.zeros((2, 3)))
+def graded(t, g):
+    """D t D^-1 with D = diag(g^k): upper times g, lower divided by g."""
+    return linalg.Tridiagonal(t.diag, t.lower / g, t.upper * g)
 
 
 class TestEigenvalues:
+    """The QR in `eigenvalues`, on the symmetrized form of its Tridiagonal."""
+
     def test_nilpotent(self):
-        eig = linalg.eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+        eig = linalg.eigenvalues(linalg.Tridiagonal([0, 0], [0], [1]))
         assert np.abs(eig).max() == 0.0
 
     def test_rotation_generator(self):
-        eig = linalg.eigenvalues(np.array([[0, 1], [-1, 0]], dtype=complex))
+        eig = linalg.eigenvalues(linalg.Tridiagonal([0, 0], [-1], [1]))
         assert np.abs(eig - np.array([-1j, 1j])).max() < 1e-14
 
     def test_against_characteristic_polynomial(self):
         rng = np.random.default_rng(109)
+
+        def gaussian_integers(k):
+            return rng.integers(-4, 5, size=k) + 1j * rng.integers(-4, 5, size=k)
+
         for _ in range(12):
-            mat = rng.integers(-4, 5, size=(6, 6)) + 1j * rng.integers(-4, 5, size=(6, 6))
-            mat = mat.astype(complex)
-            eig = linalg.eigenvalues(mat)
-            assert greedy_match_distance(eig, charpoly_roots(mat)) < 1e-8
+            t = linalg.Tridiagonal(*(gaussian_integers(k) for k in (6, 5, 5)))
+            eig = linalg.eigenvalues(t)
+            assert greedy_match_distance(eig, charpoly_roots(t.dense())) < 1e-8
 
     @pytest.mark.parametrize("size", [10, 40, 100])
     def test_trace(self, size):
         rng = np.random.default_rng(113 + size)
-        mat = random_complex(rng, size)
-        eig = linalg.eigenvalues(mat)
-        norm = linalg.frobenius_norm(mat)
-        assert abs(eig.sum() - np.trace(mat)) < 1e-10 * norm
+        t = random_tridiagonal(rng, size)
+        eig = linalg.eigenvalues(t)
+        assert abs(eig.sum() - t.diag.sum()) < 1e-10 * t.norm()
 
     def test_similarity_invariance(self):
+        # a graded copy is diagonally similar, with bands of very unequal size
         rng = np.random.default_rng(127)
-        mat = random_complex(rng, 15)
-        mix = np.eye(15) + 0.4 * random_complex(rng, 15) / math.sqrt(15)
-        conjugated = mix @ mat @ np.linalg.inv(mix)
+        t = random_tridiagonal(rng, 15)
         assert greedy_match_distance(
-            linalg.eigenvalues(conjugated), linalg.eigenvalues(mat)
+            linalg.eigenvalues(graded(t, 1e6)), linalg.eigenvalues(t)
         ) < 1e-8
 
     def test_triangular_shortcut_exact(self):
+        # a vanishing band leaves every subdiagonal entry 0: all deflate at once
         rng = np.random.default_rng(131)
-        mat = np.triu(random_complex(rng, 12))
-        eig = linalg.eigenvalues(mat)
+        t = random_tridiagonal(rng, 12)
+        t = linalg.Tridiagonal(t.diag, np.zeros(11), t.upper)
+        eig = linalg.eigenvalues(t)
         assert sorted(eig.tolist(), key=lambda z: (z.real, z.imag)) == sorted(
-            np.diagonal(mat).tolist(), key=lambda z: (z.real, z.imag)
+            t.diag.tolist(), key=lambda z: (z.real, z.imag)
         )
 
     def test_lower_triangular_shortcut(self):
-        mat = np.tril(np.arange(9, dtype=complex).reshape(3, 3) + 1)
-        eig = linalg.eigenvalues(mat)
-        assert set(eig.tolist()) == set(np.diagonal(mat).tolist())
-
-    def test_balance_preserves_spectrum(self):
-        rng = np.random.default_rng(137)
-        mat = random_complex(rng, 10)
-        mat[0] *= 1e6
-        mat[:, 0] *= 1e-6
-        balanced = linalg.balance(mat)
-        assert greedy_match_distance(
-            linalg.eigenvalues(balanced), linalg.eigenvalues(mat)
-        ) < 1e-9
+        t = linalg.Tridiagonal([1.0, 5.0, 9.0], [4.0, 8.0], [0.0, 0.0])
+        eig = linalg.eigenvalues(t)
+        assert set(eig.tolist()) == set(t.diag.tolist())
 
     def test_defective_jordan_block(self):
-        mat = np.diag(np.ones(5), 1).astype(complex)
-        mat += 2.0 * np.eye(6)
-        eig = linalg.eigenvalues(mat)
-        # defective eigenvalue splits into a cluster of radius ~eps^(1/6)
-        assert np.abs(eig - 2.0).max() < 1e-2
-        assert abs(eig.sum() - 12.0) < 1e-10
+        t = linalg.Tridiagonal(np.full(6, 2.0), np.zeros(5), np.ones(5))
+        assert np.array_equal(linalg.eigenvalues(t), np.full(6, 2.0))
+        # a subdiagonal eps splits it into 2 + 2 sqrt(eps) cos(k pi / 7), which
+        # the symmetrized matrix, normal here, resolves to rounding
+        t = linalg.Tridiagonal(np.full(6, 2.0), np.full(5, 1e-15), np.ones(5))
+        expected = 2.0 + 2.0 * math.sqrt(1e-15) * np.cos(np.arange(6, 0, -1) * math.pi / 7)
+        assert np.abs(linalg.eigenvalues(t) - expected).max() < 1e-14
 
     def test_sorted_output(self):
         rng = np.random.default_rng(139)
-        eig = linalg.eigenvalues(random_complex(rng, 12))
+        eig = linalg.eigenvalues(random_tridiagonal(rng, 12))
         keys = [(z.real, z.imag) for z in eig]
         assert keys == sorted(keys)
-
-
-def random_tridiagonal(rng, n):
-    return linalg.Tridiagonal(*(rng.normal(size=k) + 1j * rng.normal(size=k)
-                                for k in (n, n - 1, n - 1)))
 
 
 class TestEigenvector:
@@ -228,13 +197,15 @@ class TestSolve:
 
 
 class TestValidation:
+    """`eigenvalues` takes a Tridiagonal, which holds only finite, non-empty bands."""
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
-            linalg.eigenvalues(np.array([[np.nan, 0], [0, 1]]))
+            linalg.Tridiagonal([np.nan, 1], [0], [0])
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            linalg.eigenvalues(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="non-empty"):
+            linalg.Tridiagonal([], [], [])
 
 
 @pytest.fixture
@@ -258,15 +229,6 @@ class TestOverflow:
         assert linalg.frobenius_norm([1e200, 1e200]) == 1e200 * math.sqrt(2.0)
         assert linalg.frobenius_norm(np.full((3, 3), 1e300j)) == 3e300
 
-    def test_householder_on_huge_matrix(self, no_warnings):
-        rng = np.random.default_rng(4)
-        huge = random_complex(rng, 6) * 2.0 ** 900
-        h = linalg._hessenberg_reduce(huge)
-        assert np.isfinite(h).all() and np.abs(np.tril(h, -2)).max() == 0.0
-        # the reflections are unitary: the norm is kept
-        norm = linalg.frobenius_norm(huge)
-        assert abs(linalg.frobenius_norm(h) - norm) < 1e-13 * norm
-
     @pytest.mark.parametrize("power", [600, -600])
     def test_tridiagonal_scaled_exactly(self, no_warnings, power):
         rng = np.random.default_rng(7)
@@ -281,10 +243,23 @@ class TestOverflow:
     @pytest.mark.parametrize("power", [600, -600])
     def test_dense_scaled_exactly(self, no_warnings, power):
         rng = np.random.default_rng(8)
-        a = random_complex(rng, 8)
-        a = a / float(np.abs(a).max()) * 0.75
-        expected = linalg.eigenvalues(a) * 2.0 ** power
-        assert np.array_equal(linalg.eigenvalues(a * 2.0 ** power), expected)
+        t = random_tridiagonal(rng, 8)
+        top = max(float(np.abs(band).max()) for band in (t.diag, t.lower, t.upper))
+        t = t.scaled(0.75 / top)
+        expected = linalg.eigenvalues(t) * 2.0 ** power
+        assert np.array_equal(linalg.eigenvalues(t.scaled(2.0 ** power)), expected)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-80, 1e-8, 1e-3, 1.0, 1e80, 1e200])
+    def test_eigenvector_at_every_scale(self, no_warnings, scale):
+        rng = np.random.default_rng(10)
+        t = random_tridiagonal(rng, 10).scaled(scale)
+        # the residual is measured on a copy scaled exactly to modulus ~1
+        unit = math.ldexp(1.0, -math.frexp(scale)[1])
+        reference = t.scaled(unit)
+        for lam in linalg.tridiagonal_eigenvalues(t):
+            v = linalg.tridiagonal_eigenvector(t, lam)
+            residual = np.linalg.norm(reference.matvec(v) - lam * unit * v)
+            assert residual <= 1e-13 * reference.norm()
 
     def test_eigenvector_of_huge_tridiagonal(self, no_warnings):
         rng = np.random.default_rng(10)

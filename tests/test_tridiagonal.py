@@ -1,4 +1,5 @@
-"""The tridiagonal eigensolver and O(n) LU against LAPACK and the dense QR."""
+"""The tridiagonal eigensolver and O(n) LU against LAPACK and the QR fallback,
+which solves the same symmetrized segment as QL."""
 
 import math
 
@@ -115,7 +116,7 @@ class TestTridiagonal:
         for n in (2, 5, 40):
             t = random_tridiagonal(rng, n)
             found = linalg.tridiagonal_eigenvalues(t)
-            dense = linalg.eigenvalues(t.dense())
+            dense = linalg.eigenvalues(t)
             assert np.abs(found - dense).max() <= 1e-10 * t.norm()
 
     def test_triangular_returns_exact_diagonal(self):
@@ -132,21 +133,50 @@ class TestTridiagonal:
         t = random_tridiagonal(np.random.default_rng(17), 12)
         calls = []
         dense_eigenvalues = linalg.eigenvalues
+        max_sweeps = linalg.MAX_SWEEPS
 
-        def spy(m, **kwargs):
-            calls.append(np.asarray(m).shape[0])
-            return dense_eigenvalues(m)
+        def spy(segment):
+            calls.append(segment.size)
+            # QR gets the usual sweep budget even where QL was denied one
+            monkeypatch.setattr(linalg, "MAX_SWEEPS", max_sweeps)
+            return dense_eigenvalues(segment)
 
         monkeypatch.setattr(linalg, "eigenvalues", spy)
-        kwargs = {}
         if force == "rotation_bound":
             # |c|, |s| <= 1 fails for almost every rotation
             monkeypatch.setattr(linalg, "ROTATION_BOUND", 1.0)
         else:
-            kwargs["max_iter"] = 0
-        found = linalg.tridiagonal_eigenvalues(t, **kwargs)
+            monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
+        found = linalg.tridiagonal_eigenvalues(t)
         assert calls == [12]
-        assert np.array_equal(found, dense_eigenvalues(t.dense()))
+        assert np.array_equal(found, dense_eigenvalues(t))
+
+    @pytest.mark.parametrize("grade", [1.0, 1e6, 1e-6])
+    @pytest.mark.parametrize("bands", [
+        ([2, -1j, 1 - 1j], [-1, 1], [1 + 1j, 1]),
+        ([1j, -1j, -1j, -1j], [-1, 1j, 1j], [-1, -1, -1j]),
+    ], ids=["size3", "size4"])
+    def test_natural_breakdown_falls_back_to_qr(self, monkeypatch, bands, grade):
+        """QL breaks down on these unforced; QR on the symmetrized segment
+        solves them, and a graded (diagonally similar) copy alike."""
+        diag, lower, upper = bands
+        t = linalg.Tridiagonal(diag, np.array(lower) / grade, np.array(upper) * grade)
+        raised = []
+
+        class Spy(linalg._QLBreakdown):
+            def __init__(self):
+                raised.append(True)
+                super().__init__()
+
+        monkeypatch.setattr(linalg, "_QLBreakdown", Spy)
+        found = linalg.tridiagonal_eigenvalues(t)
+        assert raised == [True]
+        expected, kappa = lapack_eigenvalues_and_condition(t.dense())
+        for value, k in zip(expected, kappa):
+            assert np.abs(found - value).min() <= 1e-10 * k * t.norm()
+        monkeypatch.undo()
+        ungraded = linalg.Tridiagonal(diag, lower, upper)
+        assert np.abs(found - linalg.eigenvalues(ungraded)).max() <= 1e-13 * ungraded.norm()
 
     def test_lu_pivots_and_rejects_singular(self):
         # a zero leading diagonal forces a row swap, and so fill-in in upper2
@@ -241,7 +271,7 @@ class TestStructuredRoute:
             exact = np.arange(8) + 0.5
             if np.abs(lapack - exact).max() > 1e-8:
                 continue
-            found = spectra.eigenvalues_by_parity(fock)[0][:8]
+            found = spectra.parity_spectrum(fock).eigenvalues[:8]
             assert np.abs(found - exact).max() <= 1e-8
             assert np.abs(np.sort_complex(found) - np.sort_complex(lapack)).max() <= 1e-8
             checked += 1
@@ -254,6 +284,21 @@ class TestStructuredRoute:
     @given(quadratics(), st.floats(0.1, 10.0),
            st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 41)))
     def test_quadratic_truncation_blocks_are_tridiagonal(self, quad, omega, size):
+        fallback = []
+        qr = linalg.eigenvalues
+
+        def spy(segment):
+            fallback.append(segment.size)
+            return qr(segment)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "eigenvalues", spy)
+            self.check_truncation(quad, omega, size)
+        # QL solved every block: the QR fallback never ran
+        assert fallback == []
+
+    @staticmethod
+    def check_truncation(quad, omega, size):
         fock = spectra.quadratic_fock_matrix(quad, omega, size)
         assert len(fock.blocks) == min(size, 2)
         assert all(isinstance(block, linalg.Tridiagonal) for block in fock.blocks)
@@ -359,7 +404,7 @@ class TestLowestLevels:
 
             monkeypatch.setattr(linalg, "_ql_symmetric", broken)
         full = linalg.tridiagonal_eigenvalues(t)
-        assert np.array_equal(full, linalg.eigenvalues(t.dense()))
+        assert np.array_equal(full, linalg.eigenvalues(t))
         for k in range(1, 13):
             assert np.array_equal(linalg.tridiagonal_eigenvalues(t, lowest=k), full[:k])
 
@@ -412,9 +457,6 @@ class TestLowestLevels:
             assert solved.levels == levels and full.levels is None
             assert np.array_equal(solved.eigenvalues, full.eigenvalues[:levels])
             assert np.array_equal(solved.parities, full.parities[:levels])
-        eigs, parities = spectra.eigenvalues_by_parity(fock, levels=10)
-        assert np.array_equal(eigs, full.eigenvalues[:10])
-        assert np.array_equal(parities, full.parities[:10])
 
     def test_checks_reject_a_short_solution(self):
         transform = canonical.rath_mallick(0.3, 0.2)
