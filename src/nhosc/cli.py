@@ -227,7 +227,6 @@ class Model:
     quadratic: canonical.QuadraticHamiltonian
     oscillator: spectra.ThreeParamOscillator | None
     transform: canonical.CanonicalTransform | None
-    params: dict
 
 
 def model_family(ns):
@@ -266,7 +265,6 @@ def three_param_model(ns):
         quadratic=osc.as_quadratic(),
         oscillator=osc,
         transform=None,
-        params={"h11": ns.h11, "h12": ns.h12, "h22": ns.h22},
     )
 
 
@@ -282,20 +280,13 @@ def mix_model(ns):
         quadratic=osc.as_quadratic(),
         oscillator=osc,
         transform=transform,
-        params={"rm_alpha": ns.rm_alpha, "rm_beta": ns.rm_beta},
     )
 
 
 def gamma_model(ns):
     """The --gamma model with --alpha and/or --k."""
     quad = canonical.ahmed_hermitian(ns.gamma, alpha=ns.alpha, k=ns.k)
-    params = {"gamma": ns.gamma}
-    if ns.alpha is not None:
-        params["alpha"] = ns.alpha
-    if ns.k is not None:
-        params["k"] = ns.k
-    return Model(kind="gamma_family", quadratic=quad, oscillator=None, transform=None,
-                 params=params)
+    return Model(kind="gamma_family", quadratic=quad, oscillator=None, transform=None)
 
 
 def resolve_model(ns):

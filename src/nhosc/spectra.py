@@ -12,8 +12,7 @@ diagonalized numerically and compared against the closed forms.
 Any quadratic c_pp p^2 + c_xp (xp + px) + c_xx x^2 couples the same states,
 with amplitudes in closed form, so one band formula (`quadratic_fock_matrix`)
 builds every truncation (`FockMatrix`) as its two parity blocks, tridiagonals;
-no N x N matrix is formed on the way to a spectrum or a check.  The symbolic
-ladder route of `weyl` computes the same bands and is the tests' reference.
+no N x N matrix is formed on the way to a spectrum or a check.
 """
 
 from __future__ import annotations
@@ -196,13 +195,6 @@ class FockMatrix:
     omega: float
     size: int
 
-    def dense(self):
-        """The size x size matrix, for tests and oracles only."""
-        out = np.zeros((self.size, self.size), dtype=complex)
-        for par, block in enumerate(self.blocks):
-            out[par::2, par::2] = block.dense()
-        return out
-
 
 @np.errstate(over="ignore", invalid="ignore")
 def quadratic_fock_matrix(q, omega, size):
@@ -363,7 +355,6 @@ class SpectrumLevel:
     parity: int | None
     reference: complex | None
     deviation: float | None
-    label: str
     matched: bool
 
 
@@ -422,7 +413,6 @@ def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, o
                 parity=int(parities[n]),
                 reference=complex(ref),
                 deviation=dev,
-                label="numeric",
                 matched=matched,
             )
         )
@@ -492,8 +482,13 @@ def eta_check(fock, n_levels, tol=1e-6):
         chi[par::2, k] = linalg.tridiagonal_eigenvector(block.adjoint(), lam.conjugate())
     overlap = chi.conj().T @ phi
     diag = np.diagonal(overlap)
-    if np.abs(diag).min() < 1e-12:
-        raise DegenerateEigenvaluesError("near-defective pair: vanishing biorthogonal overlap")
+    vanishing = np.flatnonzero(np.abs(diag) < 1e-12)
+    if vanishing.size:
+        # for unit phi_k and chi_k, |<chi_k|phi_k>| is 1/kappa_k
+        k = int(vanishing[0])
+        raise DegenerateEigenvaluesError(
+            f"near-defective pair: vanishing biorthogonal overlap at level {k}, "
+            f"eigenvalue {complex(retained[k]):.6g}, |<chi|phi>| = {abs(diag[k]):.2e}")
     chi = chi / diag.conj()
     overlap = overlap / diag[:, None]
     bio_defect = float(np.abs(overlap - np.eye(n_levels)).max())

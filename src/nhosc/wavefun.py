@@ -3,7 +3,9 @@ states, synthesis from Fock coefficients, quadrature norms, node counting.
 
 Hermite functions are evaluated by the stable three-term recurrence in the
 scaled coordinate sqrt(w) x and carry the frequency in their normalization,
-so they are orthonormal on the line for every w > 0.  Default grids span
+so they are orthonormal on the line for every w > 0.  Where the Gaussian
+underflows, each point carries a power-of-two exponent through the
+recurrence, so the tails of high levels stay accurate.  Default grids span
 +-12/sqrt(w), which covers the Gaussian tail far below double precision, or
 for level n its turning point sqrt(2n+1)/sqrt(w) plus 6/sqrt(w) of tail, when
 that is wider (n >= 18).
@@ -18,6 +20,7 @@ import numpy as np
 
 DEFAULT_GRID_POINTS = 4001
 DEFAULT_SPAN_SIGMAS = 12.0
+FAR_RESCALE_BITS = 500
 
 __all__ = [
     "NonNormalizableError",
@@ -136,7 +139,8 @@ def hermite_basis(n_max, omega, x):
     with np.errstate(over="ignore"):
         y = math.sqrt(omega) * x
         out = np.empty((n_max + 1,) + np.shape(y), dtype=float)
-        out[0] = (omega / math.pi) ** 0.25 * np.exp(-0.5 * y * y)
+        half_square = 0.5 * y * y
+        out[0] = (omega / math.pi) ** 0.25 * np.exp(-half_square)
     y = np.where(np.isinf(y), 0.0, y)
     if n_max >= 1:
         out[1] = math.sqrt(2.0) * y * out[0]
@@ -144,6 +148,34 @@ def hermite_basis(n_max, omega, x):
         out[k + 1] = (
             math.sqrt(2.0 / (k + 1)) * y * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
         )
+    # beyond 2**30 every row of any level that fits in memory underflows
+    far = (out[0] < np.finfo(float).tiny) & (half_square < 2.0 ** 59)
+    if far.any():
+        out[:, far] = _far_rows(n_max, omega, y[far], np.asarray(half_square)[far])
+    return out
+
+
+def _far_rows(n_max, omega, y, half_square):
+    """hermite_basis at points whose Gaussian is subnormal or underflows to 0.
+
+    Each point carries a power-of-two exponent through the same recurrence,
+    starting from the Gaussian's mantissa; a point's rows are divided by
+    2**FAR_RESCALE_BITS whenever the newest passes that bound, and each row is
+    scaled back by ldexp, so a row underflows only where its own value does.
+    """
+    exponent = np.floor(-half_square / math.log(2.0))
+    prev = np.zeros_like(y)
+    cur = (omega / math.pi) ** 0.25 * np.exp(-half_square - exponent * math.log(2.0))
+    exponent = exponent.astype(np.int64)
+    out = np.empty((n_max + 1, y.size))
+    out[0] = np.ldexp(cur, exponent)
+    for k in range(n_max):
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * y * cur - math.sqrt(k / (k + 1.0)) * prev
+        big = np.abs(cur) > 2.0 ** FAR_RESCALE_BITS
+        prev[big] = np.ldexp(prev[big], -FAR_RESCALE_BITS)
+        cur[big] = np.ldexp(cur[big], -FAR_RESCALE_BITS)
+        exponent[big] += FAR_RESCALE_BITS
+        out[k + 1] = np.ldexp(cur, exponent)
     return out
 
 

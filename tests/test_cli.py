@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhosc import cli, linalg, spectra, weyl
+from nhosc import cli, linalg, spectra
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -221,13 +221,10 @@ class TestVerify:
     ["verify", "--gauge-g", "0.3", "-N", "40", "-n", "4", "--base-k", "2"],
     ["verify", "--u11", "1", "--u12", "0", "--u21", "0.2j", "--u22", "1", "-N", "40", "-n", "4"],
 ])
-def test_truncation_never_enters_the_ladder_route(capsys, monkeypatch, argv):
-    """spectrum and verify build their truncation from the band formula; the
-    symbolic ladder rewriting is the tests' reference only."""
+def test_truncation_never_enters_the_qr_fallback(capsys, monkeypatch, argv):
+    """QL solves every parity block of spectrum and verify: it never breaks
+    down and hands a segment to the QR fallback."""
     calls = []
-    for name in ("to_ladder", "fock_bands"):
-        monkeypatch.setattr(weyl, name, lambda *args, name=name: calls.append(name))
-    # nor does QL break down and hand a segment to the QR fallback
     qr = linalg.eigenvalues
 
     def spy(segment):
@@ -240,6 +237,22 @@ def test_truncation_never_enters_the_ladder_route(capsys, monkeypatch, argv):
     assert out
 
 
+def test_near_defective_exit_names_the_level(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--rm-alpha", "0.6", "--rm-beta", "0.6", "-N", "160", "-n", "24",
+    )
+    assert (code, out) == (3, "")
+    named = re.fullmatch(
+        r"nhosc: numeric failure: near-defective pair: vanishing biorthogonal overlap "
+        r"at level (\d+), eigenvalue (\S+), \|<chi\|phi>\| = (\S+)\n", err)
+    assert named, err
+    level = int(named[1])
+    assert 0 <= level < 24
+    # the named eigenvalue is that level's, near level + 1/2
+    assert abs(complex(named[2]).real - (level + 0.5)) < 1
+    assert float(named[3]) < 1e-12
+
+
 class TestWavefunction:
     def test_mix_ground_state(self, capsys):
         code, doc = run_json(
@@ -250,6 +263,16 @@ class TestWavefunction:
         results = doc["results"]
         assert abs(results["norm"] - 1.0) < 1e-8
         assert results["nodes"] == 0
+
+    def test_high_level_far_grid(self, capsys):
+        # the Gaussian underflows beyond |x| = 38.6, where level 1000 is O(0.1)
+        code, doc = run_json(
+            capsys, "wavefunction", "--level", "1000", "--grid-span", "50",
+            "--grid-points", "20001",
+        )
+        assert code == 0
+        assert abs(doc["results"]["norm"] - 1.0) < 1e-10
+        assert doc["results"]["nodes"] == 1000
 
     def test_oscillator_level_nodes(self, capsys):
         code, doc = run_json(

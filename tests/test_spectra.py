@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from fock_reference import dense, weyl_truncation
 
-from nhosc import canonical, linalg, spectra, weyl
+from nhosc import canonical, linalg, spectra
 from nhosc.spectra import ThreeParamOscillator
 
 SHO = ThreeParamOscillator(0.5, 0.0, 0.5)
@@ -22,7 +23,7 @@ def random_oscillator(rng, positive=True):
 
 def truncation(osc, omega, size):
     """Dense truncation of a three-parameter oscillator."""
-    return spectra.quadratic_fock_matrix(osc.as_quadratic(), omega, size).dense()
+    return dense(spectra.quadratic_fock_matrix(osc.as_quadratic(), omega, size))
 
 
 def fock_coefficients(osc, omega, n):
@@ -56,7 +57,7 @@ class TestFockCoefficients:
             omega = rng.uniform(0.3, 2.5)
             n = int(rng.integers(0, 41))
             size = n + 3
-            mat = weyl.fock_matrix(weyl.to_ladder(osc.as_quadratic().weyl_poly(), omega), size)
+            mat = weyl_truncation(osc.as_quadratic().weyl_poly(), omega, size)
             a, b, c = fock_coefficients(osc, omega, n)
             scale = max(1.0, abs(b))
             assert abs(mat[n, n] - b) < 1e-12 * scale
@@ -166,10 +167,9 @@ class TestBuildFockMatrix:
             omega = rng.uniform(0.3, 2.0)
             size = int(rng.integers(5, 30))
             direct = truncation(osc, omega, size)
-            symbolic = weyl.fock_matrix(
-                weyl.to_ladder(osc.as_quadratic().weyl_poly(), omega), size)
+            reference = weyl_truncation(osc.as_quadratic().weyl_poly(), omega, size)
             scale = max(1.0, np.abs(direct).max())
-            assert np.abs(direct - symbolic).max() < 1e-12 * scale
+            assert np.abs(direct - reference).max() < 1e-12 * scale
 
     def test_three_param_bands_bit_for_bit(self):
         """The general formula, fed h11, i h12, h22, computes the real

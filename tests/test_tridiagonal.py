@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from fock_reference import dense, weyl_truncation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nhosc import canonical, linalg, spectra, weyl
+from nhosc import canonical, linalg, spectra
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -248,7 +249,7 @@ class TestStructuredRoute:
             if omega <= 0:
                 continue
             fock = spectra.quadratic_fock_matrix(osc.as_quadratic(), omega, 60)
-            mat = fock.dense()
+            mat = dense(fock)
             assert not np.tril(mat, -1).any()
             solved = spectra.parity_spectrum(fock)
             assert np.array_equal(np.sort_complex(solved.eigenvalues),
@@ -265,7 +266,7 @@ class TestStructuredRoute:
             size = (80, 200)[checked % 2]
             osc = spectra.rath_mallick_oscillator(alpha, beta)
             fock = spectra.quadratic_fock_matrix(osc.as_quadratic(), 1.0, size)
-            mat = fock.dense()
+            mat = dense(fock)
             lapack = np.concatenate([np.linalg.eigvals(mat[p::2, p::2]) for p in (0, 1)])
             lapack = lapack[np.lexsort((lapack.imag, lapack.real))][:8]
             exact = np.arange(8) + 0.5
@@ -302,12 +303,12 @@ class TestStructuredRoute:
         fock = spectra.quadratic_fock_matrix(quad, omega, size)
         assert len(fock.blocks) == min(size, 2)
         assert all(isinstance(block, linalg.Tridiagonal) for block in fock.blocks)
-        # the blocks hold the whole symbolic truncation, which is banded; the
-        # routes round differently, and the symbolic one drops terms below
-        # PRUNE_REL = 1e-14 of the largest, hence 10 * PRUNE_REL
-        mat = fock.dense()
-        symbolic = weyl.fock_matrix(weyl.to_ladder(quad.weyl_poly(), omega), size)
-        assert np.abs(mat - symbolic).max() <= 1e-13 * np.abs(mat).max()
+        # the blocks hold the whole matrix-reference truncation, which is banded;
+        # the routes round differently, and the band formula drops a +-2
+        # amplitude below PRUNE_REL = 1e-14 of its terms, hence 10 * PRUNE_REL
+        mat = dense(fock)
+        reference = weyl_truncation(quad.weyl_poly(), omega, size)
+        assert np.abs(mat - reference).max() <= 1e-13 * np.abs(mat).max()
         rows, cols = np.nonzero(mat)
         assert set((rows - cols).tolist()) <= {-2, 0, 2}
         solved = spectra.parity_spectrum(fock)

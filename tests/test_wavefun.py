@@ -72,6 +72,23 @@ class TestHermiteFunction:
         assert np.isfinite(basis).all()
         assert not basis[:, [0, 2]].any() and basis[0, 1] > 0
 
+    def test_tail_beyond_gaussian_underflow(self):
+        # exp(-x^2/2) is subnormal beyond |x| = 37.6 and 0 beyond 38.6, where
+        # level 1000 is still O(0.1)
+        import mpmath as mp
+
+        x = np.array([-45.0, -40.0, -38.0, 0.5, 37.0, 50.0])
+        values = wavefun.hermite_function(1000, 1.0, x)
+        with mp.workdps(40):
+            scale = mp.sqrt(2**1000 * mp.factorial(1000) * mp.sqrt(mp.pi))
+            for point, value in zip(x, values):
+                point = mp.mpf(float(point))
+                reference = float(mp.exp(-point * point / 2) * mp.hermite(1000, point) / scale)
+                assert abs(value - reference) <= 1e-12 * abs(reference)
+        # points where the Gaussian is normal keep the plain recurrence, bit for bit
+        assert np.array_equal(wavefun.hermite_basis(1000, 1.0, x[3:5]),
+                              wavefun.hermite_basis(1000, 1.0, x)[:, 3:5])
+
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             wavefun.hermite_function(0, 0.0, 1.0)
