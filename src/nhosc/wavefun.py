@@ -129,43 +129,32 @@ def _finite_samples(x, name="x"):
 
 
 def hermite_basis(n_max, omega, x):
-    """Rows 0..n_max of the orthonormal oscillator eigenfunctions at x."""
+    """Rows 0..n_max of the orthonormal oscillator eigenfunctions at x.
+
+    Each point carries a power-of-two exponent through the recurrence.  Where
+    the Gaussian is subnormal or underflows to 0, it starts from the
+    Gaussian's mantissa; a point's rows are divided by 2**FAR_RESCALE_BITS
+    whenever the newest passes that bound, and each row is scaled back by
+    ldexp, so a row underflows only where its own value does.  Elsewhere the
+    exponent is 0 and no row nears the bound, so the arithmetic is the plain
+    recurrence's.
+    """
     omega = _check_omega(omega)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     x = _finite_samples(x)
+    scale = (omega / math.pi) ** 0.25
     # y and y * y overflow only where the Gaussian's exact value, and so every
     # row's, underflows to 0; a finite y there keeps the rows from inf * 0
     with np.errstate(over="ignore"):
-        y = math.sqrt(omega) * x
-        out = np.empty((n_max + 1,) + np.shape(y), dtype=float)
+        y = math.sqrt(omega) * x.ravel()
         half_square = 0.5 * y * y
-        out[0] = (omega / math.pi) ** 0.25 * np.exp(-half_square)
     y = np.where(np.isinf(y), 0.0, y)
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * y * out[0]
-    for k in range(1, n_max):
-        out[k + 1] = (
-            math.sqrt(2.0 / (k + 1)) * y * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
-        )
     # beyond 2**30 every row of any level that fits in memory underflows
-    far = (out[0] < np.finfo(float).tiny) & (half_square < 2.0 ** 59)
-    if far.any():
-        out[:, far] = _far_rows(n_max, omega, y[far], np.asarray(half_square)[far])
-    return out
-
-
-def _far_rows(n_max, omega, y, half_square):
-    """hermite_basis at points whose Gaussian is subnormal or underflows to 0.
-
-    Each point carries a power-of-two exponent through the same recurrence,
-    starting from the Gaussian's mantissa; a point's rows are divided by
-    2**FAR_RESCALE_BITS whenever the newest passes that bound, and each row is
-    scaled back by ldexp, so a row underflows only where its own value does.
-    """
-    exponent = np.floor(-half_square / math.log(2.0))
+    far = (scale * np.exp(-half_square) < np.finfo(float).tiny) & (half_square < 2.0 ** 59)
+    exponent = np.where(far, np.floor(-half_square / math.log(2.0)), 0.0)
     prev = np.zeros_like(y)
-    cur = (omega / math.pi) ** 0.25 * np.exp(-half_square - exponent * math.log(2.0))
+    cur = scale * np.exp(-half_square - exponent * math.log(2.0))
     exponent = exponent.astype(np.int64)
     out = np.empty((n_max + 1, y.size))
     out[0] = np.ldexp(cur, exponent)
@@ -176,7 +165,7 @@ def _far_rows(n_max, omega, y, half_square):
         cur[big] = np.ldexp(cur[big], -FAR_RESCALE_BITS)
         exponent[big] += FAR_RESCALE_BITS
         out[k + 1] = np.ldexp(cur, exponent)
-    return out
+    return out.reshape((n_max + 1,) + x.shape)
 
 
 def hermite_function(n, omega, x):
