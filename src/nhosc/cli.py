@@ -754,8 +754,19 @@ def cmd_verify(ns):
 def _grid(ns, omega, level=0):
     """The grid that covers level `level` at frequency omega, or the --grid-span
     grid; FloatingPointError when fewer than 3 of its points lie within the
-    default half-width, where the state lives."""
+    default half-width, where the state lives.
+
+    The default grid has DEFAULT_GRID_POINTS points, or more where the level
+    needs them (wavefun.min_grid_points); fewer explicit --grid-points than
+    that on the default width are a ConfigError."""
+    fewest = wavefun.min_grid_points(level)
+    if ns.grid_points is None:
+        ns.grid_points = max(wavefun.DEFAULT_GRID_POINTS, fewest)
     if not ns.grid_span:
+        if ns.grid_points < fewest:
+            raise ConfigError(f"level {level} needs at least {fewest} grid-points on the "
+                              f"default grid, {wavefun.POINTS_PER_NODE_SPACING} per node "
+                              f"spacing; got {ns.grid_points}")
         return wavefun.default_grid(omega, ns.grid_points, level)
     grid = wavefun.uniform_grid(ns.grid_span, ns.grid_points)
     bound = wavefun.default_halfwidth(omega, level)
@@ -768,8 +779,7 @@ def _grid(ns, omega, level=0):
 
 def cmd_wavefunction(ns):
     _default(ns, "format", "json")
-    _default(ns, "grid_points", wavefun.DEFAULT_GRID_POINTS)
-    if ns.grid_points < 3:
+    if ns.grid_points is not None and ns.grid_points < 3:
         raise ConfigError("grid-points must be at least 3")
 
     has_rm = ns.rm_alpha is not None or ns.rm_beta is not None

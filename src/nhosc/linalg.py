@@ -4,6 +4,15 @@ Every parity block is a `Tridiagonal`.  Its eigenvalues come from implicit QL
 with complex orthogonal rotations on the symmetrized matrix, O(n) per sweep;
 its eigenvectors from inverse iteration on an O(n) LU with partial pivoting.
 
+Asked for the lowest L eigenvalues, QL stops as soon as the values it has
+deflated are proved to include them, by either of two certificates (see
+`_ql_symmetric`): Bendixson's theorem with a Gershgorin bound on the block
+still to deflate, or a count of the eigenvalues left of a vertical line by the
+argument principle.  The count walks a contour around a weighted-Bendixson box
+(`_box`) that holds every eigenvalue left of the line, and evaluates
+det(T - z) and its log-derivative by the O(n) continuant (`_det_phase`),
+vectorised over the contour points.
+
 `eigenvalues` runs single-shift QR with Wilkinson shifts, deflating one or two
 eigenvalues at a time, on the dense form of the same symmetrized matrix.  It
 has two roles only: it solves a segment on which QL breaks down, and the tests
@@ -34,6 +43,19 @@ ROTATION_BOUND = 1e4
 # solved as given.
 SCALE_MIN = 2.0 ** -256
 SCALE_MAX = 2.0 ** 256
+# The eigenvalue count (`_count_below`): the largest change in the phase of
+# det(T - z), in radians, that one contour step may show, both as estimated
+# from the log-derivative and as measured; the contour points it may evaluate
+# per row of the segment, and the passes over the rows it may make, before it
+# gives up; the fewest rows on which QL tries it (on fewer, QL reaches the
+# Bendixson exit for less than a count costs); and the relative gap below
+# which two real parts are a tie it cannot split (a conjugate pair's differ
+# only by rounding).
+COUNT_STEP = 1.0
+COUNT_POINTS_PER_ROW = 16
+COUNT_ROUNDS = 6
+COUNT_MIN_ROWS = 64
+COUNT_TIE_REL = 1e-8
 
 __all__ = [
     "EigenConvergenceError",
@@ -174,6 +196,11 @@ def eigenvalues(t):
         if sweeps % 10 == 0:
             # exceptional shift to break symmetry-induced cycles
             shift = h[hi - 1, hi - 1] + 0.75 * abs(h[hi - 1, hi - 2])
+        elif sweeps % 10 == 5 and sweeps > 10:
+            # the mean eigenvalue of the block, once the shift above has not
+            # helped: a nilpotent block cycles under both, and its eigenvalues
+            # all sit at that mean
+            shift = np.trace(h[lo:hi, lo:hi]) / (hi - lo)
         else:
             l1, l2 = _eig2(
                 h[hi - 2, hi - 2], h[hi - 2, hi - 1], h[hi - 1, hi - 2], h[hi - 1, hi - 1]
@@ -268,6 +295,133 @@ def _symmetric_offdiagonal(t):
     return np.sqrt(t.upper) * np.sqrt(t.lower)
 
 
+def _box(d, e, c):
+    """(left, height) such that every eigenvalue with real part below c of the
+    complex symmetric tridiagonal A + iB with diagonal d and off-diagonal e
+    lies in [left, c] x [-height, height].
+
+    For an eigenvector v with weights w_k = |v_k|^2 / v*v, Re lambda = v*Av/v*v
+    is at least sum w_k sigma_k with sigma_k = A_kk - |A_k,k-1| - |A_k,k+1|, and
+    |Im lambda| = |v*Bv|/v*v at most sum w_k rho_k with rho_k = |B_kk| +
+    |B_k,k-1| + |B_k,k+1|.  When Re lambda < c, sum w_k (c - sigma_k) > 0, so for
+    every alpha >= 0, |Im lambda| <= max_k rho_k + alpha (c - sigma_k); the
+    height is that bound at a near-minimizing alpha, found by bisection on the
+    slope of the active row.
+    """
+    re_e, im_e = np.abs(e.real), np.abs(e.imag)
+    sigma = d.real.copy()
+    sigma[:-1] -= re_e
+    sigma[1:] -= re_e
+    rho = np.abs(d.imag)
+    rho[:-1] += im_e
+    rho[1:] += im_e
+    slope = c - sigma
+    falling = slope < 0
+    # at hi every falling row is at most 0, below every rising row
+    lo, hi = 0.0, (float(rho.max() / -slope[falling].max()) if falling.any() else 0.0)
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        if slope[np.argmax(rho + mid * slope)] > 0:
+            hi = mid
+        else:
+            lo = mid
+    return float(sigma.min()), float((rho + hi * slope).max())
+
+
+def _det_phase(d, e2, z):
+    """(phase of det(T - z), d/dz log det(T - z)) at the points z, for the
+    complex symmetric tridiagonal T with diagonal d and squared off-diagonal
+    e2 (lists), by the ratio continuant r_k = d_k - z - e2_{k-1} / r_{k-1}.
+
+    det(T - z) is the product of the r_k, and its log-derivative the sum of
+    r_k' / r_k; the running product is renormalised every 8 rows.  A
+    vanishing r_k makes the values non-finite, and no warning is raised.
+    """
+    with np.errstate(all="ignore"):
+        r = d[0] - z
+        slope = -1.0 / r  # r_k' / r_k
+        g = slope.copy()
+        phase = r.copy()
+        q = np.empty_like(z)
+        for k in range(1, len(d)):
+            np.divide(e2[k - 1], r, out=q)
+            slope *= q
+            slope -= 1.0
+            np.subtract(d[k], z, out=r)
+            r -= q
+            slope /= r
+            g += slope
+            phase *= r
+            if k % 8 == 0:
+                phase /= np.abs(phase)
+        return phase / np.abs(phase), g
+
+
+def _count_below(d, e, c, pad):
+    """How many eigenvalues of the complex symmetric tridiagonal with diagonal
+    d and off-diagonal e (arrays) have real part below c, or None when the
+    count cannot be trusted.
+
+    The argument principle on the rectangle of `_box`, padded by pad on the
+    left, top and bottom, with its right edge on Re z = c (Delves & Lyness,
+    Math. Comp. 21 (1967) 543).  Each contour step is split into ceil(need)
+    pieces until |g| |dz| at both ends and the phase change of det over it are
+    at most COUNT_STEP; the winding is then read from the phase changes, and
+    read again after refining to COUNT_STEP / 2.  The count stands only when
+    both windings are within 1e-3 of the same integer.  It gives None on a
+    non-finite value, on a step within COUNT_STEP by g whose phase turns other
+    than g's trapezoid rule says by more than a quarter step (rounding has
+    swamped det there, as near eigenvalues with condition numbers near 1e13),
+    or past COUNT_POINTS_PER_ROW points per row or COUNT_ROUNDS passes over
+    the rows.
+    """
+    left, height = _box(d, e, c)
+    x, y = left - pad, height + pad
+    corners = [complex(x, -y), complex(c, -y), complex(c, y), complex(x, y), complex(x, -y)]
+    # counterclockwise, 8 steps per side, the first point repeated at the end
+    z = np.concatenate([np.linspace(a, b, 8, endpoint=False) for a, b in zip(corners, corners[1:])]
+                       + [corners[:1]])
+    d, e2 = d.tolist(), (e * e).tolist()
+    phase, g = _det_phase(d, e2, z)
+    budget = COUNT_POINTS_PER_ROW * len(d)
+    spent, rounds = z.size, 1
+    counts = []
+    for step in (COUNT_STEP, 0.5 * COUNT_STEP):
+        while True:
+            if not (np.isfinite(phase).all() and np.isfinite(g).all()):
+                return None
+            dz = np.diff(z)
+            turn = np.angle(phase[1:] * phase[:-1].conj())
+            bound = np.maximum(np.abs(g[1:]), np.abs(g[:-1])) * np.abs(dz)
+            # on a step the log-derivative resolves, the phase must turn as
+            # its trapezoid rule says; where it does not, rounding swamps det
+            trapezoid = (0.5 * (g[1:] + g[:-1]) * dz).imag
+            if np.any(np.abs(turn - trapezoid)[bound <= step] > 0.25 * step):
+                return None
+            need = np.maximum(bound, np.abs(turn))
+            extra = np.ceil(np.minimum(need / step, budget)).astype(int) - 1
+            extra[extra < 0] = 0
+            total = int(extra.sum())
+            if total == 0:
+                break
+            spent += total
+            rounds += 1
+            if spent > budget or rounds > COUNT_ROUNDS:
+                return None
+            # extra[j] points evenly inside step j, evaluated, then put in place
+            seg = np.repeat(np.arange(dz.size), extra)
+            frac = (np.arange(total) - np.repeat(np.cumsum(extra) - extra, extra) + 1.0) / (extra[seg] + 1)
+            new = z[seg] + frac * dz[seg]
+            new_phase, new_g = _det_phase(d, e2, new)
+            z, phase, g = (np.insert(old, seg + 1, fresh)
+                           for old, fresh in ((z, new), (phase, new_phase), (g, new_g)))
+        winding = float(turn.sum()) / (2.0 * math.pi)
+        if abs(winding - round(winding)) > 1e-3:
+            return None
+        counts.append(round(winding))
+    return counts[0] if counts[0] == counts[1] else None
+
+
 class _QLBreakdown(Exception):
     """Complex orthogonal QL stalled or needed an oversized rotation."""
 
@@ -281,16 +435,36 @@ def _ql_symmetric(d, e, floor, lowest=None):
     sweeps for one eigenvalue, raises _QLBreakdown.
 
     With `lowest`, returns d[:found] as soon as the values deflated so far
-    provably hold the `lowest` of smallest real part.  By Bendixson's theorem
-    every eigenvalue of the trailing block T' has real part at least the
-    smallest eigenvalue of its Hermitian part, which for a complex symmetric T'
-    is Re T'; the Gershgorin bound of that real tridiagonal, less floor, must
-    exceed the lowest-th smallest real part found.  Later sweeps never touch
-    d[:found], so the values returned are those of the full solve.
+    provably hold the `lowest` of smallest real part, by one of two
+    certificates.  Later sweeps never touch d[:found], so the values returned
+    are those of the full solve.
+
+    - Bendixson, tried after every deflation: every eigenvalue of the trailing
+      block T' has real part at least the smallest eigenvalue of its Hermitian
+      part, which for a complex symmetric T' is Re T'; the Gershgorin bound of
+      that real tridiagonal, less floor, must exceed the lowest-th smallest
+      real part found.  The rotations inflate Re T', so on truncations this
+      often fires only after most of the block has deflated.
+    - The count, tried once, at found = lowest + 1, when Bendixson has not
+      fired and the segment has at least COUNT_MIN_ROWS rows: with c midway
+      between the lowest-th and the next real part found, `_count_below`
+      counts the eigenvalues of the segment as given that have real part below
+      c.  Exactly `lowest` means no eigenvalue still in T' lies left of c.
+      Its contour encloses the weighted-Bendixson box of `_box`: with the
+      segment A + iB, sigma_k = A_kk - |A_k,k-1| - |A_k,k+1| and rho_k =
+      |B_kk| + |B_k,k-1| + |B_k,k+1|, every eigenvalue with real part below c
+      lies in [min sigma, c] x [-H, H], H = max_k rho_k + alpha (c - sigma_k)
+      for any alpha >= 0.  Unlike the theorem's box, its height does not grow
+      with the segment.  When the count gives up, or a tie leaves no room for
+      c, QL goes on.
     """
     n = len(d)
     # read once, as locals: the loops below test them at every step
     deflation_rel, max_sweeps = DEFLATION_REL, MAX_SWEEPS
+    count = lowest is not None and lowest + 1 < n and n >= COUNT_MIN_ROWS
+    if count:
+        # the count reads the segment as given; the sweeps overwrite d and e
+        segment = np.array(d), np.array(e[:-1])
     for lo in range(n):
         sweeps = 0
         while True:
@@ -336,12 +510,17 @@ def _ql_symmetric(d, e, floor, lowest=None):
                 e[m] = 0.0
         found = lo + 1
         if lowest is not None and lowest <= found < n:
-            x = sorted(v.real for v in d[:found])[lowest - 1]
+            real = sorted(v.real for v in d[:found])
+            x = real[lowest - 1]
             # Gershgorin rows of Re T' (e[lo], below the deflation threshold, is
             # dropped as the sweeps drop it), stopping at the first that fails
             rows = zip(d[found:], chain((0.0,), e[found:]), e[found:])
             if all(v.real - abs(a.real) - abs(b.real) - floor > x for v, a, b in rows):
                 return d[:found]
+            if count and found == lowest + 1 and real[lowest] - x > COUNT_TIE_REL * abs(x):
+                line = 0.5 * (x + real[lowest])
+                if _count_below(*segment, line, line - x) == lowest:
+                    return d[:found]
     return d
 
 
@@ -359,7 +538,8 @@ def tridiagonal_eigenvalues(t, lowest=None):
     which runs QR on the same symmetric matrix.
 
     With `lowest`, QL on each segment stops once the values it has deflated
-    provably include the segment's `lowest` of smallest real part (see
+    provably include the segment's `lowest` of smallest real part, by
+    Bendixson's theorem or by counting the eigenvalues left of a line (see
     `_ql_symmetric`).  The result is the first `lowest` values of the full
     solve, unless that solve would break down on a segment only after the
     point where this one stopped, and go to the dense QR there.

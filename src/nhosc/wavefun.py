@@ -8,7 +8,9 @@ underflows, each point carries a power-of-two exponent through the
 recurrence, so the tails of high levels stay accurate.  Default grids span
 +-12/sqrt(w), which covers the Gaussian tail far below double precision, or
 for level n its turning point sqrt(2n+1)/sqrt(w) plus 6/sqrt(w) of tail, when
-that is wider (n >= 18).
+that is wider (n >= 18).  Level n needs POINTS_PER_NODE_SPACING points per
+node spacing pi/sqrt((2n+1) w) across that width (`min_grid_points`), more
+than DEFAULT_GRID_POINTS from level 675 on.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import numpy as np
 
 DEFAULT_GRID_POINTS = 4001
 DEFAULT_SPAN_SIGMAS = 12.0
+# grid points per node spacing pi/sqrt((2n+1) w) that level n needs
+POINTS_PER_NODE_SPACING = 4
 FAR_RESCALE_BITS = 500
 
 __all__ = [
@@ -28,6 +32,7 @@ __all__ = [
     "WavefunctionSample",
     "uniform_grid",
     "default_halfwidth",
+    "min_grid_points",
     "default_grid",
     "hermite_function",
     "hermite_basis",
@@ -107,6 +112,17 @@ def default_halfwidth(omega, level=0):
     return max(DEFAULT_SPAN_SIGMAS, math.sqrt(2 * level + 1) + 6.0) / math.sqrt(_check_omega(omega))
 
 
+def min_grid_points(level):
+    """Fewest points of a default-width grid that resolve level n:
+    POINTS_PER_NODE_SPACING per node spacing pi/sqrt((2n+1) w), the spacing
+    of its nodes near the origin; at any w, since width and spacing both
+    scale as 1/sqrt(w).  3 below level 2, which has no two nodes."""
+    if level < 2:
+        return 3
+    spacings = 2.0 * default_halfwidth(1.0, level) * math.sqrt(2 * level + 1) / math.pi
+    return math.ceil(POINTS_PER_NODE_SPACING * spacings) + 1
+
+
 def default_grid(omega, n_points=DEFAULT_GRID_POINTS, level=0):
     return uniform_grid(default_halfwidth(omega, level), n_points)
 
@@ -128,8 +144,9 @@ def _finite_samples(x, name="x"):
     return x
 
 
-def hermite_basis(n_max, omega, x):
-    """Rows 0..n_max of the orthonormal oscillator eigenfunctions at x.
+def _hermite_rows(n_max, omega, x):
+    """Rows 0..n_max of the orthonormal oscillator eigenfunctions at the flat
+    array x, one at a time, holding O(x.size) memory.
 
     Each point carries a power-of-two exponent through the recurrence.  Where
     the Gaussian is subnormal or underflows to 0, it starts from the
@@ -139,15 +156,11 @@ def hermite_basis(n_max, omega, x):
     exponent is 0 and no row nears the bound, so the arithmetic is the plain
     recurrence's.
     """
-    omega = _check_omega(omega)
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    x = _finite_samples(x)
     scale = (omega / math.pi) ** 0.25
     # y and y * y overflow only where the Gaussian's exact value, and so every
     # row's, underflows to 0; a finite y there keeps the rows from inf * 0
     with np.errstate(over="ignore"):
-        y = math.sqrt(omega) * x.ravel()
+        y = math.sqrt(omega) * x
         half_square = 0.5 * y * y
     y = np.where(np.isinf(y), 0.0, y)
     # beyond 2**30 every row of any level that fits in memory underflows
@@ -156,24 +169,43 @@ def hermite_basis(n_max, omega, x):
     prev = np.zeros_like(y)
     cur = scale * np.exp(-half_square - exponent * math.log(2.0))
     exponent = exponent.astype(np.int64)
-    out = np.empty((n_max + 1, y.size))
-    out[0] = np.ldexp(cur, exponent)
+    yield np.ldexp(cur, exponent)
     for k in range(n_max):
         prev, cur = cur, math.sqrt(2.0 / (k + 1)) * y * cur - math.sqrt(k / (k + 1.0)) * prev
         big = np.abs(cur) > 2.0 ** FAR_RESCALE_BITS
         prev[big] = np.ldexp(prev[big], -FAR_RESCALE_BITS)
         cur[big] = np.ldexp(cur[big], -FAR_RESCALE_BITS)
         exponent[big] += FAR_RESCALE_BITS
-        out[k + 1] = np.ldexp(cur, exponent)
+        yield np.ldexp(cur, exponent)
+
+
+def _hermite_args(n_max, omega, x):
+    omega = _check_omega(omega)
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    return omega, _finite_samples(x)
+
+
+def hermite_basis(n_max, omega, x):
+    """Rows 0..n_max of the orthonormal oscillator eigenfunctions at x (see
+    `_hermite_rows`)."""
+    omega, x = _hermite_args(n_max, omega, x)
+    out = np.empty((n_max + 1, x.size))
+    for k, row in enumerate(_hermite_rows(n_max, omega, x.ravel())):
+        out[k] = row
     return out.reshape((n_max + 1,) + x.shape)
 
 
 def hermite_function(n, omega, x):
-    """n-th orthonormal eigenfunction of p^2/2 + w^2 x^2/2 at frequency w."""
-    values = hermite_basis(int(n), omega, x)[int(n)]
+    """n-th orthonormal eigenfunction of p^2/2 + w^2 x^2/2 at frequency w:
+    row n of `hermite_basis`, bit for bit, in O(x.size) memory."""
+    n = int(n)
+    omega, x = _hermite_args(n, omega, x)
+    for row in _hermite_rows(n, omega, x.ravel()):
+        pass
     if np.ndim(x) == 0:
-        return float(values)
-    return values
+        return float(row[0])
+    return row.reshape(x.shape)
 
 
 def rm_ground_width(alpha, beta):

@@ -328,6 +328,25 @@ class TestWavefunction:
         assert abs(doc["results"]["norm"] - 1.0) <= 1e-13
         assert doc["results"]["nodes"] == level
 
+    @pytest.mark.parametrize("level, points", [(650, 4001), (700, 4141), (1500, 8480),
+                                               (3000, 16467)])
+    def test_default_grid_resolves_every_level(self, capsys, level, points):
+        # 4 points per node spacing pi/sqrt(2n+1); 4001 at 4001 points read
+        # norm 1 - 4e-3 at level 1500 and 0.985 with 2964 nodes at level 3000
+        code, doc = run_json(capsys, "wavefunction", "--level", str(level))
+        assert code == 0
+        assert doc["diagnostics"]["grid_points"] == doc["config"]["grid_points"] == points
+        assert abs(doc["results"]["norm"] - 1.0) <= 1e-10
+        assert doc["results"]["nodes"] == level
+
+    def test_too_few_grid_points_for_the_level(self, capsys):
+        code, out, err = run_cli(capsys, "wavefunction", "--level", "1500",
+                                 "--grid-points", "8479")
+        assert (code, out) == (2, "")
+        assert err == ("nhosc: error: level 1500 needs at least 8480 grid-points on the "
+                       "default grid, 4 per node spacing; got 8479\n")
+        assert run_cli(capsys, "wavefunction", "--level", "1500", "--grid-points", "8480")[0] == 0
+
     def test_csv_has_constant_summary_columns(self, capsys):
         code, out, _ = run_cli(
             capsys, "wavefunction", "--level", "1", "--grid-points", "11",

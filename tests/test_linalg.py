@@ -90,6 +90,16 @@ class TestEigenvalues:
         eig = linalg.eigenvalues(linalg.Tridiagonal([0, 0], [0], [1]))
         assert np.abs(eig).max() == 0.0
 
+    @pytest.mark.parametrize("shift", [0.0, -1.0, 1j])
+    def test_nilpotent_symmetric_cycle(self, shift):
+        # symmetrized, a complex symmetric nilpotent matrix (plus shift) on
+        # which Wilkinson and the corner exceptional shift cycle
+        t = linalg.Tridiagonal([shift] * 3, [1 - 1j, 1 - 1j], [-1j, 1j])
+        bound = 10 * np.finfo(float).eps ** (1 / 3) * t.norm()
+        for solve in (linalg.eigenvalues, linalg.tridiagonal_eigenvalues):
+            eig = solve(t)
+            assert eig.size == 3 and np.abs(eig - shift).max() <= bound
+
     def test_rotation_generator(self):
         eig = linalg.eigenvalues(linalg.Tridiagonal([0, 0], [-1], [1]))
         assert np.abs(eig - np.array([-1j, 1j])).max() < 1e-14

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nhosc import canonical, linalg, spectra
+from nhosc import canonical, cli, linalg, spectra
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -378,6 +378,21 @@ class TestLowestLevels:
         for k, lowest, prefix in lowest_prefixes(t):
             assert np.array_equal(lowest, prefix), k
 
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 4.0]), st.booleans())
+    def test_prefix_of_full_solve_where_the_count_runs(self, seed, grade, real_symmetric):
+        # unreduced graded segments of at least COUNT_MIN_ROWS rows
+        rng = np.random.default_rng(seed)
+        t = random_tridiagonal(rng, int(rng.integers(linalg.COUNT_MIN_ROWS, 130)))
+        diag = t.diag + grade * np.arange(t.size)
+        if real_symmetric:
+            t = linalg.Tridiagonal(diag.real, t.lower.real, t.lower.real)
+        else:
+            t = linalg.Tridiagonal(diag, t.lower, t.upper)
+        full = linalg.tridiagonal_eigenvalues(t)
+        for k in (1, 3, 10, 25):
+            assert np.array_equal(linalg.tridiagonal_eigenvalues(t, lowest=k), full[:k]), k
+
     @PROPERTY_SETTINGS
     @given(graded_tridiagonals())
     def test_k_smallest_real_parts_of_lapack(self, t):
@@ -471,3 +486,158 @@ class TestLowestLevels:
             spectra.verify_isospectral(transform, trunc=120, n_levels=8, solved=solved)
         assert spectra.eta_check(solved, 4).passed
         assert spectra.verify_isospectral(transform, trunc=120, n_levels=4, solved=solved).passed
+
+
+def symmetrized(t):
+    """(diag, off-diagonal) of the complex symmetric form QL and the count solve."""
+    return t.diag, linalg._symmetric_offdiagonal(t)
+
+
+@st.composite
+def symmetrized_segments(draw):
+    """Random complex tridiagonals, and parity blocks of truncations of every
+    family, in the symmetrized form."""
+    if draw(st.booleans()):
+        return symmetrized(draw(tridiagonals()))
+    fock = spectra.quadratic_fock_matrix(draw(quadratics()), 1.0, draw(st.integers(2, 120)))
+    return symmetrized(fock.blocks[draw(st.integers(0, 1))])
+
+
+def admissible_blocks(rng, count):
+    """(name, block) for `count` seeded parity blocks of mix, three-parameter,
+    gamma and explicit-transform truncations, N from 8 to 400."""
+    for k in range(count):
+        kind = ("mix", "three_param", "gamma", "explicit")[k % 4]
+        if kind == "mix":
+            alpha, beta = rng.uniform(-0.7, 0.7, size=2)
+            quad = spectra.rath_mallick_oscillator(alpha, beta).as_quadratic()
+        elif kind == "three_param":
+            h11, h22 = rng.uniform(0.3, 0.7, size=2)
+            quad = spectra.ThreeParamOscillator(h11, rng.uniform(-0.4, 0.4), h22).as_quadratic()
+        elif kind == "gamma":
+            alpha = rng.uniform(0.8, 1.2)
+            quad = canonical.ahmed_hermitian(rng.uniform(-0.6, 0.6) * alpha, alpha=alpha)
+        else:
+            u11 = complex(rng.uniform(0.7, 1.4), rng.uniform(-0.4, 0.4))
+            u12, u21 = (complex(*rng.uniform(-0.4, 0.4, size=2)) for _ in range(2))
+            transform = canonical.from_matrix(u11, u12, u21, (1 + u12 * u21) / u11)
+            quad = canonical.apply_to_quadratic(transform, canonical.harmonic_oscillator())
+        trunc = int(rng.choice([8, 16, 40, 100, 160, 200, 300, 400]))
+        block = spectra.quadratic_fock_matrix(quad, 1.0, trunc).blocks[k // 4 % 2]
+        yield f"{kind} N={trunc} parity={k // 4 % 2}", block
+
+
+class TestEigenvalueCount:
+    """The second certificate of `lowest`: count the eigenvalues left of c by
+    the argument principle on the weighted-Bendixson box."""
+
+    @PROPERTY_SETTINGS
+    @given(symmetrized_segments())
+    def test_box_holds_every_eigenvalue_left_of_c(self, segment):
+        d, e = segment
+        sym = linalg.Tridiagonal(d, e, e)
+        values, kappa = lapack_eigenvalues_and_condition(sym.dense())
+        # LAPACK's own error, kappa * eps * ||T||, with room for rounding
+        slack = 1e-12 * kappa * max(sym.norm(), np.finfo(float).tiny)
+        real = np.sort(values.real)
+        for c in np.concatenate(((real[1:] + real[:-1]) / 2, [real[-1] + 1.0])):
+            left, height = linalg._box(d, e, c)
+            inside = values.real < c
+            assert np.all(values.real[inside] >= left - slack[inside])
+            assert np.all(np.abs(values.imag[inside]) <= height + slack[inside])
+
+    def test_box_is_far_lower_than_bendixson(self):
+        # Bendixson's box has height ||Im T||_2, ~940 on this block
+        quad = spectra.rath_mallick_oscillator(0.3, 0.2).as_quadratic()
+        d, e = symmetrized(spectra.quadratic_fock_matrix(quad, 1.0, 2000).blocks[0])
+        left, height = linalg._box(d, e, 16.5)
+        assert left <= 0.5 and height < 10
+
+    def test_count_matches_lapack(self):
+        rng = np.random.default_rng(41)
+        counted = 0
+        for name, block in admissible_blocks(rng, 48):
+            d, e = symmetrized(block)
+            sym = linalg.Tridiagonal(d, e, e).dense()
+            real = np.sort(np.linalg.eigvals(sym).real)
+            lowest = int(rng.integers(1, min(12, block.size - 1) + 1))
+            c = 0.5 * (real[lowest - 1] + real[lowest])
+            # where relative changes of 1e-13 in the entries move an eigenvalue
+            # across c, as at the truncation edge, LAPACK's count is not certain
+            jitter = 1.0 + 1e-13 * rng.uniform(-1.0, 1.0, size=sym.shape)
+            if np.count_nonzero(np.linalg.eigvals(sym * jitter).real < c) != lowest:
+                continue
+            count = linalg._count_below(d, e, c, c - real[lowest - 1])
+            assert count in (None, lowest), name
+            counted += count == lowest
+        assert counted >= 36
+
+    def test_fired_count_returns_the_full_prefix(self, monkeypatch):
+        fired = []
+        count_below = linalg._count_below
+
+        def spy(*args):
+            count = count_below(*args)
+            fired.append(count is not None)
+            return count
+
+        monkeypatch.setattr(linalg, "_count_below", spy)
+        rng = np.random.default_rng(43)
+        for name, block in admissible_blocks(rng, 24):
+            full = linalg.tridiagonal_eigenvalues(block)
+            for lowest in (1, 8, 20):
+                if lowest < block.size:
+                    assert np.array_equal(linalg.tridiagonal_eigenvalues(block, lowest=lowest),
+                                          full[:lowest]), (name, lowest)
+        assert sum(fired) >= 12
+
+    def test_gives_up_on_an_eigenvalue_on_the_contour(self):
+        # the contour's right edge passes through the eigenvalue 3 at z = 3
+        d = np.arange(80.0) + 0j
+        assert linalg._count_below(d, np.zeros(79, dtype=complex), 3.0, 0.5) is None
+        assert linalg._count_below(d, np.zeros(79, dtype=complex), 3.5, 0.5) == 4
+
+    def test_given_up_count_leaves_the_full_prefix(self, monkeypatch):
+        # at (0.6, 0.6) the levels from about 20 on have kappa near 1e13, and
+        # the count gives up on both blocks
+        counts = []
+        count_below = linalg._count_below
+
+        def spy(*args):
+            counts.append(count_below(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(linalg, "_count_below", spy)
+        quad = spectra.rath_mallick_oscillator(0.6, 0.6).as_quadratic()
+        for block in spectra.quadratic_fock_matrix(quad, 1.0, 400).blocks:
+            lowest = linalg.tridiagonal_eigenvalues(block, lowest=28)
+            assert np.array_equal(lowest, linalg.tridiagonal_eigenvalues(block)[:28])
+        assert counts == [None, None]
+
+    @pytest.mark.parametrize("argv, returned", [
+        # README: the oscillator splits into 1 x 1 segments, which QL never sees
+        (["spectrum", "--h11", "0.5", "--h12", "0", "--h22", "0.5", "-n", "5"], []),
+        (["spectrum", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-n", "10", "-N", "200"],
+         [11, 11]),
+        (["verify", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-N", "200", "-n", "8"], [9, 9]),
+        # the N = 400 spectrum workload points of seed 1; Bendixson alone needed
+        # about 70 of the 200 rows
+        (["spectrum", "--h11=0.5103847594360817", "--h12=0.2574171661963569",
+          "--h22=0.37622130850727764", "-n", "10", "-N", "400"], [11, 11]),
+        (["spectrum", "--rm-alpha=0.7218889872961263", "--rm-beta=-0.17155837111220518",
+          "-n", "10", "-N", "400"], [11, 11]),
+        # Bendixson alone needed 562 and 476 of the 1000 rows
+        (["verify", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-N", "2000", "-n", "8"], [9, 9]),
+    ])
+    def test_ql_stops_at_lowest_plus_one(self, monkeypatch, argv, returned):
+        sizes = []
+        ql = linalg._ql_symmetric
+
+        def spy(d, e, floor, lowest=None):
+            values = ql(d, e, floor, lowest)
+            sizes.append(len(values))
+            return values
+
+        monkeypatch.setattr(linalg, "_ql_symmetric", spy)
+        assert cli.main(argv) == 0
+        assert sizes == returned

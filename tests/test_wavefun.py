@@ -89,6 +89,30 @@ class TestHermiteFunction:
         assert np.array_equal(wavefun.hermite_basis(1000, 1.0, x[3:5]),
                               wavefun.hermite_basis(1000, 1.0, x)[:, 3:5])
 
+    @pytest.mark.parametrize("n", [0, 1, 17, 1000])
+    def test_row_of_the_basis_bit_for_bit(self, n):
+        # far points (|x| > 38.6) carry an exponent through the recurrence
+        x = np.concatenate((np.linspace(-60.0, 60.0, 241), [-1e300, 1e-300, 1e300]))
+        assert np.array_equal(wavefun.hermite_function(n, 0.7, x),
+                              wavefun.hermite_basis(n, 0.7, x)[n])
+        grid = x.reshape(4, -1)
+        assert np.array_equal(wavefun.hermite_function(n, 0.7, grid),
+                              wavefun.hermite_basis(n, 0.7, grid)[n])
+        assert wavefun.hermite_function(n, 0.7, 2.5) == wavefun.hermite_basis(n, 0.7, 2.5)[n]
+
+    def test_memory_independent_of_level(self):
+        import tracemalloc
+
+        x = np.linspace(-50.0, 50.0, 20001)
+        tracemalloc.start()
+        try:
+            wavefun.hermite_function(1000, 1.0, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few rows of 8-byte samples, not the 1001 rows of the basis
+        assert peak < 16 * x.size * 8
+
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             wavefun.hermite_function(0, 0.0, 1.0)
