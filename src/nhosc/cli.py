@@ -758,7 +758,8 @@ def _grid(ns, omega, level=0):
 
     The default grid has DEFAULT_GRID_POINTS points, or more where the level
     needs them (wavefun.min_grid_points); fewer explicit --grid-points than
-    that on the default width are a ConfigError."""
+    that on the default width, or a --grid-span grid spaced wider than
+    wavefun.max_grid_spacing, are a ConfigError."""
     fewest = wavefun.min_grid_points(level)
     if ns.grid_points is None:
         ns.grid_points = max(wavefun.DEFAULT_GRID_POINTS, fewest)
@@ -768,6 +769,14 @@ def _grid(ns, omega, level=0):
                               f"default grid, {wavefun.POINTS_PER_NODE_SPACING} per node "
                               f"spacing; got {ns.grid_points}")
         return wavefun.default_grid(omega, ns.grid_points, level)
+    # spacings, not point counts, stay finite for every finite span
+    widest = wavefun.max_grid_spacing(level, omega)
+    spacing = ns.grid_span / (ns.grid_points - 1) * 2.0
+    if spacing > widest:
+        raise ConfigError(f"level {level} needs a grid spacing of at most {widest:.6g}, "
+                          f"{wavefun.POINTS_PER_NODE_SPACING} per node spacing; --grid-span "
+                          f"{ns.grid_span:g} with {ns.grid_points} grid-points spaces them "
+                          f"{spacing:.6g}")
     grid = wavefun.uniform_grid(ns.grid_span, ns.grid_points)
     bound = wavefun.default_halfwidth(omega, level)
     inside = int(np.count_nonzero(np.abs(grid.points) <= bound))

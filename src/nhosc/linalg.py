@@ -9,9 +9,10 @@ deflated are proved to include them, by either of two certificates (see
 `_ql_symmetric`): Bendixson's theorem with a Gershgorin bound on the block
 still to deflate, or a count of the eigenvalues left of a vertical line by the
 argument principle.  The count walks a contour around a weighted-Bendixson box
-(`_box`) that holds every eigenvalue left of the line, and evaluates
-det(T - z) and its log-derivative by the O(n) continuant (`_det_phase`),
-vectorised over the contour points.
+(`_box`) that holds every eigenvalue left of the line, spaced by the
+eigenvalues already found (`_contour`), and evaluates det(T - z) and its
+log-derivative by the O(n) continuant (`_det_phase`), vectorised over the
+contour points.
 
 `eigenvalues` runs single-shift QR with Wilkinson shifts, deflating one or two
 eigenvalues at a time, on the dense form of the same symmetrized matrix.  It
@@ -48,14 +49,19 @@ SCALE_MAX = 2.0 ** 256
 # from the log-derivative and as measured; the contour points it may evaluate
 # per row of the segment, and the passes over the rows it may make, before it
 # gives up; the fewest rows on which QL tries it (on fewer, QL reaches the
-# Bendixson exit for less than a count costs); and the relative gap below
-# which two real parts are a tie it cannot split (a conjugate pair's differ
-# only by rounding).
+# Bendixson exit for less than a count costs); the relative gap below which
+# two real parts are a tie it cannot split (a conjugate pair's differ only by
+# rounding); the points per side at which the first contour samples its
+# density, and the phase change per step it aims at (`_contour`): a tenth
+# under COUNT_STEP / 2, so that the few percent its estimate of g falls short
+# near the box's left edge rarely costs a second pass.
 COUNT_STEP = 1.0
 COUNT_POINTS_PER_ROW = 16
 COUNT_ROUNDS = 6
 COUNT_MIN_ROWS = 64
 COUNT_TIE_REL = 1e-8
+COUNT_SAMPLES = 256
+COUNT_FIRST_STEP = 0.45
 
 __all__ = [
     "EigenConvergenceError",
@@ -357,33 +363,63 @@ def _det_phase(d, e2, z):
         return phase / np.abs(phase), g
 
 
-def _count_below(d, e, c, pad):
+def _contour(corners, found, rest):
+    """Points along the closed polygon `corners`, counterclockwise, the first
+    repeated at the end, spaced so that |g| |dz| is about COUNT_FIRST_STEP.
+
+    g, the log-derivative of det(T - z), is estimated as |sum 1/(z - mu)| over
+    the eigenvalues `found` plus the constant `rest` for the others.  That
+    density is sampled at COUNT_SAMPLES points per side, and the points are
+    placed where its running integral crosses whole numbers.  None when a
+    found eigenvalue lies on a sample.
+    """
+    s = np.linspace(0.0, 1.0, COUNT_SAMPLES + 1)
+    sides = []
+    for a, b in zip(corners, corners[1:]):
+        z = a + s * (b - a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            density = np.abs((1.0 / (z[:, None] - found)).sum(axis=1)) + rest
+        steps = np.maximum(density[1:], density[:-1]) * (abs(b - a) / COUNT_SAMPLES)
+        total = np.concatenate(([0.0], np.cumsum(steps))) / COUNT_FIRST_STEP
+        if not math.isfinite(total[-1]):
+            return None
+        # at least one point per side, the corner
+        points = np.interp(np.arange(max(math.ceil(total[-1]), 1)), total, s)
+        sides.append(a + points * (b - a))
+    return np.concatenate(sides + [corners[:1]])
+
+
+def _count_below(d, e, c, pad, found):
     """How many eigenvalues of the complex symmetric tridiagonal with diagonal
     d and off-diagonal e (arrays) have real part below c, or None when the
-    count cannot be trusted.
+    count cannot be trusted; found holds the eigenvalues already known, those
+    of the first len(found) rows.
 
     The argument principle on the rectangle of `_box`, padded by pad on the
     left, top and bottom, with its right edge on Re z = c (Delves & Lyness,
-    Math. Comp. 21 (1967) 543).  Each contour step is split into ceil(need)
-    pieces until |g| |dz| at both ends and the phase change of det over it are
-    at most COUNT_STEP; the winding is then read from the phase changes, and
-    read again after refining to COUNT_STEP / 2.  The count stands only when
-    both windings are within 1e-3 of the same integer.  It gives None on a
-    non-finite value, on a step within COUNT_STEP by g whose phase turns other
-    than g's trapezoid rule says by more than a quarter step (rounding has
-    swamped det there, as near eigenvalues with condition numbers near 1e13),
-    or past COUNT_POINTS_PER_ROW points per row or COUNT_ROUNDS passes over
-    the rows.
+    Math. Comp. 21 (1967) 543).  The first contour (`_contour`) is graded by
+    the found eigenvalues, and the other rows add half their sum of
+    1 / max(|Re d_k - c|, pad), so usually one pass over the rows is enough.
+    Each contour step is split into ceil(need) pieces until |g| |dz| at both
+    ends and the phase change of det over it are at most COUNT_STEP; the
+    winding is then read from the phase changes, and read again after
+    refining to COUNT_STEP / 2.  The count stands only when both windings are
+    within 1e-3 of the same integer.  It gives None on a non-finite value, on
+    a step within COUNT_STEP by g whose phase turns other than g's trapezoid
+    rule says by more than a quarter step (rounding has swamped det there, as
+    near eigenvalues with condition numbers near 1e13), or past
+    COUNT_POINTS_PER_ROW points per row or COUNT_ROUNDS passes over the rows.
     """
     left, height = _box(d, e, c)
     x, y = left - pad, height + pad
     corners = [complex(x, -y), complex(c, -y), complex(c, y), complex(x, y), complex(x, -y)]
-    # counterclockwise, 8 steps per side, the first point repeated at the end
-    z = np.concatenate([np.linspace(a, b, 8, endpoint=False) for a, b in zip(corners, corners[1:])]
-                       + [corners[:1]])
+    rest = 0.5 * float((1.0 / np.maximum(np.abs(d.real[len(found):] - c), pad)).sum())
+    z = _contour(corners, found, rest)
+    budget = COUNT_POINTS_PER_ROW * len(d)
+    if z is None or z.size > budget:
+        return None
     d, e2 = d.tolist(), (e * e).tolist()
     phase, g = _det_phase(d, e2, z)
-    budget = COUNT_POINTS_PER_ROW * len(d)
     spent, rounds = z.size, 1
     counts = []
     for step in (COUNT_STEP, 0.5 * COUNT_STEP):
@@ -519,7 +555,7 @@ def _ql_symmetric(d, e, floor, lowest=None):
                 return d[:found]
             if count and found == lowest + 1 and real[lowest] - x > COUNT_TIE_REL * abs(x):
                 line = 0.5 * (x + real[lowest])
-                if _count_below(*segment, line, line - x) == lowest:
+                if _count_below(*segment, line, line - x, np.array(d[:found])) == lowest:
                     return d[:found]
     return d
 

@@ -328,23 +328,36 @@ class ParitySpectrum:
         return self.eigenvalues[:n_levels], self.parities[:n_levels]
 
 
+def _order(parts):
+    """Indices that sort the concatenated parts by real part then imaginary
+    part; stable, so even before odd on a tie."""
+    values = np.concatenate(parts)
+    return np.lexsort((values.imag, values.real))
+
+
 def parity_spectrum(fock, levels=None):
     """Solve each parity block of a FockMatrix with linalg.tridiagonal_eigenvalues.
 
-    With levels, each block solves only for its lowest `levels`, which are
-    certified to be its lowest, so the merged lowest `levels` are the whole
-    spectrum's.
+    With levels = L the two blocks' lowest interleave, so each block first
+    solves for its lowest k = L // 2 + 1, which are certified to be its lowest.
+    A block is complete when it was solved whole, or when its k-th value does
+    not sort before the merged L-th: every value it did not return sorts after
+    that one.  A block that is not complete is solved again for its lowest L,
+    which is always enough.  Either way each value is the full solve's, so the
+    merged lowest L are the whole spectrum's.
     """
-    eigs = []
-    labels = []
-    for par, block in enumerate(fock.blocks):
-        found = linalg.tridiagonal_eigenvalues(block, lowest=levels)
-        eigs.extend(found)
-        labels.extend([par] * len(found))
-    eigs = np.array(eigs)
-    labels = np.array(labels)
-    order = np.lexsort((eigs.imag, eigs.real))[:levels]
-    return ParitySpectrum(fock=fock, eigenvalues=eigs[order],
+    parts = [linalg.tridiagonal_eigenvalues(
+        block, lowest=None if levels is None else min(levels // 2 + 1, block.size))
+        for block in fock.blocks]
+    if levels is not None:
+        ends = np.cumsum([part.size for part in parts]) - 1
+        before = _order(parts)[:levels - 1]
+        for par, block in enumerate(fock.blocks):
+            if parts[par].size < block.size and ends[par] in before:
+                parts[par] = linalg.tridiagonal_eigenvalues(block, lowest=levels)
+    labels = np.repeat(np.arange(len(parts)), [part.size for part in parts])
+    order = _order(parts)[:levels]
+    return ParitySpectrum(fock=fock, eigenvalues=np.concatenate(parts)[order],
                           parities=labels[order], levels=levels)
 
 

@@ -10,7 +10,8 @@ recurrence, so the tails of high levels stay accurate.  Default grids span
 for level n its turning point sqrt(2n+1)/sqrt(w) plus 6/sqrt(w) of tail, when
 that is wider (n >= 18).  Level n needs POINTS_PER_NODE_SPACING points per
 node spacing pi/sqrt((2n+1) w) across that width (`min_grid_points`), more
-than DEFAULT_GRID_POINTS from level 675 on.
+than DEFAULT_GRID_POINTS from level 675 on, and on any other grid a spacing
+no wider than that (`max_grid_spacing`).
 """
 
 from __future__ import annotations
@@ -121,6 +122,16 @@ def min_grid_points(level):
         return 3
     spacings = 2.0 * default_halfwidth(1.0, level) * math.sqrt(2 * level + 1) / math.pi
     return math.ceil(POINTS_PER_NODE_SPACING * spacings) + 1
+
+
+def max_grid_spacing(level, omega):
+    """Widest grid spacing that resolves level n at frequency omega: the node
+    spacing pi/sqrt((2n+1) w) over POINTS_PER_NODE_SPACING; infinite below
+    level 2, which has no two nodes."""
+    if level < 2:
+        return math.inf
+    node_spacing = math.pi / (math.sqrt(2 * level + 1) * math.sqrt(_check_omega(omega)))
+    return node_spacing / POINTS_PER_NODE_SPACING
 
 
 def default_grid(omega, n_points=DEFAULT_GRID_POINTS, level=0):

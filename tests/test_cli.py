@@ -347,6 +347,23 @@ class TestWavefunction:
                        "default grid, 4 per node spacing; got 8479\n")
         assert run_cli(capsys, "wavefunction", "--level", "1500", "--grid-points", "8480")[0] == 0
 
+    def test_span_grid_too_coarse_for_the_level(self, capsys):
+        # 4001 points on +-70 read norm 0.9977 at level 1500, silently
+        code, out, err = run_cli(capsys, "wavefunction", "--level", "1500", "--grid-span", "70",
+                                 "--grid-points", "4001")
+        assert (code, out) == (2, "")
+        assert err == ("nhosc: error: level 1500 needs a grid spacing of at most 0.014337, "
+                       "4 per node spacing; --grid-span 70 with 4001 grid-points spaces them "
+                       "0.035\n")
+        # 140 / 0.0143369537 = 9764.98 steps
+        assert run_cli(capsys, "wavefunction", "--level", "1500", "--grid-span", "70",
+                       "--grid-points", "9765")[0] == 2
+        code, doc = run_json(capsys, "wavefunction", "--level", "1500", "--grid-span", "70",
+                             "--grid-points", "9766")
+        assert code == 0
+        assert abs(doc["results"]["norm"] - 1.0) <= 1e-10
+        assert doc["results"]["nodes"] == 1500
+
     def test_csv_has_constant_summary_columns(self, capsys):
         code, out, _ = run_cli(
             capsys, "wavefunction", "--level", "1", "--grid-points", "11",
@@ -536,6 +553,14 @@ class TestHugeCoefficients:
         code, out, err, caught = run_quiet(["wavefunction", "--level", "1", "--grid-span", "1e308"])
         assert caught == [] and (code, out) == (3, "")
         assert err == "nhosc: numeric failure: grid width 2 * 1e+308 overflows\n"
+
+    def test_wavefunction_span_grid_spacing_stays_finite(self):
+        argv = ["wavefunction", "--level", "2", "--grid-span", "1.7e308", "--grid-points", "5"]
+        code, out, err, caught = run_quiet(argv)
+        assert caught == [] and (code, out) == (2, "")
+        assert err == ("nhosc: error: level 2 needs a grid spacing of at most 0.351241, 4 per "
+                       "node spacing; --grid-span 1.7e+308 with 5 grid-points spaces them "
+                       "8.5e+307\n")
 
     def test_wavefunction_grid_too_wide_for_state(self):
         # every sample but the one at 0, where level 1 vanishes, underflows

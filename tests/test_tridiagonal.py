@@ -369,6 +369,25 @@ def gamma_block(trunc):
     return block
 
 
+SEEDED_KINDS = ("mix", "gauge", "three_param", "gamma")
+
+
+def seeded_quadratic(kind, seed):
+    """A quadratic of the family `kind` with parameters drawn from `seed`."""
+    rng = np.random.default_rng([seed, SEEDED_KINDS.index(kind)])
+    oscillator = canonical.harmonic_oscillator()
+    if kind == "mix":
+        alpha, beta = rng.uniform(-0.7, 0.7, size=2)
+        return canonical.apply_to_quadratic(canonical.rath_mallick(alpha, beta), oscillator)
+    if kind == "gauge":
+        return canonical.apply_to_quadratic(canonical.gauge(rng.uniform(-0.8, 0.8)), oscillator)
+    if kind == "three_param":
+        h11, h22 = rng.uniform(0.3, 0.7, size=2)
+        return spectra.ThreeParamOscillator(h11, rng.uniform(-0.4, 0.4), h22).as_quadratic()
+    alpha = rng.uniform(0.8, 1.2)
+    return canonical.ahmed_hermitian(rng.uniform(-0.6, 0.6) * alpha, alpha=alpha)
+
+
 class TestLowestLevels:
     """`lowest` stops QL early and returns the full solve's first values."""
 
@@ -464,15 +483,53 @@ class TestLowestLevels:
                                      canonical.harmonic_oscillator()),
         spectra.ThreeParamOscillator(0.5, 0.3, 0.6).as_quadratic(),
         canonical.ahmed_hermitian(-0.4, alpha=1.1),
-    ], ids=["mix", "three_param", "gamma"])
+    ] + [seeded_quadratic(kind, seed) for kind in SEEDED_KINDS for seed in (1, 2)],
+        ids=["mix", "three_param", "gamma"]
+        + [f"{kind}-{seed}" for kind in SEEDED_KINDS for seed in (1, 2)])
     def test_parity_spectrum_levels(self, quad, trunc):
         fock = spectra.quadratic_fock_matrix(quad, 1.0, trunc)
         full = spectra.parity_spectrum(fock)
-        for levels in (1, 10, 25):
+        for levels in (1, 2, 7, 10, 25):
             solved = spectra.parity_spectrum(fock, levels=levels)
             assert solved.levels == levels and full.levels is None
             assert np.array_equal(solved.eigenvalues, full.eigenvalues[:levels])
             assert np.array_equal(solved.parities, full.parities[:levels])
+
+    @pytest.mark.parametrize("odd_low, asked, odd_levels", [
+        # the even block's 6th value is the merged 6th: solved again
+        ([], [6, 6, 10], 0),
+        # the merged 9th, with the even block's 7th the merged 10th: solved again
+        ([0.5, 1.5, 2.5], [6, 6, 10], 3),
+        # the merged 10th: every value it did not return sorts after it
+        ([0.5, 1.5, 2.5, 3.5], [6, 6], 4),
+    ], ids=["none", "three", "four"])
+    def test_block_solved_again_when_its_kth_value_sorts_early(self, monkeypatch, odd_low, asked,
+                                                                odd_levels):
+        # the even block's levels sit near 0, 1, 2, ...; the odd block holds
+        # those near odd_low, and the rest from 100 on
+        rng = np.random.default_rng(47)
+        even, odd = (random_tridiagonal(rng, 80) for _ in range(2))
+        odd_diag = np.concatenate((odd_low, 100.0 + np.arange(80 - len(odd_low))))
+        even = linalg.Tridiagonal(1e-3 * even.diag + np.arange(80),
+                                  1e-3 * even.lower, 1e-3 * even.upper)
+        odd = linalg.Tridiagonal(1e-3 * odd.diag + odd_diag, 1e-3 * odd.lower, 1e-3 * odd.upper)
+        fock = spectra.FockMatrix(blocks=(even, odd), omega=1.0, size=160)
+        expected = [linalg.tridiagonal_eigenvalues(block, lowest=10) for block in (even, odd)]
+        values = np.concatenate(expected)
+        order = np.lexsort((values.imag, values.real))[:10]
+        calls = []
+        solve = linalg.tridiagonal_eigenvalues
+
+        def spy(t, lowest=None):
+            calls.append(lowest)
+            return solve(t, lowest)
+
+        monkeypatch.setattr(linalg, "tridiagonal_eigenvalues", spy)
+        solved = spectra.parity_spectrum(fock, levels=10)
+        assert calls == asked
+        assert np.array_equal(solved.eigenvalues, values[order])
+        assert np.array_equal(solved.parities, np.repeat([0, 1], 10)[order])
+        assert np.count_nonzero(solved.parities) == odd_levels
 
     def test_checks_reject_a_short_solution(self):
         transform = canonical.rath_mallick(0.3, 0.2)
@@ -527,6 +584,23 @@ def admissible_blocks(rng, count):
         yield f"{kind} N={trunc} parity={k // 4 % 2}", block
 
 
+# (argv, sizes QL returns per block) for commands whose blocks QL stops early
+QL_RUNS = [
+    # README: the oscillator splits into 1 x 1 segments, which QL never sees
+    (["spectrum", "--h11", "0.5", "--h12", "0", "--h22", "0.5", "-n", "5"], []),
+    (["spectrum", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-n", "10", "-N", "200"], [7, 7]),
+    (["verify", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-N", "200", "-n", "8"], [6, 6]),
+    # the N = 400 spectrum workload points of seed 1; Bendixson alone needed
+    # about 70 of the 200 rows
+    (["spectrum", "--h11=0.5103847594360817", "--h12=0.2574171661963569",
+      "--h22=0.37622130850727764", "-n", "10", "-N", "400"], [7, 7]),
+    (["spectrum", "--rm-alpha=0.7218889872961263", "--rm-beta=-0.17155837111220518",
+      "-n", "10", "-N", "400"], [7, 7]),
+    # Bendixson alone needed 562 and 476 of the 1000 rows
+    (["verify", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-N", "2000", "-n", "8"], [6, 6]),
+]
+
+
 class TestEigenvalueCount:
     """The second certificate of `lowest`: count the eigenvalues left of c by
     the argument principle on the weighted-Bendixson box."""
@@ -537,14 +611,24 @@ class TestEigenvalueCount:
         d, e = segment
         sym = linalg.Tridiagonal(d, e, e)
         values, kappa = lapack_eigenvalues_and_condition(sym.dense())
-        # LAPACK's own error, kappa * eps * ||T||, with room for rounding
-        slack = 1e-12 * kappa * max(sym.norm(), np.finfo(float).tiny)
+        # LAPACK's own error, kappa * eps * ||T||, with room for rounding;
+        # ||T|| from the entries over the largest, whose squares cannot
+        # underflow (those of a 1e-216 matrix do, and sym.norm() reads 0)
+        big = float(np.abs(sym.dense()).max())
+        norm = big * np.linalg.norm(sym.dense() / big) if big > 0 else 0.0
+        slack = 1e-12 * kappa * max(norm, np.finfo(float).tiny)
         real = np.sort(values.real)
         for c in np.concatenate(((real[1:] + real[:-1]) / 2, [real[-1] + 1.0])):
             left, height = linalg._box(d, e, c)
             inside = values.real < c
             assert np.all(values.real[inside] >= left - slack[inside])
-            assert np.all(np.abs(values.imag[inside]) <= height + slack[inside])
+            # within its error an eigenvalue LAPACK puts just left of c may lie
+            # right of it, where the box of c can be empty (i sqrt(2) off the
+            # diagonal of a zero 2 x 2 reads real part -5.6e-17 by LAPACK): it lies in
+            # the box of c plus its error
+            for value, err in zip(values[inside], slack[inside]):
+                if math.isfinite(err):
+                    assert abs(value.imag) <= linalg._box(d, e, c + err)[1] + err
 
     def test_box_is_far_lower_than_bendixson(self):
         # Bendixson's box has height ||Im T||_2, ~940 on this block
@@ -559,7 +643,8 @@ class TestEigenvalueCount:
         for name, block in admissible_blocks(rng, 48):
             d, e = symmetrized(block)
             sym = linalg.Tridiagonal(d, e, e).dense()
-            real = np.sort(np.linalg.eigvals(sym).real)
+            values = np.linalg.eigvals(sym)
+            real = np.sort(values.real)
             lowest = int(rng.integers(1, min(12, block.size - 1) + 1))
             c = 0.5 * (real[lowest - 1] + real[lowest])
             # where relative changes of 1e-13 in the entries move an eigenvalue
@@ -567,7 +652,8 @@ class TestEigenvalueCount:
             jitter = 1.0 + 1e-13 * rng.uniform(-1.0, 1.0, size=sym.shape)
             if np.count_nonzero(np.linalg.eigvals(sym * jitter).real < c) != lowest:
                 continue
-            count = linalg._count_below(d, e, c, c - real[lowest - 1])
+            found = values[np.argsort(values.real)][:lowest + 1]
+            count = linalg._count_below(d, e, c, c - real[lowest - 1], found)
             assert count in (None, lowest), name
             counted += count == lowest
         assert counted >= 36
@@ -594,8 +680,9 @@ class TestEigenvalueCount:
     def test_gives_up_on_an_eigenvalue_on_the_contour(self):
         # the contour's right edge passes through the eigenvalue 3 at z = 3
         d = np.arange(80.0) + 0j
-        assert linalg._count_below(d, np.zeros(79, dtype=complex), 3.0, 0.5) is None
-        assert linalg._count_below(d, np.zeros(79, dtype=complex), 3.5, 0.5) == 4
+        e = np.zeros(79, dtype=complex)
+        assert linalg._count_below(d, e, 3.0, 0.5, d[:5]) is None
+        assert linalg._count_below(d, e, 3.5, 0.5, d[:5]) == 4
 
     def test_given_up_count_leaves_the_full_prefix(self, monkeypatch):
         # at (0.6, 0.6) the levels from about 20 on have kappa near 1e13, and
@@ -614,22 +701,9 @@ class TestEigenvalueCount:
             assert np.array_equal(lowest, linalg.tridiagonal_eigenvalues(block)[:28])
         assert counts == [None, None]
 
-    @pytest.mark.parametrize("argv, returned", [
-        # README: the oscillator splits into 1 x 1 segments, which QL never sees
-        (["spectrum", "--h11", "0.5", "--h12", "0", "--h22", "0.5", "-n", "5"], []),
-        (["spectrum", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-n", "10", "-N", "200"],
-         [11, 11]),
-        (["verify", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-N", "200", "-n", "8"], [9, 9]),
-        # the N = 400 spectrum workload points of seed 1; Bendixson alone needed
-        # about 70 of the 200 rows
-        (["spectrum", "--h11=0.5103847594360817", "--h12=0.2574171661963569",
-          "--h22=0.37622130850727764", "-n", "10", "-N", "400"], [11, 11]),
-        (["spectrum", "--rm-alpha=0.7218889872961263", "--rm-beta=-0.17155837111220518",
-          "-n", "10", "-N", "400"], [11, 11]),
-        # Bendixson alone needed 562 and 476 of the 1000 rows
-        (["verify", "--rm-alpha", "0.3", "--rm-beta", "0.2", "-N", "2000", "-n", "8"], [9, 9]),
-    ])
+    @pytest.mark.parametrize("argv, returned", QL_RUNS)
     def test_ql_stops_at_lowest_plus_one(self, monkeypatch, argv, returned):
+        # each block is asked for its lowest L // 2 + 1 levels, and QL stops one past them
         sizes = []
         ql = linalg._ql_symmetric
 
@@ -641,3 +715,25 @@ class TestEigenvalueCount:
         monkeypatch.setattr(linalg, "_ql_symmetric", spy)
         assert cli.main(argv) == 0
         assert sizes == returned
+
+    @pytest.mark.parametrize("argv, returned", [run for run in QL_RUNS if run[1]])
+    def test_each_count_is_one_pass(self, monkeypatch, argv, returned):
+        # the first contour, graded around the found values, already resolves
+        # every step, so the refinement evaluates no further points
+        passes = []
+        count_below, det_phase = linalg._count_below, linalg._det_phase
+
+        def count_spy(*args):
+            passes.append(0)
+            count = count_below(*args)
+            assert count is not None
+            return count
+
+        def det_spy(*args):
+            passes[-1] += 1
+            return det_phase(*args)
+
+        monkeypatch.setattr(linalg, "_count_below", count_spy)
+        monkeypatch.setattr(linalg, "_det_phase", det_spy)
+        assert cli.main(argv) == 0
+        assert passes == [1, 1]
