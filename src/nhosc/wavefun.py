@@ -34,6 +34,7 @@ __all__ = [
     "uniform_grid",
     "default_halfwidth",
     "min_grid_points",
+    "max_grid_spacing",
     "default_grid",
     "hermite_function",
     "hermite_basis",
