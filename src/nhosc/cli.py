@@ -85,18 +85,11 @@ def _add_common(parser):
     ]
 
 
-def _add_model(parser):
+def _add_model(parser, gamma=True):
+    """The model flags; the --gamma family's only where gamma is set."""
     group = parser.add_argument_group("model (choose one family)")
-    return [
-        group.add_argument("--h11", type=float),
-        group.add_argument("--h12", type=float),
-        group.add_argument("--h22", type=float),
-        group.add_argument("--rm-alpha", type=float, dest="rm_alpha"),
-        group.add_argument("--rm-beta", type=float, dest="rm_beta"),
-        group.add_argument("--gamma", type=float),
-        group.add_argument("--alpha", type=float),
-        group.add_argument("--k", type=float),
-    ]
+    names = ("h11", "h12", "h22", "rm-alpha", "rm-beta") + (("gamma", "alpha", "k") if gamma else ())
+    return [group.add_argument(f"--{name}", type=float) for name in names]
 
 
 def _add_transform(parser):
@@ -156,7 +149,7 @@ def _build():
     ] + _add_common(p_ver)
 
     p_wav = sub.add_parser("wavefunction", help="sample eigenfunctions on a grid")
-    actions += _add_model(p_wav) + [
+    actions += _add_model(p_wav, gamma=False) + [
         p_wav.add_argument("--level", type=int, help="oscillator level n"),
         p_wav.add_argument("--omega", type=float),
         p_wav.add_argument("--branch", type=_parse_branch),
@@ -221,6 +214,14 @@ def _validate_run(ns):
         raise ConfigError(f"trunc must be at least 4*levels, got {ns.trunc} < {4 * ns.levels}")
 
 
+def _reject_unread(ns, keys, reader):
+    """ConfigError naming the first of the options `keys` that is set, from a
+    flag or the config file: only `reader` reads them."""
+    for key in keys:
+        if getattr(ns, key) is not None:
+            raise ConfigError(f"--{key} is read only with {reader}")
+
+
 @dataclass
 class Model:
     kind: str
@@ -244,6 +245,8 @@ def model_family(ns):
             "specify exactly one model family: --h11/--h12/--h22, "
             "--rm-alpha/--rm-beta, or --gamma with --alpha or --k"
         )
+    if not has_gamma:
+        _reject_unread(ns, ("alpha", "k"), "--gamma")
     if has_h:
         if ns.h11 is None or ns.h12 is None or ns.h22 is None:
             raise ConfigError("the three-parameter model needs --h11, --h12 and --h22")
@@ -372,7 +375,7 @@ def _json_text(document):
     dicts of scalars (a row table, see _row_table) goes through in batches.
     Only other containers that hold containers are walked here, and their
     keys must be strings, as in every document this module writes.  NaN and
-    infinities raise ValueError.
+    infinities raise json.dumps's ValueError.
     """
     encoders = {}
 
@@ -400,16 +403,17 @@ def _json_text(document):
                     parts = [encode(value, level + 1) for value in obj]
                 return (("{" if is_dict else "[") + inner + ("," + inner).join(parts)
                         + "\n" + "  " * level + ("}" if is_dict else "]"))
-        encoder = encoder_at(level)
-        try:
-            text = "".join(encoder(obj, 0))
-        except ValueError:
-            _raise_as_json_dumps(encoder, obj)
+        text = "".join(encoder_at(level)(obj, 0))
         if len(text) > 2 and text[0] in "[{":
             return text[0] + inner + text[1:-1] + "\n" + "  " * level + text[-1]
         return text
 
-    return encode(document, 0)
+    try:
+        return encode(document, 0)
+    except ValueError:
+        # the C encoder does not always name the out-of-range float
+        json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+        raise
 
 
 def _row_table(rows, level, row_encoder):
@@ -421,8 +425,8 @@ def _row_table(rows, level, row_encoder):
     replacements then put each brace on its own indented line.  That is
     exact only when the text holds one "{" and one "}" per row and one "["
     and one "]" in all, which proves that no key or string holds a brace or
-    bracket and no row holds a container.  Otherwise, and on a NaN or an
-    infinity, the caller walks the rows one by one.
+    bracket and no row holds a container.  Otherwise the caller walks the
+    rows one by one.  NaN and infinities raise ValueError.
     """
     if not (all(map(isinstance, rows, repeat(dict))) and all(rows)):
         return None
@@ -431,12 +435,9 @@ def _row_table(rows, level, row_encoder):
     if any(map(isinstance, rows[0].values(), repeat(_CONTAINERS))):
         return None
     outer, row, field = ("  " * (level + depth) for depth in range(3))
-    try:
-        text = "[" + (",\n" + field).join(
-            "".join(row_encoder(rows[start:start + _ROW_BATCH], 0))[1:-1]
-            for start in range(0, len(rows), _ROW_BATCH)) + "]"
-    except ValueError:
-        return None
+    text = "[" + (",\n" + field).join(
+        "".join(row_encoder(rows[start:start + _ROW_BATCH], 0))[1:-1]
+        for start in range(0, len(rows), _ROW_BATCH)) + "]"
     count = len(rows)
     if not (text.count("{") == count == text.count("}")
             and text.count("[") == 1 == text.count("]")):
@@ -444,27 +445,6 @@ def _row_table(rows, level, row_encoder):
     return (text.replace("},\n" + field + "{", "\n" + row + "},\n" + row + "{\n" + field)
             .replace("[{", "[\n" + row + "{\n" + field)
             .replace("}]", "\n" + row + "}\n" + outer + "]"))
-
-
-def _raise_as_json_dumps(encoder, obj):
-    """Re-raise a C encoder's ValueError with the message json.dumps gives.
-
-    Older C encoders (Python 3.11 among them) do not name the out-of-range
-    float, so the items are encoded one by one, in output order, to find the
-    one that failed.
-    """
-    if isinstance(obj, dict):
-        items = [value for _, value in sorted(obj.items())]
-    elif isinstance(obj, (list, tuple)):
-        items = obj
-    else:
-        items = [obj]
-    for value in items:
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(
-                f"Out of range float values are not JSON compliant: {value!r}") from None
-        encoder(value, 0)
-    raise
 
 
 def _emit(ns, document, csv_header, csv_rows):
@@ -499,7 +479,8 @@ def cmd_spectrum(ns):
     model = resolve_model(ns)
     scale = model.quadratic.frequency_scale
     broken = abs(scale.imag) > 1e-12 * max(1.0, abs(scale))
-    closed_plus = [scale * (2 * n + 1) for n in range(ns.levels)]
+    closed_plus = [spectra.general_quadratic_spectrum(model.quadratic, n)
+                   for n in range(ns.levels)]
     closed_minus = [-v for v in closed_plus] if model.oscillator is not None else None
 
     fock = spectra.quadratic_fock_matrix(model.quadratic, ns.omega, ns.trunc)
@@ -688,15 +669,9 @@ def cmd_verify(ns):
         if ns.base_k is not None
         else canonical.harmonic_oscillator()
     )
-    target = canonical.apply_to_quadratic(transform, base)
-    solved = spectra.parity_spectrum(
-        spectra.quadratic_fock_matrix(target, ns.omega, ns.trunc), levels=ns.levels
-    )
-    iso = spectra.verify_isospectral(
-        transform, trunc=ns.trunc, n_levels=ns.levels, tol=ns.tol, base=base, omega=ns.omega,
-        solved=solved,
-    )
-    eta = spectra.eta_check(solved, ns.levels, tol=ns.tol_eta)
+    iso = spectra.verify_isospectral(transform, trunc=ns.trunc, n_levels=ns.levels, tol=ns.tol,
+                                     base=base, omega=ns.omega)
+    eta = spectra.eta_check(iso.solved, tol=ns.tol_eta)
     passed = iso.passed and eta.passed
     norm = iso.normalizable
     document = {
@@ -800,6 +775,10 @@ def cmd_wavefunction(ns):
             "specify exactly one state: --rm-alpha/--rm-beta (ground state), "
             "--level with --omega, or --h11/--h12/--h22 with --branch/--excitation/--parity"
         )
+    if not has_level:
+        _reject_unread(ns, ("omega",), "--level")
+    if not has_pair:
+        _reject_unread(ns, ("branch", "excitation", "parity"), "--h11/--h12/--h22")
 
     if has_rm:
         if ns.rm_alpha is None or ns.rm_beta is None:

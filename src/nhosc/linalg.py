@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 
@@ -62,6 +63,9 @@ COUNT_MIN_ROWS = 64
 COUNT_TIE_REL = 1e-8
 COUNT_SAMPLES = 256
 COUNT_FIRST_STEP = 0.45
+# Inverse iteration's accepted residual, relative to ||t||_F, and its solves
+EIGENVECTOR_TOL = 1e-12
+EIGENVECTOR_MAX_ITER = 20
 
 __all__ = [
     "EigenConvergenceError",
@@ -85,16 +89,18 @@ class EigenConvergenceError(RuntimeError):
 
 
 def _norm(modulus):
-    """sqrt(sum(modulus ** 2)) of non-negative entries, without overflow.
+    """sqrt(sum(modulus ** 2)) of non-negative entries, without overflow or
+    underflow.
 
-    Bit for bit the plain formula whenever that is finite; when the sum of
-    squares overflows, the entries are divided by the largest one first.
+    Bit for bit the plain formula whenever the sum of squares is finite and
+    normal; when it overflows, or is 0 or subnormal while some entry is not,
+    the entries are divided by the largest one first.
     """
     with np.errstate(over="ignore"):
         total = float((modulus ** 2).sum())
-    if total == math.inf:
-        big = float(modulus.max())
-        if big < math.inf:
+    if total == math.inf or total < sys.float_info.min:
+        big = float(modulus.max(initial=0.0))
+        if 0.0 < big < math.inf:
             return big * math.sqrt(float(((modulus / big) ** 2).sum()))
     return math.sqrt(total)
 
@@ -668,15 +674,15 @@ def tridiagonal_lu(t, pivot_floor=0.0):
     return TridiagonalLU(dl, d, du, du2, swapped)
 
 
-def tridiagonal_eigenvector(t, lam, tol=1e-12, max_iter=20):
+def tridiagonal_eigenvector(t, lam):
     """Unit right eigenvector of a Tridiagonal for an approximate eigenvalue, by
     inverse iteration on the O(n) LU of t - lam.
 
-    Accepts when ||(t - lam) v|| <= tol * ||t||_F; otherwise raises
-    EigenConvergenceError with the best residual achieved.  Pivots are lifted
-    to EPS times the largest modulus of t - lam (EPS when t - lam is 0), and t
-    and lam are radix-scaled first, so the result does not depend on the
-    scale of t.
+    Accepts within EIGENVECTOR_MAX_ITER solves when ||(t - lam) v|| <=
+    EIGENVECTOR_TOL * ||t||_F; otherwise raises EigenConvergenceError with the
+    best residual achieved.  Pivots are lifted to EPS times the largest
+    modulus of t - lam (EPS when t - lam is 0), and t and lam are radix-scaled
+    first, so the result does not depend on the scale of t.
     """
     radix, scaled = _radix_scaled(t)
     if radix != 1.0:
@@ -692,7 +698,7 @@ def tridiagonal_eigenvector(t, lam, tol=1e-12, max_iter=20):
     v = rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size)
     v /= math.sqrt(float((np.abs(v) ** 2).sum()))
     best_res = math.inf
-    for _ in range(max_iter):
+    for _ in range(EIGENVECTOR_MAX_ITER):
         w = lu.solve(v)
         # near a defective eigenvalue w can be too large to square
         wmax = float(np.abs(w).max())
@@ -702,10 +708,8 @@ def tridiagonal_eigenvector(t, lam, tol=1e-12, max_iter=20):
         v = w / math.sqrt(float((np.abs(w) ** 2).sum()))
         res = _norm(np.abs(shifted.matvec(v)))
         best_res = min(best_res, res)
-        if res <= tol * scale:
+        if res <= EIGENVECTOR_TOL * scale:
             return v
     best_res /= radix
-    raise EigenConvergenceError(
-        f"inverse iteration did not reach tol {tol:g}; best residual {best_res:.3e}",
-        residual=best_res,
-    )
+    raise EigenConvergenceError(f"inverse iteration did not reach tol {EIGENVECTOR_TOL:g}; "
+                                f"best residual {best_res:.3e}", residual=best_res)

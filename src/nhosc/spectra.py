@@ -319,14 +319,6 @@ class ParitySpectrum:
     parities: np.ndarray
     levels: int | None = None
 
-    def lowest(self, n_levels):
-        """(eigenvalues, parities) of the lowest n_levels; ValueError when the
-        solution holds fewer."""
-        if n_levels > self.eigenvalues.size:
-            raise ValueError(f"solution holds {self.eigenvalues.size} levels, "
-                             f"fewer than the {n_levels} requested")
-        return self.eigenvalues[:n_levels], self.parities[:n_levels]
-
 
 def _order(parts):
     """Indices that sort the concatenated parts by real part then imaginary
@@ -344,8 +336,10 @@ def parity_spectrum(fock, levels=None):
     not sort before the merged L-th: every value it did not return sorts after
     that one.  A block that is not complete is solved again for its lowest L,
     which is always enough.  Either way each value is the full solve's, so the
-    merged lowest L are the whole spectrum's.
+    merged lowest L are the whole spectrum's.  L must be at least 1.
     """
+    if levels is not None and levels < 1:
+        raise ValueError("need at least one level")
     parts = [linalg.tridiagonal_eigenvalues(
         block, lowest=None if levels is None else min(levels // 2 + 1, block.size))
         for block in fock.blocks]
@@ -373,28 +367,24 @@ class SpectrumLevel:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues with reference values, deviations, and normalizability."""
+    """Eigenvalues, reference values, deviations, normalizability, and the solution."""
 
     levels: tuple
-    truncation: int
-    omega: float
-    tol: float
     passed: bool
     max_deviation: float
+    solved: ParitySpectrum = field(compare=False, repr=False)
     normalizable: NormalizabilityResult | None = None
     notes: tuple = field(default_factory=tuple)
 
 
-def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, omega=1.0,
-                       solved=None):
+def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, omega=1.0):
     """Check that the transformed oscillator keeps the base spectrum.
 
     Builds the quadratic image of the base under the transform, truncates it
-    at frequency omega, and compares the lowest n_levels numeric eigenvalues
-    to Omega_base (2n+1).  Requires n_levels <= trunc/4 so the retained levels
-    are well below the truncation edge.  `solved` is the parity_spectrum of
-    that truncation, solved for at least n_levels levels, when the caller has
-    already built and solved it.
+    at frequency omega, solves it once for the lowest n_levels eigenvalues and
+    compares them to Omega_base (2n+1).  Requires n_levels <= trunc/4 so the
+    retained levels are well below the truncation edge.  The report carries
+    the solution (`solved`), which eta_check takes as it is.
     """
     trunc = int(trunc)
     n_levels = int(n_levels)
@@ -405,17 +395,14 @@ def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, o
     scale = base.frequency_scale
     if abs(scale.imag) > 1e-12 * max(1.0, abs(scale)) or scale.real <= 0:
         raise ValueError("base operator must have a real positive spectral scale")
-    if solved is None:
-        target = canonical.apply_to_quadratic(transform, base)
-        solved = parity_spectrum(quadratic_fock_matrix(target, omega, trunc), levels=n_levels)
-    elif solved.fock.size != trunc:
-        raise ValueError(f"solved truncation has size {solved.fock.size}, not {trunc}")
-    eigs, parities = solved.lowest(n_levels)
+    target = canonical.apply_to_quadratic(transform, base)
+    solved = parity_spectrum(quadratic_fock_matrix(target, omega, trunc), levels=n_levels)
+    eigs, parities = solved.eigenvalues, solved.parities
     levels = []
     max_dev = 0.0
     notes = []
     for n in range(n_levels):
-        ref = scale.real * (2 * n + 1)
+        ref = general_quadratic_spectrum(base, n).real
         dev = float(abs(eigs[n] - ref))
         max_dev = max(max_dev, dev)
         matched = bool(dev <= tol)
@@ -438,11 +425,9 @@ def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, o
     passed = all(level.matched for level in levels)
     return SpectrumReport(
         levels=tuple(levels),
-        truncation=trunc,
-        omega=float(omega),
-        tol=float(tol),
         passed=passed,
         max_deviation=max_dev,
+        solved=solved,
         normalizable=norm,
         notes=tuple(notes),
     )
@@ -452,31 +437,25 @@ def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, o
 class EtaReport:
     """Biorthonormality and pseudo-Hermiticity defects on the retained span."""
 
-    eigenvalues: tuple
     biorthonormality_defect: float
     pseudo_hermiticity_defect: float
-    tol: float
     passed: bool
 
 
-def eta_check(fock, n_levels, tol=1e-6):
-    """Numerical pseudo-Hermiticity check on the lowest retained levels.
+def eta_check(solved, tol=1e-6):
+    """Numerical pseudo-Hermiticity check on the levels of a ParitySpectrum.
 
     Computes right eigenvectors phi_n of M and Phi_n of the conjugate
-    transpose, each on the parity block of its level and embedded in the full
-    basis, rescales to <Phi_m|phi_n> = delta_mn, and measures how far
-    eta M - M+ eta, with eta = sum |Phi_n><Phi_n|, is from zero on the span of
-    the retained phi_n.  eta is applied through its factors and never formed,
-    and M and M+ act block by block on the parity slices.  Retained
-    eigenvalues must be simple, with pairwise gaps above 1e-6 times the
-    largest retained modulus.  fock is a FockMatrix, or its parity_spectrum
-    solved for at least n_levels levels.
+    transpose for every level of `solved`, each on the parity block of its
+    level and embedded in the full basis, rescales to <Phi_m|phi_n> = delta_mn,
+    and measures how far eta M - M+ eta, with eta = sum |Phi_n><Phi_n|, is from
+    zero on the span of the phi_n.  eta is applied through its factors and
+    never formed, and M and M+ act block by block on the parity slices.  The
+    levels must be simple, with pairwise gaps above 1e-6 times the largest
+    modulus among them.
     """
-    n_levels = int(n_levels)
-    if n_levels < 1:
-        raise ValueError("need at least one retained level")
-    solved = fock if isinstance(fock, ParitySpectrum) else parity_spectrum(fock, levels=n_levels)
-    retained, parities = solved.lowest(n_levels)
+    retained, parities = solved.eigenvalues, solved.parities
+    n_levels = retained.size
     min_gap = 1e-6 * float(np.abs(retained).max())
     for i in range(n_levels):
         for j in range(i + 1, n_levels):
@@ -508,10 +487,11 @@ def eta_check(fock, n_levels, tol=1e-6):
 
     blocks = solved.fock.blocks
     norm = math.hypot(*(block.norm() for block in blocks))
-    if norm > linalg.SCALE_MAX:
-        # the defect is unchanged when M is scaled by a power of two, which is
-        # exact; scaling a huge truncation keeps the residual norms finite
-        scale = math.ldexp(1.0, -math.frexp(norm)[1])
+    # the defect is unchanged when M is scaled by a power of two, which is
+    # exact; scaling a huge or tiny truncation towards 1 keeps the residual
+    # norms finite and their squares normal
+    scale = linalg._radix_scale(np.array([norm]))
+    if scale != 1.0:
         blocks = [block.scaled(scale) for block in blocks]
         norm *= scale
 
@@ -532,9 +512,7 @@ def eta_check(fock, n_levels, tol=1e-6):
     )
     passed = bool(bio_defect <= tol and pseudo_defect <= tol)
     return EtaReport(
-        eigenvalues=tuple(complex(v) for v in retained),
         biorthonormality_defect=bio_defect,
         pseudo_hermiticity_defect=pseudo_defect,
-        tol=float(tol),
         passed=passed,
     )

@@ -174,7 +174,7 @@ def test_criterion_09_pseudo_hermiticity():
             canonical.rath_mallick(0.3, 0.2), canonical.harmonic_oscillator()
         )
         fock = spectra.quadratic_fock_matrix(target, 1.0, 200)
-        report = spectra.eta_check(fock, 8, tol=1e-6)
+        report = spectra.eta_check(spectra.parity_spectrum(fock, levels=8), tol=1e-6)
         assert report.biorthonormality_defect <= 1e-8
         assert report.pseudo_hermiticity_defect <= 1e-6
         assert report.passed

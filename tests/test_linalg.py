@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -184,10 +185,11 @@ class TestEigenvector:
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
             assert np.linalg.norm(t.matvec(vec) - lam * vec) < 1e-10 * t.norm()
 
-    def test_far_from_spectrum_fails_with_residual(self):
+    def test_far_from_spectrum_fails_with_residual(self, monkeypatch):
+        monkeypatch.setattr(linalg, "EIGENVECTOR_TOL", 1e-14)
         t = linalg.Tridiagonal([1.0, 2.0, 3.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(linalg.EigenConvergenceError) as info:
-            linalg.tridiagonal_eigenvector(t, 100.0, tol=1e-14)
+            linalg.tridiagonal_eigenvector(t, 100.0)
         assert info.value.residual is not None and info.value.residual > 0
 
 
@@ -233,11 +235,23 @@ class TestOverflow:
                                               allow_infinity=False)))
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     def test_norm_is_the_plain_formula_when_finite(self, a):
-        assert linalg.frobenius_norm(a) == float(np.sqrt((np.abs(a) ** 2).sum()))
+        total = float((np.abs(a) ** 2).sum())
+        if total >= sys.float_info.min:
+            assert linalg.frobenius_norm(a) == math.sqrt(total)
+        else:
+            # the squares underflow: rescaled, so 0 only for the zero vector
+            assert linalg.frobenius_norm(a) == pytest.approx(math.hypot(*np.abs(a)), rel=1e-14)
 
     def test_norm_does_not_overflow(self, no_warnings):
         assert linalg.frobenius_norm([1e200, 1e200]) == 1e200 * math.sqrt(2.0)
         assert linalg.frobenius_norm(np.full((3, 3), 1e300j)) == 3e300
+
+    def test_norm_does_not_underflow(self, no_warnings):
+        # every square is 0 or subnormal, so the plain formula reads 0 or less
+        assert linalg.Tridiagonal([2.7e-216], [], []).norm() == 2.7e-216
+        assert linalg.frobenius_norm([1e-170, 1e-170]) == 1e-170 * math.sqrt(2.0)
+        assert linalg.frobenius_norm([0.0, 5e-324]) == 5e-324
+        assert linalg.frobenius_norm([0.0, 0.0]) == 0.0
 
     @pytest.mark.parametrize("power", [600, -600])
     def test_tridiagonal_scaled_exactly(self, no_warnings, power):

@@ -344,7 +344,7 @@ class TestVerifyIsospectral:
 class TestEtaCheck:
     def test_hermitian_projector(self):
         fock = spectra.quadratic_fock_matrix(canonical.harmonic_oscillator(), 1.0, 50)
-        report = spectra.eta_check(fock, 5, tol=1e-10)
+        report = spectra.eta_check(spectra.parity_spectrum(fock, levels=5), tol=1e-10)
         assert report.passed
         assert report.biorthonormality_defect < 1e-12
         assert report.pseudo_hermiticity_defect < 1e-12
@@ -354,7 +354,7 @@ class TestEtaCheck:
             canonical.rath_mallick(0.3, 0.2), canonical.harmonic_oscillator()
         )
         fock = spectra.quadratic_fock_matrix(target, 1.0, 100)
-        report = spectra.eta_check(fock, 6, tol=1e-6)
+        report = spectra.eta_check(spectra.parity_spectrum(fock, levels=6), tol=1e-6)
         assert report.passed
         assert report.biorthonormality_defect <= 1e-8
 
@@ -365,18 +365,33 @@ class TestEtaCheck:
                     linalg.Tridiagonal([1.0 + 1e-9], [], [])),
             omega=1.0, size=3)
         with pytest.raises(spectra.DegenerateEigenvaluesError) as info:
-            spectra.eta_check(fock, 2)
+            spectra.eta_check(spectra.parity_spectrum(fock, levels=2))
         assert info.value.pair is not None
 
     def test_zero_operator_has_zero_defect(self):
         fock = spectra.quadratic_fock_matrix(canonical.QuadraticHamiltonian(0, 0, 0), 1.0, 6)
-        report = spectra.eta_check(fock, 1)
+        report = spectra.eta_check(spectra.parity_spectrum(fock, levels=1))
         assert report.pseudo_hermiticity_defect == 0.0 and report.passed
+
+    def test_tiny_truncation_keeps_its_defect(self):
+        # the mix (0.3, 0.2) quadratic and its copy scaled by 1e-200, whose
+        # truncation's entries all square to 0
+        target = canonical.apply_to_quadratic(
+            canonical.rath_mallick(0.3, 0.2), canonical.harmonic_oscillator()
+        )
+        tiny = canonical.QuadraticHamiltonian(*(1e-200 * c for c in
+                                                (target.c_pp, target.c_xp, target.c_xx)))
+        plain, scaled = (spectra.eta_check(spectra.parity_spectrum(
+            spectra.quadratic_fock_matrix(q, 1.0, 40), levels=4)).pseudo_hermiticity_defect
+            for q in (target, tiny))
+        assert 0.0 < plain < 1e-15
+        assert plain / 10 <= scaled <= 10 * plain
 
     def test_level_count_bounded_by_truncation(self):
         fock = spectra.quadratic_fock_matrix(canonical.harmonic_oscillator(), 1.0, 3)
-        with pytest.raises(ValueError, match="solution holds 3 levels, fewer than the 5"):
-            spectra.eta_check(fock, 5)
+        solved = spectra.parity_spectrum(fock, levels=5)
+        assert solved.eigenvalues.size == 3
+        assert spectra.eta_check(solved, tol=1e-10).passed
 
 
 class TestStructuralInvariants:

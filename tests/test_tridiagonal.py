@@ -191,14 +191,14 @@ class TestTridiagonal:
             linalg.tridiagonal_lu(singular)
 
 
-def dense_pseudo_hermiticity_defect(mat, solved, n_levels):
+def dense_pseudo_hermiticity_defect(mat, solved):
     """eta_check's pseudo-Hermiticity defect with M the dense matrix `mat`.
 
     The eigenvectors are those eta_check computes; only the products with M
     and M+ and the Frobenius norm of M are formed densely.
     """
-    retained, parities = solved.lowest(n_levels)
-    phi = np.zeros((mat.shape[0], n_levels), dtype=complex)
+    retained, parities = solved.eigenvalues, solved.parities
+    phi = np.zeros((mat.shape[0], retained.size), dtype=complex)
     chi = np.zeros_like(phi)
     for k, (lam, par) in enumerate(zip(retained, parities)):
         block = solved.fock.blocks[par]
@@ -313,29 +313,26 @@ class TestStructuredRoute:
         assert set((rows - cols).tolist()) <= {-2, 0, 2}
         solved = spectra.parity_spectrum(fock)
         assert solved.eigenvalues.size == size
-        levels = min(size, 4)
+        lowest = spectra.parity_spectrum(fock, levels=min(size, 4))
         try:
-            report = spectra.eta_check(solved, levels)
+            report = spectra.eta_check(lowest)
         except (spectra.DegenerateEigenvaluesError, linalg.EigenConvergenceError):
             return
-        expected = dense_pseudo_hermiticity_defect(mat, solved, levels)
+        expected = dense_pseudo_hermiticity_defect(mat, lowest)
         assert report.pseudo_hermiticity_defect == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_eta_check_reuses_solution(self):
-        target = canonical.apply_to_quadratic(
-            canonical.rath_mallick(0.3, 0.2), canonical.harmonic_oscillator()
-        )
-        fock = spectra.quadratic_fock_matrix(target, 1.0, 120)
-        solved = spectra.parity_spectrum(fock)
-        from_solution = spectra.eta_check(solved, 8)
-        assert from_solution == spectra.eta_check(fock, 8)
-        assert from_solution.pseudo_hermiticity_defect < 1e-12
-        iso = spectra.verify_isospectral(canonical.rath_mallick(0.3, 0.2), trunc=120,
-                                         n_levels=8, solved=solved)
+        transform = canonical.rath_mallick(0.3, 0.2)
+        iso = spectra.verify_isospectral(transform, trunc=120, n_levels=8)
         assert iso.passed
-        with pytest.raises(ValueError, match="size"):
-            spectra.verify_isospectral(canonical.rath_mallick(0.3, 0.2), trunc=100,
-                                       n_levels=8, solved=solved)
+        solved = iso.solved
+        assert solved.fock.size == 120 and solved.levels == 8
+        assert np.array_equal(solved.eigenvalues, [level.eigenvalue for level in iso.levels])
+        target = canonical.apply_to_quadratic(transform, canonical.harmonic_oscillator())
+        fock = spectra.quadratic_fock_matrix(target, 1.0, 120)
+        from_solution = spectra.eta_check(solved)
+        assert from_solution == spectra.eta_check(spectra.parity_spectrum(fock, levels=8))
+        assert from_solution.pseudo_hermiticity_defect < 1e-12
 
 
 @st.composite
@@ -531,18 +528,25 @@ class TestLowestLevels:
         assert np.array_equal(solved.parities, np.repeat([0, 1], 10)[order])
         assert np.count_nonzero(solved.parities) == odd_levels
 
-    def test_checks_reject_a_short_solution(self):
-        transform = canonical.rath_mallick(0.3, 0.2)
-        target = canonical.apply_to_quadratic(transform, canonical.harmonic_oscillator())
-        solved = spectra.parity_spectrum(
-            spectra.quadratic_fock_matrix(target, 1.0, 120), levels=4)
-        assert solved.eigenvalues.size == 4
-        with pytest.raises(ValueError, match="solution holds 4 levels, fewer than the 8"):
-            spectra.eta_check(solved, 8)
-        with pytest.raises(ValueError, match="solution holds 4 levels, fewer than the 8"):
-            spectra.verify_isospectral(transform, trunc=120, n_levels=8, solved=solved)
-        assert spectra.eta_check(solved, 4).passed
-        assert spectra.verify_isospectral(transform, trunc=120, n_levels=4, solved=solved).passed
+    def test_checks_cover_exactly_the_solved_levels(self, monkeypatch):
+        iso = spectra.verify_isospectral(canonical.rath_mallick(0.3, 0.2), trunc=120, n_levels=4)
+        assert iso.passed and len(iso.levels) == iso.solved.eigenvalues.size == 4
+        vectors = []
+        solve = linalg.tridiagonal_eigenvector
+
+        def spy(t, lam):
+            vectors.append(lam)
+            return solve(t, lam)
+
+        monkeypatch.setattr(linalg, "tridiagonal_eigenvector", spy)
+        assert spectra.eta_check(iso.solved).passed
+        # a right and a left vector per solved level, and no more
+        assert len(vectors) == 8
+
+    def test_at_least_one_level(self):
+        fock = spectra.quadratic_fock_matrix(canonical.harmonic_oscillator(), 1.0, 8)
+        with pytest.raises(ValueError, match="at least one level"):
+            spectra.parity_spectrum(fock, levels=0)
 
 
 def symmetrized(t):
