@@ -180,11 +180,16 @@ def _shared_cli():
 
 
 def _merge_config(ns, keys):
+    """Fill the options not given as flags from the config file; a key the
+    subcommand does not read is a ConfigError, like a flag it does not take."""
     if ns.config is None:
         return
     file_values = load_config_file(ns.config, keys)
     for key, value in file_values.items():
-        if hasattr(ns, key) and getattr(ns, key) is None:
+        if not hasattr(ns, key):
+            raise ConfigError(f"{ns.config}: key {key.replace('_', '-')!r} "
+                              f"is not read by {ns.command}")
+        if getattr(ns, key) is None:
             setattr(ns, key, value)
 
 
@@ -392,7 +397,9 @@ def _json_text(document):
         if obj and isinstance(obj, _CONTAINERS):
             is_dict = isinstance(obj, dict)
             values = obj.values() if is_dict else obj
-            if any(map(isinstance, values, repeat(_CONTAINERS))):
+            # one test per item type, not per item: a wavefunction's lists
+            # hold thousands of floats
+            if any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values))):
                 if is_dict:
                     parts = [encode_basestring_ascii(key) + ": " + encode(value, level + 1)
                              for key, value in sorted(obj.items())]

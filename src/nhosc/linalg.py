@@ -75,7 +75,7 @@ __all__ = [
     "TridiagonalLU",
     "tridiagonal_eigenvalues",
     "tridiagonal_lu",
-    "tridiagonal_eigenvector",
+    "tridiagonal_eigenvectors",
 ]
 
 
@@ -276,11 +276,7 @@ class Tridiagonal:
 
     def matvec(self, v):
         """T v for a vector of shape (n,) or each column of an (n, k) array."""
-        shape = (-1,) + (1,) * (v.ndim - 1)
-        out = self.diag.reshape(shape) * v
-        out[:-1] += self.upper.reshape(shape) * v[1:]
-        out[1:] += self.lower.reshape(shape) * v[:-1]
-        return out
+        return _band_matvec(self.diag, self.lower, self.upper, v)
 
     def dense(self):
         n = self.size
@@ -288,6 +284,16 @@ class Tridiagonal:
         a[np.arange(1, n), np.arange(n - 1)] = self.lower
         a[np.arange(n - 1), np.arange(1, n)] = self.upper
         return a
+
+
+def _band_matvec(diag, lower, upper, v):
+    """The tridiagonal with bands diag, lower, upper (arrays) times v, a vector
+    or each column of an (n, k) array."""
+    shape = (-1,) + (1,) * (v.ndim - 1)
+    out = diag.reshape(shape) * v
+    out[:-1] += upper.reshape(shape) * v[1:]
+    out[1:] += lower.reshape(shape) * v[:-1]
+    return out
 
 
 def _radix_scaled(t):
@@ -649,21 +655,27 @@ class TridiagonalLU:
 def tridiagonal_lu(t, pivot_floor=0.0):
     """O(n) LU with partial pivoting of a Tridiagonal; pivots of modulus at most
     pivot_floor are lifted to it (inverse iteration), or raise when it is 0."""
-    n = t.size
-    dl = t.lower.tolist()
-    d = t.diag.tolist()
-    du = t.upper.tolist()
+    return _lu_factor(t.lower.tolist(), t.diag.tolist(), t.upper.tolist(), pivot_floor)
+
+
+def _lu_factor(dl, d, du, pivot_floor):
+    """`tridiagonal_lu` of the tridiagonal with bands dl, d, du (lists of
+    complex, overwritten and kept by the result)."""
+    n = len(d)
     du2 = [0j] * max(n - 2, 0)
     swapped = [False] * (n - 1)
     for k in range(n - 1):
-        if abs(d[k]) >= abs(dl[k]):
-            d[k] = _lifted_pivot(d[k], pivot_floor, k)
-            fact = dl[k] / d[k]
+        pivot, sub = d[k], dl[k]
+        if abs(pivot) >= abs(sub):
+            if abs(pivot) <= pivot_floor:
+                pivot = d[k] = _lifted_pivot(pivot, pivot_floor, k)
+            fact = sub / pivot
             d[k + 1] -= fact * du[k]
         else:
-            pivot = _lifted_pivot(dl[k], pivot_floor, k)
-            fact = d[k] / pivot
-            d[k] = pivot
+            if abs(sub) <= pivot_floor:
+                sub = _lifted_pivot(sub, pivot_floor, k)
+            fact = pivot / sub
+            d[k] = sub
             du[k], d[k + 1] = d[k + 1], du[k] - fact * d[k + 1]
             if k < n - 2:
                 du2[k] = du[k + 1]
@@ -674,42 +686,53 @@ def tridiagonal_lu(t, pivot_floor=0.0):
     return TridiagonalLU(dl, d, du, du2, swapped)
 
 
-def tridiagonal_eigenvector(t, lam):
-    """Unit right eigenvector of a Tridiagonal for an approximate eigenvalue, by
-    inverse iteration on the O(n) LU of t - lam.
+def tridiagonal_eigenvectors(t, lams):
+    """Unit right eigenvectors of a Tridiagonal for approximate eigenvalues, as
+    the columns of an (n, len(lams)) array, by inverse iteration on the O(n)
+    LU of t - lam for each lam in lams.
 
-    Accepts within EIGENVECTOR_MAX_ITER solves when ||(t - lam) v|| <=
-    EIGENVECTOR_TOL * ||t||_F; otherwise raises EigenConvergenceError with the
-    best residual achieved.  Pivots are lifted to EPS times the largest
-    modulus of t - lam (EPS when t - lam is 0), and t and lam are radix-scaled
-    first, so the result does not depend on the scale of t.
+    Each is accepted within EIGENVECTOR_MAX_ITER solves when ||(t - lam) v||
+    <= EIGENVECTOR_TOL * ||t||_F; otherwise EigenConvergenceError is raised
+    with the best residual achieved.  Pivots are lifted to EPS times the
+    largest modulus of t - lam (EPS when t - lam is 0), and t and lam are
+    radix-scaled first, so the result does not depend on the scale of t.
+
+    The scaling, ||t||_F and the seeded start vector are computed once per
+    call, as LAPACK's xSTEIN does, so each shift costs little more than its
+    LU and solves; each column is what a call with its lam alone returns.
     """
-    radix, scaled = _radix_scaled(t)
-    if radix != 1.0:
-        t, lam = scaled, complex(lam) * radix
-    scale = t.norm()
-    if scale == 0.0:
-        scale = 1.0
-    shifted = Tridiagonal(t.diag - complex(lam), t.lower, t.upper)
-    bands = np.concatenate((shifted.diag, shifted.lower, shifted.upper))
-    floor = EPS * (float(np.abs(bands).max()) or 1.0)
-    lu = tridiagonal_lu(shifted, pivot_floor=floor)
+    radix, t = _radix_scaled(t)
+    tol = EIGENVECTOR_TOL * (t.norm() or 1.0)
+    n = t.size
+    lower, upper = t.lower.tolist(), t.upper.tolist()
+    offdiag = float(np.abs(np.concatenate((t.lower, t.upper))).max(initial=0.0))
     rng = np.random.default_rng(1914)
-    v = rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size)
-    v /= math.sqrt(float((np.abs(v) ** 2).sum()))
-    best_res = math.inf
-    for _ in range(EIGENVECTOR_MAX_ITER):
-        w = lu.solve(v)
-        # near a defective eigenvalue w can be too large to square
-        wmax = float(np.abs(w).max())
-        if wmax == 0.0 or not np.isfinite(wmax):
-            break
-        w = w / wmax
-        v = w / math.sqrt(float((np.abs(w) ** 2).sum()))
-        res = _norm(np.abs(shifted.matvec(v)))
-        best_res = min(best_res, res)
-        if res <= EIGENVECTOR_TOL * scale:
-            return v
-    best_res /= radix
-    raise EigenConvergenceError(f"inverse iteration did not reach tol {EIGENVECTOR_TOL:g}; "
-                                f"best residual {best_res:.3e}", residual=best_res)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start /= math.sqrt(float((np.abs(start) ** 2).sum()))
+    vectors = np.empty((n, len(lams)), dtype=complex)
+    for k, lam in enumerate(lams):
+        diag = t.diag - (complex(lam) * radix if radix != 1.0 else complex(lam))
+        if not np.isfinite(diag).all():
+            raise ValueError("matrix entries must be finite")
+        floor = EPS * (max(float(np.abs(diag).max()), offdiag) or 1.0)
+        lu = _lu_factor(lower[:], diag.tolist(), upper[:], floor)
+        v = start
+        best_res = math.inf
+        for _ in range(EIGENVECTOR_MAX_ITER):
+            w = lu.solve(v)
+            # near a defective eigenvalue w can be too large to square
+            wmax = float(np.abs(w).max())
+            if wmax == 0.0 or not np.isfinite(wmax):
+                break
+            w = w / wmax
+            v = w / math.sqrt(float((np.abs(w) ** 2).sum()))
+            res = _norm(np.abs(_band_matvec(diag, t.lower, t.upper, v)))
+            best_res = min(best_res, res)
+            if res <= tol:
+                break
+        if not best_res <= tol:
+            best_res /= radix
+            raise EigenConvergenceError(f"inverse iteration did not reach tol {EIGENVECTOR_TOL:g}; "
+                                        f"best residual {best_res:.3e}", residual=best_res)
+        vectors[:, k] = v
+    return vectors

@@ -336,10 +336,14 @@ def parity_spectrum(fock, levels=None):
     not sort before the merged L-th: every value it did not return sorts after
     that one.  A block that is not complete is solved again for its lowest L,
     which is always enough.  Either way each value is the full solve's, so the
-    merged lowest L are the whole spectrum's.  L must be at least 1.
+    merged lowest L are the whole spectrum's.  L must be at least 1 and at
+    most the size of the truncation.
     """
     if levels is not None and levels < 1:
         raise ValueError("need at least one level")
+    if levels is not None and levels > fock.size:
+        raise ValueError(f"need at most {fock.size} levels of a size-{fock.size} "
+                         f"truncation, got {levels}")
     parts = [linalg.tridiagonal_eigenvalues(
         block, lowest=None if levels is None else min(levels // 2 + 1, block.size))
         for block in fock.blocks]
@@ -447,7 +451,9 @@ def eta_check(solved, tol=1e-6):
 
     Computes right eigenvectors phi_n of M and Phi_n of the conjugate
     transpose for every level of `solved`, each on the parity block of its
-    level and embedded in the full basis, rescales to <Phi_m|phi_n> = delta_mn,
+    level and embedded in the full basis: one `linalg.tridiagonal_eigenvectors`
+    call per block and side takes all of that block's levels, so a check
+    makes at most four.  It then rescales to <Phi_m|phi_n> = delta_mn,
     and measures how far eta M - M+ eta, with eta = sum |Phi_n><Phi_n|, is from
     zero on the span of the phi_n.  eta is applied through its factors and
     never formed, and M and M+ act block by block on the parity slices.  The
@@ -468,10 +474,12 @@ def eta_check(solved, tol=1e-6):
     size = solved.fock.size
     phi = np.zeros((size, n_levels), dtype=complex)
     chi = np.zeros((size, n_levels), dtype=complex)
-    for k, (lam, par) in enumerate(zip(retained, parities)):
-        block = solved.fock.blocks[par]
-        phi[par::2, k] = linalg.tridiagonal_eigenvector(block, lam)
-        chi[par::2, k] = linalg.tridiagonal_eigenvector(block.adjoint(), lam.conjugate())
+    for par, block in enumerate(solved.fock.blocks):
+        levels = np.flatnonzero(parities == par)
+        if levels.size:
+            lams = retained[levels]
+            phi[par::2, levels] = linalg.tridiagonal_eigenvectors(block, lams)
+            chi[par::2, levels] = linalg.tridiagonal_eigenvectors(block.adjoint(), lams.conj())
     overlap = chi.conj().T @ phi
     diag = np.diagonal(overlap)
     vanishing = np.flatnonzero(np.abs(diag) < 1e-12)

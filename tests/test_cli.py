@@ -471,6 +471,17 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "spectrum", "--config", str(config))
         assert code == 2 and "unknown key" in err
 
+    @pytest.mark.parametrize("argv, text, key", [
+        (["wavefunction", "--level", "1", "--grid-points", "101"], "alpha = 3", "alpha"),
+        (["spectrum", "--h11", "0.5", "--h12", "0", "--h22", "0.5", "-n", "2", "-N", "12"],
+         "tol-eta = 5", "tol-eta"),
+    ])
+    def test_key_of_another_subcommand_rejected(self, capsys, tmp_path, argv, text, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(text + "\n")
+        assert run_cli(capsys, *argv, "--config", str(config)) == (
+            2, "", f"nhosc: error: {config}: key {key!r} is not read by {argv[0]}\n")
+
     def test_comments_and_blanks(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("# oscillator\n\nh11 = 0.5\nh12 = 0  # none\nh22 = 0.5\n")

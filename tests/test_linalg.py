@@ -163,33 +163,34 @@ class TestEigenvalues:
 
 
 class TestEigenvector:
-    """Inverse iteration in `tridiagonal_eigenvector`."""
+    """Inverse iteration in `tridiagonal_eigenvectors`."""
 
     def test_diagonal_basis_vector(self):
         t = linalg.Tridiagonal([1.0, 3.0, -2.0], [0.0, 0.0], [0.0, 0.0])
-        vec = linalg.tridiagonal_eigenvector(t, 3.0)
+        vec = linalg.tridiagonal_eigenvectors(t, [3.0])[:, 0]
         assert abs(abs(vec[1]) - 1.0) < 1e-12
         assert np.abs(vec[[0, 2]]).max() < 1e-12
 
     def test_upper_triangular(self):
         t = linalg.Tridiagonal([1.0, 4.0], [0.0], [2.0])
-        vec = linalg.tridiagonal_eigenvector(t, 4.0)
+        vec = linalg.tridiagonal_eigenvectors(t, [4.0])[:, 0]
         residual = np.abs(t.matvec(vec) - 4.0 * vec).max()
         assert residual < 1e-12 * t.norm()
 
     def test_random_residuals(self):
         rng = np.random.default_rng(149)
         t = random_tridiagonal(rng, 25)
-        for lam in linalg.tridiagonal_eigenvalues(t)[:5]:
-            vec = linalg.tridiagonal_eigenvector(t, lam)
+        lams = linalg.tridiagonal_eigenvalues(t)[:5]
+        for lam, vec in zip(lams, linalg.tridiagonal_eigenvectors(t, lams).T):
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
             assert np.linalg.norm(t.matvec(vec) - lam * vec) < 1e-10 * t.norm()
 
     def test_far_from_spectrum_fails_with_residual(self, monkeypatch):
         monkeypatch.setattr(linalg, "EIGENVECTOR_TOL", 1e-14)
         t = linalg.Tridiagonal([1.0, 2.0, 3.0], [0.0, 0.0], [0.0, 0.0])
+        # 1.0 converges; the shift far from the spectrum still raises
         with pytest.raises(linalg.EigenConvergenceError) as info:
-            linalg.tridiagonal_eigenvector(t, 100.0)
+            linalg.tridiagonal_eigenvectors(t, [1.0, 100.0])
         assert info.value.residual is not None and info.value.residual > 0
 
 
@@ -280,8 +281,8 @@ class TestOverflow:
         # the residual is measured on a copy scaled exactly to modulus ~1
         unit = math.ldexp(1.0, -math.frexp(scale)[1])
         reference = t.scaled(unit)
-        for lam in linalg.tridiagonal_eigenvalues(t):
-            v = linalg.tridiagonal_eigenvector(t, lam)
+        lams = linalg.tridiagonal_eigenvalues(t)
+        for lam, v in zip(lams, linalg.tridiagonal_eigenvectors(t, lams).T):
             residual = np.linalg.norm(reference.matvec(v) - lam * unit * v)
             assert residual <= 1e-13 * reference.norm()
 
@@ -290,5 +291,5 @@ class TestOverflow:
         bands = [(rng.normal(size=k) + 1j * rng.normal(size=k)) * 1e200 for k in (10, 9, 9)]
         t = linalg.Tridiagonal(*bands)
         lam = linalg.tridiagonal_eigenvalues(t)[0]
-        v = linalg.tridiagonal_eigenvector(t, lam)
+        v = linalg.tridiagonal_eigenvectors(t, [lam])[:, 0]
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12

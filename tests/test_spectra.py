@@ -389,7 +389,9 @@ class TestEtaCheck:
 
     def test_level_count_bounded_by_truncation(self):
         fock = spectra.quadratic_fock_matrix(canonical.harmonic_oscillator(), 1.0, 3)
-        solved = spectra.parity_spectrum(fock, levels=5)
+        with pytest.raises(ValueError, match="at most 3 levels"):
+            spectra.parity_spectrum(fock, levels=5)
+        solved = spectra.parity_spectrum(fock, levels=3)
         assert solved.eigenvalues.size == 3
         assert spectra.eta_check(solved, tol=1e-10).passed
 

@@ -4,7 +4,9 @@ Each entry pins the exit code and the sha256 of stdout and of stderr of one
 `nhosc` command, run in-process.  The commands are the README's, points of
 the benchmark's seed-1 spectrum and verify pools, the ill-conditioned mix
 (0.6, 0.6) at N = 400, a three-parameter block that sits near Bendixson's
-exit, and the N = 2000 mix verify.  A change meant to keep results identical
+exit, the N = 2000 mix verify, a verify that fails on a vanishing
+biorthogonal overlap, and one whose huge gauge radix-scales inverse
+iteration.  A change meant to keep results identical
 must leave every digest as it is; a change meant to alter output updates the
 affected digests and says so.
 
@@ -69,6 +71,12 @@ DIGESTS = {
          '36cf6dec5e53e6d3d26240172e11d8cd27efa3d5ab5bf85c1fa04186cd2d9e38'),
     'verify --rm-alpha 0.3 --rm-beta 0.2 -N 2000 -n 8':
         (0, '5be07e07fceae7500b1d870a6257da9d792aee72bbda1b15d1067ae11e080e27',
+         EMPTY),
+    'verify --rm-alpha 0.3 --rm-beta 0.2 -N 400 -n 60':
+        (3, EMPTY,
+         '30c98beda1ccb65fb8423e46f1648184aac9afad89c472732d0ef95460435ac8'),
+    'verify --gauge-g 1e100 -N 40 -n 4':
+        (4, 'fb3ad35c7bca6a6b8b227c403ff82bc9d441415c073e9088f1464059ee28891b',
          EMPTY),
 }
 
