@@ -369,6 +369,9 @@ def _csv_cell(value):
 _CONTAINERS = (dict, list, tuple)
 _ROW_BATCH = 256
 _NOT_SERIALIZABLE = json.JSONEncoder().default
+# encodes a list of scalars with "\x00" between them; strings escape a NUL
+_SCALARS = c_make_encoder(None, _NOT_SERIALIZABLE, encode_basestring_ascii, None, ": ",
+                          "\x00", True, False, False)
 
 
 def _json_text(document):
@@ -376,11 +379,11 @@ def _json_text(document):
 
     A container whose items are all scalars goes through the stdlib's C
     encoder in one call, with one encoder per nesting level whose item
-    separator carries that level's newline and indent; a list of non-empty
-    dicts of scalars (a row table, see _row_table) goes through in batches.
-    Only other containers that hold containers are walked here, and their
-    keys must be strings, as in every document this module writes.  NaN and
-    infinities raise json.dumps's ValueError.
+    separator carries that level's newline and indent; a row table (see
+    _row_table) goes through in batches.  Only other containers that hold
+    containers are walked here, and their keys must be strings, as in every
+    document this module writes.  NaN and infinities raise json.dumps's
+    ValueError.
     """
     encoders = {}
 
@@ -404,7 +407,7 @@ def _json_text(document):
                     parts = [encode_basestring_ascii(key) + ": " + encode(value, level + 1)
                              for key, value in sorted(obj.items())]
                 else:
-                    text = _row_table(obj, level, encoder_at(level + 1))
+                    text = _row_table(obj, level)
                     if text is not None:
                         return text
                     parts = [encode(value, level + 1) for value in obj]
@@ -423,35 +426,41 @@ def _json_text(document):
         raise
 
 
-def _row_table(rows, level, row_encoder):
-    """The indented text of a list of non-empty dicts of scalars, or None.
+def _row_table(rows, level):
+    """The indented text of a row table at nesting level `level`, or None.
 
-    The rows go through row_encoder, the rows' own encoder (item separator
-    ",\n" plus the rows' field indent), one call per _ROW_BATCH rows, since
-    the encoder holds every small piece of its text until it returns; three
-    replacements then put each brace on its own indented line.  That is
-    exact only when the text holds one "{" and one "}" per row and one "["
-    and one "]" in all, which proves that no key or string holds a brace or
-    bracket and no row holds a container.  Otherwise the caller walks the
-    rows one by one.  NaN and infinities raise ValueError.
+    A row table is a list of non-empty dicts (not dict subclasses) with one
+    set of str keys and no container values.  Its values, row by row in
+    sorted key order, go through the C encoder one call per _ROW_BATCH rows,
+    since the encoder holds every small piece of its text until it returns.
+    Each batch fills its rows' copies of one row template with one %.  Any
+    other list is left to the caller's walk.  NaN and infinities raise
+    ValueError.
     """
-    if not (all(map(isinstance, rows, repeat(dict))) and all(rows)):
+    # plain dicts only: a subclass's [] may not raise on a missing key
+    if set(map(type, rows)) != {dict}:
         return None
-    # rows that hold containers (verify's levels) fail the proof below; most
-    # show it in their first row, so skip the encoding for them
-    if any(map(isinstance, rows[0].values(), repeat(_CONTAINERS))):
+    order = sorted(rows[0]) if all(map(isinstance, rows[0], repeat(str))) else ()
+    # a row as long as the first that holds each of its keys has its key set
+    if not (order and all(map(len(order).__eq__, map(len, rows)))):
+        return None
+    try:
+        values = [row[key] for row in rows for key in order]
+    except KeyError:
+        return None
+    if any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values))):
         return None
     outer, row, field = ("  " * (level + depth) for depth in range(3))
-    text = "[" + (",\n" + field).join(
-        "".join(row_encoder(rows[start:start + _ROW_BATCH], 0))[1:-1]
-        for start in range(0, len(rows), _ROW_BATCH)) + "]"
-    count = len(rows)
-    if not (text.count("{") == count == text.count("}")
-            and text.count("[") == 1 == text.count("]")):
-        return None
-    return (text.replace("},\n" + field + "{", "\n" + row + "},\n" + row + "{\n" + field)
-            .replace("[{", "[\n" + row + "{\n" + field)
-            .replace("}]", "\n" + row + "}\n" + outer + "]"))
+    template = ("{\n" + field + (",\n" + field).join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in order)
+        + "\n" + row + "}")
+    step = len(order) * _ROW_BATCH
+    filled = []
+    for start in range(0, len(values), step):
+        batch = values[start:start + step]
+        filled.append((",\n" + row).join(repeat(template, len(batch) // len(order)))
+                      % tuple("".join(_SCALARS(batch, 0))[1:-1].split("\x00")))
+    return "[\n" + row + (",\n" + row).join(filled) + "\n" + outer + "]"
 
 
 def _emit(ns, document, csv_header, csv_rows):
@@ -596,7 +605,9 @@ def cmd_scan(ns):
     setattr(point, param, values[0])
     build = model_family(point)
 
-    def evaluate(value):
+    rows = []
+    transition_bracket = margin_bracket = previous_indicator = previous_margin = None
+    for index, value in enumerate(values):
         setattr(point, param, value)
         model = build(point)
         # The indicator is the largest |Im E_n| over the lowest `levels` levels,
@@ -605,41 +616,17 @@ def cmd_scan(ns):
         # Re(Omega) is not finite).  Rounding is monotone, so |Im E_n| never
         # decreases with n and the top level holds the maximum bit for bit.
         indicator = abs(spectra.general_quadratic_spectrum(model.quadratic, ns.levels - 1).imag)
-        margin = None
-        if model.transform is not None:
-            margin = canonical.normalizable(model.transform).margin
-        return indicator, margin
-
-    outcomes = [evaluate(v) for v in values]
-
-    rows = []
-    transition_bracket = None
-    margin_bracket = None
-    previous_indicator = None
-    previous_margin = None
-    for index, (value, (indicator, margin)) in enumerate(zip(values, outcomes)):
-        transition = (
-            indicator > ns.threshold
-            and (previous_indicator is None or previous_indicator <= ns.threshold)
-        )
+        margin = (None if model.transform is None
+                  else canonical.normalizable(model.transform).margin)
+        transition = indicator > ns.threshold and (previous_indicator is None
+                                                   or previous_indicator <= ns.threshold)
         if transition and transition_bracket is None and index > 0:
             transition_bracket = [values[index - 1], value]
-        if (
-            margin is not None
-            and previous_margin is not None
-            and margin_bracket is None
-            and (margin > 0) != (previous_margin > 0)
-        ):
+        if (margin is not None and previous_margin is not None and margin_bracket is None
+                and (margin > 0) != (previous_margin > 0)):
             margin_bracket = [values[index - 1], value]
-        rows.append(
-            {
-                "index": index,
-                "value": value,
-                "max_imag": indicator,
-                "margin": margin,
-                "transition": transition and index > 0,
-            }
-        )
+        rows.append({"index": index, "value": value, "max_imag": indicator,
+                     "margin": margin, "transition": transition and index > 0})
         previous_indicator = indicator
         previous_margin = margin
 

@@ -26,6 +26,7 @@ storage and vectorized arithmetic only.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -686,6 +687,17 @@ def _lu_factor(dl, d, du, pivot_floor):
     return TridiagonalLU(dl, d, du, du2, swapped)
 
 
+@functools.lru_cache(maxsize=8)
+def _start_vector(n):
+    """Inverse iteration's seeded unit start vector of size n, read-only; it is
+    drawn once per size and shared by every call."""
+    rng = np.random.default_rng(1914)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start /= math.sqrt(float((np.abs(start) ** 2).sum()))
+    start.flags.writeable = False
+    return start
+
+
 def tridiagonal_eigenvectors(t, lams):
     """Unit right eigenvectors of a Tridiagonal for approximate eigenvalues, as
     the columns of an (n, len(lams)) array, by inverse iteration on the O(n)
@@ -697,18 +709,17 @@ def tridiagonal_eigenvectors(t, lams):
     largest modulus of t - lam (EPS when t - lam is 0), and t and lam are
     radix-scaled first, so the result does not depend on the scale of t.
 
-    The scaling, ||t||_F and the seeded start vector are computed once per
-    call, as LAPACK's xSTEIN does, so each shift costs little more than its
-    LU and solves; each column is what a call with its lam alone returns.
+    The scaling and ||t||_F are computed once per call, as LAPACK's xSTEIN
+    does, and the seeded start vector once per size, so each shift costs
+    little more than its LU and solves; each column is what a call with its
+    lam alone returns.
     """
     radix, t = _radix_scaled(t)
     tol = EIGENVECTOR_TOL * (t.norm() or 1.0)
     n = t.size
     lower, upper = t.lower.tolist(), t.upper.tolist()
     offdiag = float(np.abs(np.concatenate((t.lower, t.upper))).max(initial=0.0))
-    rng = np.random.default_rng(1914)
-    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    start /= math.sqrt(float((np.abs(start) ** 2).sum()))
+    start = _start_vector(n)
     vectors = np.empty((n, len(lams)), dtype=complex)
     for k, lam in enumerate(lams):
         diag = t.diag - (complex(lam) * radix if radix != 1.0 else complex(lam))

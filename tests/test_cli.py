@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -999,17 +1000,28 @@ class TestFuzz:
         self.check(argv)
 
 
-class TestJsonRowTables:
-    """A list of flat dicts goes through one C-encoder call; the text is json.dumps's."""
+@st.composite
+def same_keyed_tables(draw, keys, values):
+    """Row tables whose rows share one key set, each row in its own key order."""
+    names = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
+    return [dict(zip(draw(st.permutations(names)),
+                     draw(st.lists(values, min_size=len(names), max_size=len(names)))))
+            for _ in range(draw(st.integers(1, 8)))]
 
-    # braces and brackets in keys and strings force the per-row walk
-    plain = st.text(alphabet=",:\"\\\n\u00e9xy", max_size=4)
-    braced = st.text(alphabet="xy{}[]", min_size=1, max_size=3)
+
+class TestJsonRowTables:
+    """A list of same-keyed flat dicts is C-encoded in batches and fills one
+    row template; the text is json.dumps's."""
+
+    # braces, brackets, "%" and NUL in keys and strings stay on the row-table path
+    plain = st.text(alphabet=",:\"\\\n\u00e9xy%\x00", max_size=4)
+    braced = st.text(alphabet="xy{}[]%\x00", min_size=1, max_size=3)
     numbers = st.one_of(
         st.none(),
         st.booleans(),
         st.integers(),
         st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
         st.sampled_from(TestJsonText.SPECIAL_FLOATS),
     )
     keys = st.one_of(plain, braced)
@@ -1026,6 +1038,7 @@ class TestJsonRowTables:
     @given(wrappers, st.lists(st.one_of(
         rows,
         st.lists(rows, min_size=1, max_size=6),
+        same_keyed_tables(keys, scalars),
         st.builds(dict),
         scalars,
         st.lists(scalars, max_size=3),
@@ -1037,13 +1050,15 @@ class TestJsonRowTables:
         assert cli._json_text(document) == TestJsonText.dumps(document)
 
     @given(wrappers, st.one_of(st.lists(plain_rows, min_size=1, max_size=8),
-                               st.lists(rows, min_size=1, max_size=8)))
+                               st.lists(rows, min_size=1, max_size=8),
+                               same_keyed_tables(keys, scalars)))
     @PROPERTY_SETTINGS
     def test_row_tables_match_json_dumps(self, wrap, table):
         document = wrap(table)
         assert cli._json_text(document) == TestJsonText.dumps(document)
 
-    @given(st.lists(plain_rows, min_size=1, max_size=8), st.data())
+    @given(st.one_of(st.lists(plain_rows, min_size=1, max_size=8),
+                     same_keyed_tables(plain, st.one_of(numbers, plain))), st.data())
     @PROPERTY_SETTINGS
     def test_non_finite_in_any_row(self, table, data):
         bad = data.draw(st.sampled_from(TestJsonText.NON_FINITE))
@@ -1058,7 +1073,7 @@ class TestJsonRowTables:
         assert str(raised.value) == str(expected.value)
         assert str(raised.value) == f"Out of range float values are not JSON compliant: {bad!r}"
 
-    def test_fast_path_taken_only_when_braces_prove_it(self, monkeypatch):
+    def test_row_template_taken_only_for_same_keyed_flat_rows(self, monkeypatch):
         results = []
         row_table = cli._row_table
 
@@ -1067,20 +1082,26 @@ class TestJsonRowTables:
             return results[-1]
 
         monkeypatch.setattr(cli, "_row_table", spy)
-        plain = [{"index": 0, "value": 0.5, "margin": None}, {"index": 1, "value": -0.0}]
+        plain = [{"index": 0, "value": 0.5, "margin": None},
+                 {"margin": 1, "value": -0.0, "index": 1}]
         cases = [
-            (plain, True),
-            ([{"a{": 1}, {"b": 2}], False),          # brace in a key
-            ([{"a": "}"}, {"b": "{"}], False),       # braces in strings
-            ([{"a": "["}], False),                   # bracket in a string
-            ([{"a": 1}, {}], False),                 # an empty row
-            ([{"a": 1}, {"b": [1]}], False),         # a container in a row
+            (plain, True),                                   # one key set, two orders
+            ([{"a{": "}", "[": "]"}, {"[": "{", "a{": 1}], True),  # braces and brackets
+            ([{"%s": "%d", "\x00": "\x00%"}], True),         # % and NUL
+            ([{"a": np.float64(0.1), "b": np.float64(-0.0)}], True),
+            ([{"a": 1}, {"b": 2}], False),                   # differing key sets
+            ([{"a": 1, "b": 2}, {"a": 1, "c": 2}], False),   # same size, other keys
+            ([{"a": 1}, {"a": 1, "b": 2}], False),           # an extra key
+            ([{1: 1}, {1: 2}], False),                       # a non-str key
+            ([{"a": 1}, {}], False),                         # an empty row
+            ([{}, {"a": 1}], False),
+            ([{"a": 1}, {"a": [1]}], False),                 # a container value
+            ([{"a": 1}, collections.OrderedDict(a=2)], False),  # a dict subclass
         ]
         for table, fast in cases:
             results.clear()
             assert cli._json_text({"rows": table}) == TestJsonText.dumps({"rows": table})
             assert (results[0] is not None) == fast, table
-
 
     @pytest.mark.parametrize("batch", [1, 2, 3])
     def test_batches_join_like_one_call(self, monkeypatch, batch):

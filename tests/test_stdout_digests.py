@@ -1,14 +1,14 @@
 """Byte identity of the command line's output on a fixed set of commands.
 
 Each entry pins the exit code and the sha256 of stdout and of stderr of one
-`nhosc` command, run in-process.  The commands are the README's, points of
-the benchmark's seed-1 spectrum and verify pools, the ill-conditioned mix
-(0.6, 0.6) at N = 400, a three-parameter block that sits near Bendixson's
-exit, the N = 2000 mix verify, a verify that fails on a vanishing
-biorthogonal overlap, and one whose huge gauge radix-scales inverse
-iteration.  A change meant to keep results identical
-must leave every digest as it is; a change meant to alter output updates the
-affected digests and says so.
+`nhosc` command, run in-process.  The commands are the README's, a 2,001-row
+mix scan whose margin changes sign, a CSV scan, points of the benchmark's
+seed-1 spectrum and verify pools, the ill-conditioned mix (0.6, 0.6) at
+N = 400, a three-parameter block that sits near Bendixson's exit, the
+N = 2000 mix verify, a verify that fails on a vanishing biorthogonal
+overlap, and one whose huge gauge radix-scales inverse iteration.  A change
+meant to keep results identical must leave every digest as it is; a change
+meant to alter output updates the affected digests and says so.
 
 Run `PYTHONPATH=src python tests/test_stdout_digests.py` to print the
 digests of the current tree in this file's format.
@@ -35,6 +35,12 @@ DIGESTS = {
          EMPTY),
     'scan --alpha 1.0 --scan gamma --start 0 --stop 2 --step 0.01':
         (0, '0d505e900870cc5e7fe9362a21e6c59d89dcd01c73a02f9a1cef4c57cc96ce64',
+         EMPTY),
+    'scan --rm-alpha 0.3 --scan rm-beta --start=-0.9 --stop 1.1005 --step 0.001':
+        (0, 'e43f0a9c36a57103e323349fdcafcbbea41bc0c2d1065aea850ec08feed75653',
+         EMPTY),
+    'scan --alpha 1.0 --scan gamma --start 0 --stop 2 --step 0.01 --format csv':
+        (0, 'dc9d3f86a1769d3e4c031f0aa7696a1df1cfc2b27c0472a7f1dd041969cd3e9e',
          EMPTY),
     'verify --rm-alpha 0.3 --rm-beta 0.2 -N 200 -n 8':
         (0, '7eee2dbdc9993b1caffdf70de6714749dcce770e85addc9428e8d9692ae6d44a',

@@ -555,6 +555,28 @@ class TestLowestLevels:
         # per solved level, and no more
         assert len(shifts) == 4 and sum(shifts) == 8
 
+    def test_verify_draws_one_start_vector_per_block_size(self, monkeypatch, capsys):
+        draws = []
+        default_rng = np.random.default_rng
+
+        def spy(seed):
+            draws.append(seed)
+            return default_rng(seed)
+
+        linalg._start_vector.cache_clear()
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        # N = 121: an even block of 61 and an odd block of 60, each solved
+        # for right and left vectors
+        assert cli.main(["verify", "--rm-alpha", "0.3", "--rm-beta", "0.2",
+                         "-N", "121", "-n", "8"]) == cli.EXIT_OK
+        assert len(draws) == 2
+        # the next verify of the same size draws none
+        assert cli.main(["verify", "--gauge-g", "0.3", "-N", "121", "-n", "8"]) == cli.EXIT_OK
+        assert len(draws) == 2
+        capsys.readouterr()
+        start = linalg._start_vector(61)
+        assert not start.flags.writeable and abs(np.linalg.norm(start) - 1.0) < 1e-15
+
     def test_at_least_one_level(self):
         fock = spectra.quadratic_fock_matrix(canonical.harmonic_oscillator(), 1.0, 8)
         with pytest.raises(ValueError, match="at least one level"):
