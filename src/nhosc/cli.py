@@ -219,12 +219,36 @@ def _validate_run(ns):
         raise ConfigError(f"trunc must be at least 4*levels, got {ns.trunc} < {4 * ns.levels}")
 
 
-def _reject_unread(ns, keys, reader):
-    """ConfigError naming the first of the options `keys` that is set, from a
-    flag or the config file: only `reader` reads them."""
-    for key in keys:
-        if getattr(ns, key) is not None:
-            raise ConfigError(f"--{key} is read only with {reader}")
+@dataclass(frozen=True)
+class _Choice:
+    """One group of a choose-one option group."""
+
+    keys: tuple  # the options that choose it; it needs all of them
+    own: tuple  # the options that only it reads
+    needs: str | None  # the message when some of `keys` are missing
+    build: object  # what the caller builds from it
+
+
+def _choose(ns, choices, conflict):
+    """The one of `choices` whose options are set, from flags or the config file.
+
+    ConfigError with `conflict` unless exactly one has an option set; then
+    naming the first set option that only another choice reads; then with the
+    chosen one's `needs` message when it lacks one of its options.
+    """
+    chosen = [choice for choice in choices
+              if any(getattr(ns, key) is not None for key in choice.keys)]
+    if len(chosen) != 1:
+        raise ConfigError(conflict)
+    (choice,) = chosen
+    for other in choices:
+        for key in other.own:
+            if other is not choice and getattr(ns, key) is not None:
+                raise ConfigError(f"--{key} is read only with "
+                                  + "/".join(f"--{name}" for name in other.keys))
+    if any(getattr(ns, key) is None for key in choice.keys):
+        raise ConfigError(choice.needs)
+    return choice
 
 
 @dataclass
@@ -241,28 +265,11 @@ def model_family(ns):
     The choice depends only on which model options are set, not on their
     values, so a scan makes it once and calls the builder at every point.
     """
-    has_h = any(getattr(ns, key) is not None for key in ("h11", "h12", "h22"))
-    has_rm = any(getattr(ns, key) is not None for key in ("rm_alpha", "rm_beta"))
-    has_gamma = ns.gamma is not None
-    chosen = [flag for flag in (has_h, has_rm, has_gamma) if flag]
-    if len(chosen) != 1:
-        raise ConfigError(
-            "specify exactly one model family: --h11/--h12/--h22, "
-            "--rm-alpha/--rm-beta, or --gamma with --alpha or --k"
-        )
-    if not has_gamma:
-        _reject_unread(ns, ("alpha", "k"), "--gamma")
-    if has_h:
-        if ns.h11 is None or ns.h12 is None or ns.h22 is None:
-            raise ConfigError("the three-parameter model needs --h11, --h12 and --h22")
-        return three_param_model
-    if has_rm:
-        if ns.rm_alpha is None or ns.rm_beta is None:
-            raise ConfigError("the mix model needs both --rm-alpha and --rm-beta")
-        return mix_model
-    if ns.alpha is None and ns.k is None:
+    build = _choose(ns, _MODEL_FAMILIES, "specify exactly one model family: --h11/--h12/--h22, "
+                    "--rm-alpha/--rm-beta, or --gamma with --alpha or --k").build
+    if build is gamma_model and ns.alpha is None and ns.k is None:
         raise ConfigError("--gamma needs --alpha or --k")
-    return gamma_model
+    return build
 
 
 def three_param_model(ns):
@@ -277,12 +284,9 @@ def three_param_model(ns):
 
 
 def mix_model(ns):
-    """The --rm-alpha/--rm-beta model; a singular point is a ConfigError."""
-    try:
-        osc = spectra.rath_mallick_oscillator(ns.rm_alpha, ns.rm_beta)
-        transform = canonical.rath_mallick(ns.rm_alpha, ns.rm_beta)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    """The --rm-alpha/--rm-beta model; a singular point is a ValueError."""
+    osc = spectra.rath_mallick_oscillator(ns.rm_alpha, ns.rm_beta)
+    transform = canonical.rath_mallick(ns.rm_alpha, ns.rm_beta)
     return Model(
         kind="rath_mallick",
         quadratic=osc.as_quadratic(),
@@ -297,39 +301,35 @@ def gamma_model(ns):
     return Model(kind="gamma_family", quadratic=quad, oscillator=None, transform=None)
 
 
+_MODEL_FAMILIES = (
+    _Choice(("h11", "h12", "h22"), (),
+            "the three-parameter model needs --h11, --h12 and --h22", three_param_model),
+    _Choice(("rm_alpha", "rm_beta"), (),
+            "the mix model needs both --rm-alpha and --rm-beta", mix_model),
+    _Choice(("gamma",), ("alpha", "k"), None, gamma_model),
+)
+
+
 def resolve_model(ns):
     return model_family(ns)(ns)
 
 
+# each builder takes the values of its options, in order
+_TRANSFORMS = (
+    _Choice(("rm_alpha", "rm_beta"), (),
+            "the mix transform needs both --rm-alpha and --rm-beta", canonical.rath_mallick),
+    _Choice(("gauge_g",), (), None, canonical.gauge),
+    _Choice(("u11", "u12", "u21", "u22"), (),
+            "the explicit transform needs all four matrix entries", canonical.from_matrix),
+)
+
+
 def resolve_transform(ns):
-    has_rm = ns.rm_alpha is not None or ns.rm_beta is not None
-    has_gauge = ns.gauge_g is not None
-    has_matrix = any(getattr(ns, key) is not None for key in ("u11", "u12", "u21", "u22"))
-    chosen = [flag for flag in (has_rm, has_gauge, has_matrix) if flag]
-    if len(chosen) != 1:
-        raise ConfigError(
-            "specify exactly one transform: --rm-alpha/--rm-beta, --gauge-g, "
-            "or --u11/--u12/--u21/--u22"
-        )
-    try:
-        if has_rm:
-            if ns.rm_alpha is None or ns.rm_beta is None:
-                raise ConfigError("the mix transform needs both --rm-alpha and --rm-beta")
-            return canonical.rath_mallick(ns.rm_alpha, ns.rm_beta), {
-                "rm_alpha": ns.rm_alpha,
-                "rm_beta": ns.rm_beta,
-            }
-        if has_gauge:
-            return canonical.gauge(ns.gauge_g), {"gauge_g": ns.gauge_g}
-        if any(getattr(ns, key) is None for key in ("u11", "u12", "u21", "u22")):
-            raise ConfigError("the explicit transform needs all four matrix entries")
-        return canonical.from_matrix(ns.u11, ns.u12, ns.u21, ns.u22), {
-            key: getattr(ns, key) for key in ("u11", "u12", "u21", "u22")
-        }
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    """The transform the flags choose, and its options and their values."""
+    choice = _choose(ns, _TRANSFORMS, "specify exactly one transform: --rm-alpha/--rm-beta, "
+                     "--gauge-g, or --u11/--u12/--u21/--u22")
+    params = {key: getattr(ns, key) for key in choice.keys}
+    return choice.build(*params.values()), params
 
 
 def _cj(value):
@@ -722,22 +722,24 @@ def cmd_verify(ns):
 
 def _grid(ns, omega, level=0):
     """The grid that covers level `level` at frequency omega, or the --grid-span
-    grid; FloatingPointError when fewer than 3 of its points lie within the
-    default half-width, where the state lives.
+    grid.
 
     The default grid has DEFAULT_GRID_POINTS points, or more where the level
     needs them (wavefun.min_grid_points); fewer explicit --grid-points than
-    that on the default width, or a --grid-span grid spaced wider than
-    wavefun.max_grid_spacing, are a ConfigError."""
+    that on the default width, a --grid-span that is not positive, or a
+    --grid-span grid spaced wider than wavefun.max_grid_spacing, are a
+    ConfigError.  A grid that passes holds more than 30 points within the
+    default half-width, where the state lives."""
     fewest = wavefun.min_grid_points(level)
     if ns.grid_points is None:
         ns.grid_points = max(wavefun.DEFAULT_GRID_POINTS, fewest)
-    if not ns.grid_span:
+    if ns.grid_span is None:
         if ns.grid_points < fewest:
             raise ConfigError(f"level {level} needs at least {fewest} grid-points on the "
                               f"default grid, {wavefun.POINTS_PER_NODE_SPACING} per node "
                               f"spacing; got {ns.grid_points}")
         return wavefun.default_grid(omega, ns.grid_points, level)
+    _require_positive(ns.grid_span, "grid-span")
     # spacings, not point counts, stay finite for every finite span
     widest = wavefun.max_grid_spacing(level, omega)
     spacing = ns.grid_span / (ns.grid_points - 1) * 2.0
@@ -746,74 +748,66 @@ def _grid(ns, omega, level=0):
                           f"{wavefun.POINTS_PER_NODE_SPACING} per node spacing; --grid-span "
                           f"{ns.grid_span:g} with {ns.grid_points} grid-points spaces them "
                           f"{spacing:.6g}")
-    grid = wavefun.uniform_grid(ns.grid_span, ns.grid_points)
-    bound = wavefun.default_halfwidth(omega, level)
-    inside = int(np.count_nonzero(np.abs(grid.points) <= bound))
-    if inside < 3:
-        raise FloatingPointError(f"{inside} of the {grid.size} grid points lie within {bound:g} "
-                                 "of 0, where the state lives; fewer than 3 do not resolve it")
-    return grid
+    return wavefun.uniform_grid(ns.grid_span, ns.grid_points)
+
+
+def _mix_ground_state(ns):
+    width = wavefun.rm_ground_width(ns.rm_alpha, ns.rm_beta)
+    grid = _grid(ns, width)
+    values = wavefun.rm_ground_state(ns.rm_alpha, ns.rm_beta, grid.points)
+    return wavefun.WavefunctionSample(
+        grid=grid, values=values, omega=width,
+        source=f"rm-ground alpha={ns.rm_alpha:g} beta={ns.rm_beta:g}",
+    )
+
+
+def _level_state(ns):
+    _default(ns, "omega", 1.0)
+    _require_positive(ns.omega, "omega")
+    if ns.level < 0:
+        raise ConfigError("level must be non-negative")
+    grid = _grid(ns, ns.omega, ns.level)
+    values = wavefun.hermite_function(ns.level, ns.omega, grid.points)
+    return wavefun.WavefunctionSample(
+        grid=grid, values=values, omega=ns.omega,
+        source=f"oscillator level n={ns.level}",
+    )
+
+
+def _eigenvector_state(ns):
+    _default(ns, "branch", 1)
+    _default(ns, "excitation", 0)
+    _default(ns, "parity", 0)
+    osc = spectra.ThreeParamOscillator(ns.h11, ns.h12, ns.h22)
+    try:
+        pair = spectra.eigenvector_coefficients(osc, ns.branch, ns.excitation, ns.parity)
+    except spectra.BrokenPhaseError as exc:
+        raise ConfigError(str(exc))
+    if pair.frequency <= 0:
+        raise ConfigError(
+            f"branch frequency {pair.frequency:g} is not positive; the state is "
+            "square integrable along the imaginary axis only and is not sampled"
+        )
+    grid = _grid(ns, pair.frequency, 2 * ns.excitation + ns.parity)
+    return wavefun.synthesize(pair, pair.frequency, grid)
+
+
+_STATES = (
+    _Choice(("rm_alpha", "rm_beta"), (),
+            "the mix ground state needs both --rm-alpha and --rm-beta", _mix_ground_state),
+    _Choice(("level",), ("omega",), None, _level_state),
+    _Choice(("h11", "h12", "h22"), ("branch", "excitation", "parity"),
+            "the eigenvector state needs --h11, --h12 and --h22", _eigenvector_state),
+)
 
 
 def cmd_wavefunction(ns):
     _default(ns, "format", "json")
     if ns.grid_points is not None and ns.grid_points < 3:
         raise ConfigError("grid-points must be at least 3")
-
-    has_rm = ns.rm_alpha is not None or ns.rm_beta is not None
-    has_level = ns.level is not None
-    has_pair = any(getattr(ns, key) is not None for key in ("h11", "h12", "h22"))
-    chosen = [flag for flag in (has_rm, has_level, has_pair) if flag]
-    if len(chosen) != 1:
-        raise ConfigError(
-            "specify exactly one state: --rm-alpha/--rm-beta (ground state), "
-            "--level with --omega, or --h11/--h12/--h22 with --branch/--excitation/--parity"
-        )
-    if not has_level:
-        _reject_unread(ns, ("omega",), "--level")
-    if not has_pair:
-        _reject_unread(ns, ("branch", "excitation", "parity"), "--h11/--h12/--h22")
-
-    if has_rm:
-        if ns.rm_alpha is None or ns.rm_beta is None:
-            raise ConfigError("the mix ground state needs both --rm-alpha and --rm-beta")
-        width = wavefun.rm_ground_width(ns.rm_alpha, ns.rm_beta)
-        grid = _grid(ns, width)
-        values = wavefun.rm_ground_state(ns.rm_alpha, ns.rm_beta, grid.points)
-        sample = wavefun.WavefunctionSample(
-            grid=grid, values=values, omega=width,
-            source=f"rm-ground alpha={ns.rm_alpha:g} beta={ns.rm_beta:g}",
-        )
-    elif has_level:
-        _default(ns, "omega", 1.0)
-        _require_positive(ns.omega, "omega")
-        if ns.level < 0:
-            raise ConfigError("level must be non-negative")
-        grid = _grid(ns, ns.omega, ns.level)
-        values = wavefun.hermite_function(ns.level, ns.omega, grid.points)
-        sample = wavefun.WavefunctionSample(
-            grid=grid, values=values, omega=ns.omega,
-            source=f"oscillator level n={ns.level}",
-        )
-    else:
-        if ns.h11 is None or ns.h12 is None or ns.h22 is None:
-            raise ConfigError("the eigenvector state needs --h11, --h12 and --h22")
-        _default(ns, "branch", 1)
-        _default(ns, "excitation", 0)
-        _default(ns, "parity", 0)
-        osc = spectra.ThreeParamOscillator(ns.h11, ns.h12, ns.h22)
-        try:
-            pair = spectra.eigenvector_coefficients(osc, ns.branch, ns.excitation, ns.parity)
-        except (spectra.BrokenPhaseError, ValueError) as exc:
-            raise ConfigError(str(exc))
-        if pair.frequency <= 0:
-            raise ConfigError(
-                f"branch frequency {pair.frequency:g} is not positive; the state is "
-                "square integrable along the imaginary axis only and is not sampled"
-            )
-        grid = _grid(ns, pair.frequency, 2 * ns.excitation + ns.parity)
-        sample = wavefun.synthesize(pair, pair.frequency, grid)
-
+    sample = _choose(ns, _STATES, "specify exactly one state: --rm-alpha/--rm-beta (ground "
+                     "state), --level with --omega, or --h11/--h12/--h22 with "
+                     "--branch/--excitation/--parity").build(ns)
     norm = wavefun.quadrature_norm(sample)
     try:
         nodes = wavefun.count_nodes(sample)
@@ -856,17 +850,9 @@ def main(argv=None):
         _merge_config(ns, config_keys)
         _require_finite(ns)
         return _DISPATCH[ns.command](ns)
-    except ConfigError as exc:
-        print(f"nhosc: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except wavefun.NonNormalizableError as exc:
-        print(f"nhosc: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (linalg.EigenConvergenceError, spectra.DegenerateEigenvaluesError) as exc:
-        print(f"nhosc: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (spectra.BrokenPhaseError, canonical.NonFiniteError, OverflowError,
-            FloatingPointError) as exc:
+    # several numeric failures subclass ValueError, so they are caught first
+    except (linalg.EigenConvergenceError, spectra.DegenerateEigenvaluesError,
+            spectra.BrokenPhaseError, canonical.NonFiniteError, OverflowError) as exc:
         print(f"nhosc: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -65,7 +65,7 @@ class DegenerateEigenvaluesError(ValueError):
 def _finite_float(name, value):
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite")
+        raise canonical.NonFiniteError(f"{name} must be finite")
     return value
 
 

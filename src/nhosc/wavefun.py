@@ -117,20 +117,15 @@ def default_halfwidth(omega, level=0):
 def min_grid_points(level):
     """Fewest points of a default-width grid that resolve level n:
     POINTS_PER_NODE_SPACING per node spacing pi/sqrt((2n+1) w), the spacing
-    of its nodes near the origin; at any w, since width and spacing both
-    scale as 1/sqrt(w).  3 below level 2, which has no two nodes."""
-    if level < 2:
-        return 3
+    of its nodes near the origin, and the scale of the state at levels 0
+    and 1 too; at any w, since width and spacing both scale as 1/sqrt(w)."""
     spacings = 2.0 * default_halfwidth(1.0, level) * math.sqrt(2 * level + 1) / math.pi
     return math.ceil(POINTS_PER_NODE_SPACING * spacings) + 1
 
 
 def max_grid_spacing(level, omega):
     """Widest grid spacing that resolves level n at frequency omega: the node
-    spacing pi/sqrt((2n+1) w) over POINTS_PER_NODE_SPACING; infinite below
-    level 2, which has no two nodes."""
-    if level < 2:
-        return math.inf
+    spacing pi/sqrt((2n+1) w) over POINTS_PER_NODE_SPACING."""
     node_spacing = math.pi / (math.sqrt(2 * level + 1) * math.sqrt(_check_omega(omega)))
     return node_spacing / POINTS_PER_NODE_SPACING
 

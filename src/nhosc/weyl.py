@@ -32,8 +32,6 @@ __all__ = [
     "ZERO",
     "monomial",
     "x_polynomial",
-    "add",
-    "mul",
     "commutator",
     "adjoint",
     "pt_transform",
@@ -211,16 +209,6 @@ def monomial(m, n, coefficient=1.0):
 def x_polynomial(*coefficients):
     """Polynomial in x alone from ascending coefficients (c0, c1, ...)."""
     return WeylPoly({(m, 0): c for m, c in enumerate(coefficients)})
-
-
-def add(a, b):
-    """Coefficient-wise sum in canonical form."""
-    return a + b
-
-
-def mul(a, b):
-    """Associative product, renormalized with p x = x p - i."""
-    return a * b
 
 
 def commutator(a, b):

@@ -365,6 +365,12 @@ class TestWavefunction:
                        "default grid, 4 per node spacing; got 8479\n")
         assert run_cli(capsys, "wavefunction", "--level", "1500", "--grid-points", "8480")[0] == 0
 
+    @pytest.mark.parametrize("span", ["0", "-3"])
+    def test_span_must_be_positive(self, capsys, span):
+        assert run_cli(capsys, "wavefunction", "--level", "1", f"--grid-span={span}",
+                       "--grid-points", "5") == (
+            2, "", f"nhosc: error: grid-span must be positive, got {float(span)}\n")
+
     def test_span_grid_too_coarse_for_the_level(self, capsys):
         # 4001 points on +-70 read norm 0.9977 at level 1500, silently
         code, out, err = run_cli(capsys, "wavefunction", "--level", "1500", "--grid-span", "70",
@@ -384,13 +390,13 @@ class TestWavefunction:
 
     def test_csv_has_constant_summary_columns(self, capsys):
         code, out, _ = run_cli(
-            capsys, "wavefunction", "--level", "1", "--grid-points", "11",
+            capsys, "wavefunction", "--level", "1", "--grid-points", "54",
             "--format", "csv",
         )
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "x,value_re,value_im,norm,nodes"
-        assert len(lines) == 12
+        assert len(lines) == 55
 
 
 class TestUnreadFlags:
@@ -422,6 +428,38 @@ class TestUnreadFlags:
     def test_rejected(self, capsys, argv, flag, reader):
         assert run_cli(capsys, *argv) == (2, "", f"nhosc: error: {flag} is read only with "
                                                  f"{reader}\n")
+
+    MODEL = ("specify exactly one model family: --h11/--h12/--h22, --rm-alpha/--rm-beta, "
+             "or --gamma with --alpha or --k")
+    TRANSFORM = ("specify exactly one transform: --rm-alpha/--rm-beta, --gauge-g, "
+                 "or --u11/--u12/--u21/--u22")
+    STATE = ("specify exactly one state: --rm-alpha/--rm-beta (ground state), --level with "
+             "--omega, or --h11/--h12/--h22 with --branch/--excitation/--parity")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--h11", "0.5", "--h12", "0", "--h22", "0.5", "--rm-alpha", "0.1",
+          "--rm-beta", "0.1"], MODEL),
+        (["scan", "--alpha", "1", "--scan", "k"] + SCAN, MODEL),
+        (["verify", "--rm-alpha", "0.3", "--gauge-g", "1", "-N", "40", "-n", "4"], TRANSFORM),
+        (["verify", "-N", "40", "-n", "4"], TRANSFORM),
+        (["wavefunction", "--level", "1", "--rm-alpha", "0.3"], STATE),
+        (["wavefunction"], STATE),
+        (["spectrum", "--h11", "0.5", "--h12", "0.1"],
+         "the three-parameter model needs --h11, --h12 and --h22"),
+        (["spectrum", "--rm-beta", "0.3"], "the mix model needs both --rm-alpha and --rm-beta"),
+        (["scan", "--gamma", "0.3", "--scan", "gamma"] + SCAN, "--gamma needs --alpha or --k"),
+        (["verify", "--rm-alpha", "0.3", "-N", "40", "-n", "4"],
+         "the mix transform needs both --rm-alpha and --rm-beta"),
+        (["verify", "--u11", "1", "--u12", "0", "-N", "40", "-n", "4"],
+         "the explicit transform needs all four matrix entries"),
+        (["wavefunction", "--rm-alpha", "0.3"],
+         "the mix ground state needs both --rm-alpha and --rm-beta"),
+        (["wavefunction", "--h11", "0.5", "--h12", "0.1"],
+         "the eigenvector state needs --h11, --h12 and --h22"),
+    ])
+    def test_choice_messages(self, capsys, argv, message):
+        """No group chosen, two chosen, or the chosen one incomplete."""
+        assert run_cli(capsys, *argv) == (2, "", f"nhosc: error: {message}\n")
 
     @pytest.mark.parametrize("argv, text, flag", [
         (["spectrum", "--h11", "0.5", "--h12", "0", "--h22", "0.5"], "alpha = 3", "--alpha"),
@@ -571,6 +609,10 @@ class TestExitCodes:
         )
         assert code == 3 and out == ""
         assert err == "nhosc: numeric failure: c_xx must be finite, got (nan+0j)\n"
+        # the mix family's coefficients overflow the same way
+        assert run_cli(capsys, "spectrum", "--rm-alpha", "1e200", "--rm-beta", "1e200",
+                       "-N", "8", "-n", "2") == (
+            3, "", "nhosc: numeric failure: h11 must be finite\n")
 
     def test_overflow_in_ladder_form_is_numeric_failure(self):
         # c_xx / (2 omega) overflows
@@ -637,9 +679,12 @@ class TestHugeCoefficients:
         assert doc["results"]["isospectral"]["passed"] is False
 
     def test_wavefunction_grid_width_overflows(self):
+        # a span whose width overflows is spaced far wider than any level allows
         code, out, err, caught = run_quiet(["wavefunction", "--level", "1", "--grid-span", "1e308"])
-        assert caught == [] and (code, out) == (3, "")
-        assert err == "nhosc: numeric failure: grid width 2 * 1e+308 overflows\n"
+        assert caught == [] and (code, out) == (2, "")
+        assert err == ("nhosc: error: level 1 needs a grid spacing of at most 0.45345, 4 per "
+                       "node spacing; --grid-span 1e+308 with 4001 grid-points spaces them "
+                       "5e+304\n")
 
     def test_wavefunction_span_grid_spacing_stays_finite(self):
         argv = ["wavefunction", "--level", "2", "--grid-span", "1.7e308", "--grid-points", "5"]
@@ -650,17 +695,19 @@ class TestHugeCoefficients:
                        "8.5e+307\n")
 
     def test_wavefunction_grid_too_wide_for_state(self):
-        # every sample but the one at 0, where level 1 vanishes, underflows
+        # every sample but the one at 0, where level 1 vanishes, would underflow
         argv = ["wavefunction", "--level", "1", "--grid-span", "1e300", "--grid-points", "5"]
         code, out, err, caught = run_quiet(argv)
-        assert caught == [] and (code, out) == (3, "")
-        assert err == ("nhosc: numeric failure: 1 of the 5 grid points lie within 12 of 0, "
-                       "where the state lives; fewer than 3 do not resolve it\n")
+        assert caught == [] and (code, out) == (2, "")
+        assert err == ("nhosc: error: level 1 needs a grid spacing of at most 0.45345, 4 per "
+                       "node spacing; --grid-span 1e+300 with 5 grid-points spaces them "
+                       "5e+299\n")
 
+    # `inside` is how many of the grid points lie within the state's half-width
     @pytest.mark.parametrize("argv, inside", [
         # one nonzero sample, 5e299 wide: the norm would read 4.3e149
         (["--level", "0", "--grid-span", "1e300", "--grid-points", "5"], "1 of the 5"),
-        # sqrt(omega) x overflows on the grid
+        # sqrt(omega) x would overflow on the grid
         (["--level", "1", "--omega", "1e200", "--grid-span", "1e250", "--grid-points", "5"],
          "1 of the 5"),
         (["--rm-alpha", "0.3", "--rm-beta", "0.2", "--grid-span", "100", "--grid-points", "9"],
@@ -670,15 +717,20 @@ class TestHugeCoefficients:
     ])
     def test_wavefunction_grid_too_coarse_for_state(self, argv, inside):
         code, out, err, caught = run_quiet(["wavefunction", *argv])
-        assert caught == [] and (code, out) == (3, "")
-        assert err.startswith(f"nhosc: numeric failure: {inside} grid points lie within ")
+        assert caught == [] and (code, out) == (2, "")
+        assert err.startswith("nhosc: error: level ")
+        assert f" with {inside.split()[-1]} grid-points spaces them " in err
         assert err.count("\n") == 1
 
     def test_wavefunction_grid_with_three_points_on_the_state(self):
-        argv = ["wavefunction", "--level", "0", "--grid-span", "12", "--grid-points", "3"]
-        code, out, err, caught = run_quiet(argv)
+        # the coarsest span grid level 0 accepts, 4 points per pi/sqrt(w)
+        argv = ["wavefunction", "--level", "0", "--grid-span", "12", "--grid-points"]
+        assert run_quiet(argv + ["31"])[:2] == (2, "")
+        code, out, err, caught = run_quiet(argv + ["32"])
         assert caught == [] and (code, err) == (0, "")
-        assert strict_json(out)["results"]["x"] == [-12.0, 0.0, 12.0]
+        doc = strict_json(out)
+        assert doc["results"]["x"][::31] == [-12.0, 12.0]
+        assert abs(doc["results"]["norm"] - 1.0) <= 1e-7
 
     def test_spectrum(self):
         argv = ["spectrum", "--h11", "1e160", "--h12", "0.3", "--h22", "0.5", "-N", "40", "-n", "4"]
@@ -1159,6 +1211,8 @@ class TestScanModelFamily:
          2, "nhosc: error: degenerate transform: u22 - i u12 vanishes"),
         (["--alpha", "1", "--scan", "gamma", "--start=-1e307", "--stop=1e307", "--step=1e307"],
          3, "nhosc: numeric failure: c_xx must be finite, got (nan+0j)"),
+        (["--rm-alpha", "1e200", "--scan", "rm-beta", "--start", "0", "--stop", "1e200",
+          "--step", "1e199"], 3, "nhosc: numeric failure: h11 must be finite"),
     ])
     def test_failure_mid_sweep(self, capsys, fmt, argv, code, message):
         assert run_cli(capsys, "scan", *argv, "--format", fmt) == (code, "", message + "\n")

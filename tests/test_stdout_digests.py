@@ -6,9 +6,11 @@ mix scan whose margin changes sign, a CSV scan, points of the benchmark's
 seed-1 spectrum and verify pools, the ill-conditioned mix (0.6, 0.6) at
 N = 400, a three-parameter block that sits near Bendixson's exit, the
 N = 2000 mix verify, a verify that fails on a vanishing biorthogonal
-overlap, and one whose huge gauge radix-scales inverse iteration.  A change
-meant to keep results identical must leave every digest as it is; a change
-meant to alter output updates the affected digests and says so.
+overlap, one whose huge gauge radix-scales inverse iteration, and one
+command for each choice of model, transform and wavefunction state that the
+others leave out.  A change meant to keep results identical must leave every
+digest as it is; a change meant to alter output updates the affected digests
+and says so.
 
 Run `PYTHONPATH=src python tests/test_stdout_digests.py` to print the
 digests of the current tree in this file's format.
@@ -83,6 +85,18 @@ DIGESTS = {
          '30c98beda1ccb65fb8423e46f1648184aac9afad89c472732d0ef95460435ac8'),
     'verify --gauge-g 1e100 -N 40 -n 4':
         (4, 'fb3ad35c7bca6a6b8b227c403ff82bc9d441415c073e9088f1464059ee28891b',
+         EMPTY),
+    'wavefunction --level 3 --omega 1.5':
+        (0, 'bf8d089df25e6a5d9aeeb5c6e77647fa6d2677883c0a0c510e5d5ed498455c03',
+         EMPTY),
+    'wavefunction --h11 0.4 --h12 0.3 --h22 0.6 --excitation 1 --parity 1':
+        (0, 'adce3e63c8daea55b7dbccec460bfb46cb332df0d5fe165aef293c555b5c0b88',
+         EMPTY),
+    'spectrum --gamma 0.3 --k 2 -N 40 -n 4 --format csv':
+        (0, '23f58e36bf4a4acce0d5ad2d1255fc40e6fdb76f72fb2a1b87959fdd53470765',
+         EMPTY),
+    'verify --u11 1 --u12 0 --u21 0 --u22 1 -N 40 -n 4 --format csv':
+        (0, '2394fadb9ed831adb91ac6f6a5aab4564a815fcdb8154819c70b30392058d526',
          EMPTY),
 }
 

@@ -277,6 +277,12 @@ class TestGrid:
                 wavefun.uniform_grid(1e308, 5)
             assert wavefun.uniform_grid(8e307, 5).points[-1] == 8e307
 
+    def test_low_levels_take_the_spacing_rule(self):
+        # 4 points per pi/sqrt((2n+1) w) hold at levels 0 and 1 as at 2 and up
+        assert [wavefun.min_grid_points(n) for n in range(3)] == [32, 54, 70]
+        assert wavefun.max_grid_spacing(0, 4.0) == math.pi / 8
+        assert wavefun.max_grid_spacing(1, 1.0) == math.pi / math.sqrt(3) / 4
+
     def test_sample_length_checked(self):
         grid = wavefun.uniform_grid(1.0, 11)
         with pytest.raises(ValueError):
