@@ -8,7 +8,8 @@ N = 400, a three-parameter block that sits near Bendixson's exit, the
 N = 2000 mix verify, a verify that fails on a vanishing biorthogonal
 overlap, one whose huge gauge radix-scales inverse iteration, and one
 command for each choice of model, transform and wavefunction state that the
-others leave out.  A change meant to keep results identical must leave every
+others leave out, a broken-phase spectrum, a verify against a scaled base,
+and a verify that fails its level check (exit 4).  A change meant to keep results identical must leave every
 digest as it is; a change meant to alter output updates the affected digests
 and says so.
 
@@ -97,6 +98,21 @@ DIGESTS = {
          EMPTY),
     'verify --u11 1 --u12 0 --u21 0 --u22 1 -N 40 -n 4 --format csv':
         (0, '2394fadb9ed831adb91ac6f6a5aab4564a815fcdb8154819c70b30392058d526',
+         EMPTY),
+    'spectrum --gamma 1.5 --alpha 1 -N 40 -n 4':
+        (0, 'f1caa7950dfd331ac483f62794b17eda8a5d6e43dd7984c9dfede073f3a095d3',
+         EMPTY),
+    'spectrum --gamma 1.5 --alpha 1 -N 40 -n 4 --format csv':
+        (0, '37add5d94b0366bd85651b9584fec7bc7ccc39a350eef199e362144e2693fca7',
+         EMPTY),
+    'verify --rm-alpha 0.3 --rm-beta 0.2 --base-k 2 -N 40 -n 4':
+        (0, 'e370ace949ef2f8b8604bbb9e2f26d0909babd13bbb82ff2fe585a3187499689',
+         EMPTY),
+    'verify --rm-alpha 0.8 --rm-beta 0.8 -N 200 -n 8':
+        (4, 'e5de840700374a0a744d41bb5ca13bbb1eaaba0f6ae5c83e0b666bb7ca596ed7',
+         EMPTY),
+    'verify --rm-alpha 0.8 --rm-beta 0.8 -N 200 -n 8 --format csv':
+        (4, '21a3b2be08214546b9bb9db6102de5bc3b4811f2c87f20db37bb92ead914e8b3',
          EMPTY),
 }
 
