@@ -493,31 +493,23 @@ def cmd_spectrum(ns):
     _default(ns, "format", "json")
     _validate_run(ns)
     model = resolve_model(ns)
-    scale = model.quadratic.frequency_scale
-    broken = abs(scale.imag) > 1e-12 * max(1.0, abs(scale))
+    broken = spectra.broken_phase(model.quadratic)
     closed_plus = [spectra.general_quadratic_spectrum(model.quadratic, n)
                    for n in range(ns.levels)]
     closed_minus = [-v for v in closed_plus] if model.oscillator is not None else None
-
-    fock = spectra.quadratic_fock_matrix(model.quadratic, ns.omega, ns.trunc)
-    solved = spectra.parity_spectrum(fock, levels=ns.levels)
-    eigs, parities = solved.eigenvalues, solved.parities
-
-    levels = []
-    max_dev = None
-    for n in range(ns.levels):
-        entry = {
-            "n": n,
-            "eigenvalue": _cj(eigs[n]),
-            "parity": int(parities[n]),
-            "closed_form": None,
-            "deviation": None,
+    records, _ = spectra.solve_levels(model.quadratic, ns.omega, ns.trunc, ns.levels,
+                                     reference=None if broken else model.quadratic)
+    levels = [
+        {
+            "n": level.index,
+            "eigenvalue": _cj(level.eigenvalue),
+            "parity": level.parity,
+            "closed_form": None if broken else _cj(level.reference),
+            "deviation": level.deviation,
         }
-        if not broken:
-            entry["closed_form"] = _cj(closed_plus[n])
-            entry["deviation"] = abs(eigs[n] - closed_plus[n])
-            max_dev = entry["deviation"] if max_dev is None else max(max_dev, entry["deviation"])
-        levels.append(entry)
+        for level in records
+    ]
+    max_dev = None if broken else max(level.deviation for level in records)
 
     results = {
         "model": {
@@ -525,7 +517,7 @@ def cmd_spectrum(ns):
             "c_pp": _cj(model.quadratic.c_pp),
             "c_xp": _cj(model.quadratic.c_xp),
             "c_xx": _cj(model.quadratic.c_xx),
-            "frequency_scale": _cj(scale),
+            "frequency_scale": _cj(model.quadratic.frequency_scale),
             "discriminant": model.oscillator.discriminant if model.oscillator else None,
         },
         "broken_phase": broken,

@@ -221,12 +221,14 @@ def eigenvalues(t):
             corner = h[hi - 1, hi - 1]
             shift = l1 if abs(l1 - corner) <= abs(l2 - corner) else l2
         _qr_sweep(h, lo, hi, shift)
-    return _sorted_eigs(eig)
+    return eig[_order(eig)]
 
 
-def _sorted_eigs(eig):
-    order = np.lexsort((eig.imag, eig.real))
-    return eig[order]
+def _order(values):
+    """Indices that sort complex values by real part then imaginary part;
+    stable, so equal values keep their order.  Every eigenvalue list of the
+    package is in this order."""
+    return np.lexsort((values.imag, values.real))
 
 
 def _lifted_pivot(pivot, floor, k):
@@ -617,7 +619,8 @@ def tridiagonal_eigenvalues(t, lowest=None):
                 segment = Tridiagonal(t.diag[lo:hi], t.lower[lo : hi - 1], t.upper[lo : hi - 1])
                 eig.extend(eigenvalues(segment))
         lo = hi
-    return _sorted_eigs(np.array(eig, dtype=complex))[:lowest]
+    eig = np.array(eig, dtype=complex)
+    return eig[_order(eig)][:lowest]
 
 
 @dataclass(frozen=True)

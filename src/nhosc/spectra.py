@@ -18,7 +18,7 @@ no N x N matrix is formed on the way to a spectrum or a check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +45,8 @@ __all__ = [
     "ParitySpectrum",
     "parity_spectrum",
     "general_quadratic_spectrum",
+    "broken_phase",
+    "solve_levels",
     "verify_isospectral",
     "eta_check",
 ]
@@ -183,7 +185,8 @@ def closed_form_eigenvalue(h, n, branch):
     d = h.discriminant
     if d < 0:
         raise BrokenPhaseError(f"discriminant {d} < 0: complex spectrum")
-    return branch * (math.sqrt(d) * (2 * n + 1))
+    # Omega^2 = c_pp c_xx - c_xp^2 = h11 h22 + h12^2 = D, rounded the same way
+    return branch * general_quadratic_spectrum(h.as_quadratic(), n).real
 
 
 @dataclass(frozen=True)
@@ -304,6 +307,13 @@ def general_quadratic_spectrum(q, n):
     return q.frequency_scale * (2 * n + 1)
 
 
+def broken_phase(q):
+    """Whether the spectrum Omega (2n+1) of q is complex beyond rounding:
+    |Im Omega| above 1e-12 max(1, |Omega|)."""
+    scale = q.frequency_scale
+    return abs(scale.imag) > 1e-12 * max(1.0, abs(scale))
+
+
 @dataclass(frozen=True)
 class ParitySpectrum:
     """A truncation solved once, for every check that needs it.
@@ -318,13 +328,6 @@ class ParitySpectrum:
     eigenvalues: np.ndarray
     parities: np.ndarray
     levels: int | None = None
-
-
-def _order(parts):
-    """Indices that sort the concatenated parts by real part then imaginary
-    part; stable, so even before odd on a tie."""
-    values = np.concatenate(parts)
-    return np.lexsort((values.imag, values.real))
 
 
 def parity_spectrum(fock, levels=None):
@@ -349,24 +352,28 @@ def parity_spectrum(fock, levels=None):
         for block in fock.blocks]
     if levels is not None:
         ends = np.cumsum([part.size for part in parts]) - 1
-        before = _order(parts)[:levels - 1]
+        before = linalg._order(np.concatenate(parts))[:levels - 1]
         for par, block in enumerate(fock.blocks):
             if parts[par].size < block.size and ends[par] in before:
                 parts[par] = linalg.tridiagonal_eigenvalues(block, lowest=levels)
     labels = np.repeat(np.arange(len(parts)), [part.size for part in parts])
-    order = _order(parts)[:levels]
-    return ParitySpectrum(fock=fock, eigenvalues=np.concatenate(parts)[order],
+    values = np.concatenate(parts)
+    order = linalg._order(values)[:levels]  # stable: even before odd on a tie
+    return ParitySpectrum(fock=fock, eigenvalues=values[order],
                           parities=labels[order], levels=levels)
 
 
 @dataclass(frozen=True)
 class SpectrumLevel:
+    """Level `index` of a solved truncation; reference and deviation are None
+    when it was compared with nothing, matched when no tolerance was applied."""
+
     index: int
     eigenvalue: complex
     parity: int | None
     reference: complex | None
     deviation: float | None
-    matched: bool
+    matched: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -381,14 +388,32 @@ class SpectrumReport:
     notes: tuple = field(default_factory=tuple)
 
 
+def solve_levels(q, omega, trunc, n_levels, reference=None):
+    """The lowest n_levels of q's truncation to |0>..|trunc-1> at frequency
+    omega, solved once, as SpectrumLevel records, and that ParitySpectrum.
+
+    With a reference quadratic, level n is compared with
+    general_quadratic_spectrum(reference, n); without one, its reference and
+    deviation are None.  No level is matched against a tolerance.
+    """
+    solved = parity_spectrum(quadratic_fock_matrix(q, omega, trunc), levels=n_levels)
+    levels = []
+    for n, (eig, parity) in enumerate(zip(solved.eigenvalues, solved.parities)):
+        ref = None if reference is None else general_quadratic_spectrum(reference, n)
+        levels.append(SpectrumLevel(index=n, eigenvalue=complex(eig), parity=int(parity),
+                                    reference=ref,
+                                    deviation=None if ref is None else float(abs(eig - ref))))
+    return tuple(levels), solved
+
+
 def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, omega=1.0):
     """Check that the transformed oscillator keeps the base spectrum.
 
-    Builds the quadratic image of the base under the transform, truncates it
-    at frequency omega, solves it once for the lowest n_levels eigenvalues and
-    compares them to Omega_base (2n+1).  Requires n_levels <= trunc/4 so the
-    retained levels are well below the truncation edge.  The report carries
-    the solution (`solved`), which eta_check takes as it is.
+    Solves the quadratic image of the base under the transform with
+    solve_levels, against the base, and matches level n when it is within
+    tol of Omega_base (2n+1).  Requires n_levels <= trunc/4 so the retained
+    levels are well below the truncation edge.  The report carries the
+    solution (`solved`), which eta_check takes as it is.
     """
     trunc = int(trunc)
     n_levels = int(n_levels)
@@ -396,44 +421,24 @@ def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, o
         raise ValueError(f"need n_levels <= trunc/4, got {n_levels} vs {trunc}")
     if base is None:
         base = canonical.harmonic_oscillator()
-    scale = base.frequency_scale
-    if abs(scale.imag) > 1e-12 * max(1.0, abs(scale)) or scale.real <= 0:
+    if broken_phase(base) or base.frequency_scale.real <= 0:
         raise ValueError("base operator must have a real positive spectral scale")
     target = canonical.apply_to_quadratic(transform, base)
-    solved = parity_spectrum(quadratic_fock_matrix(target, omega, trunc), levels=n_levels)
-    eigs, parities = solved.eigenvalues, solved.parities
-    levels = []
-    max_dev = 0.0
-    notes = []
-    for n in range(n_levels):
-        ref = general_quadratic_spectrum(base, n).real
-        dev = float(abs(eigs[n] - ref))
-        max_dev = max(max_dev, dev)
-        matched = bool(dev <= tol)
-        levels.append(
-            SpectrumLevel(
-                index=n,
-                eigenvalue=complex(eigs[n]),
-                parity=int(parities[n]),
-                reference=complex(ref),
-                deviation=dev,
-                matched=matched,
-            )
-        )
-        if int(parities[n]) != n % 2:
-            notes.append(f"level {n}: observed parity {int(parities[n])} != {n % 2}")
+    levels, solved = solve_levels(target, omega, trunc, n_levels, reference=base)
+    levels = tuple(replace(level, matched=bool(level.deviation <= tol)) for level in levels)
+    notes = tuple(f"level {level.index}: observed parity {level.parity} != {level.index % 2}"
+                  for level in levels if level.parity != level.index % 2)
     try:
         norm = canonical.normalizable(transform)
     except ValueError:
         norm = None
-    passed = all(level.matched for level in levels)
     return SpectrumReport(
-        levels=tuple(levels),
-        passed=passed,
-        max_deviation=max_dev,
+        levels=levels,
+        passed=all(level.matched for level in levels),
+        max_deviation=max(0.0, *(level.deviation for level in levels)),
         solved=solved,
         normalizable=norm,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 

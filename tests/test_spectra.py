@@ -134,6 +134,15 @@ class TestClosedForm:
         with pytest.raises(spectra.BrokenPhaseError):
             spectra.closed_form_eigenvalue(ThreeParamOscillator(0.5, 0.0, -0.5), 0, 1)
 
+    def test_is_the_general_spectrum_on_the_branch(self):
+        rng = np.random.default_rng(173)
+        for _ in range(20):
+            osc = random_oscillator(rng)
+            for n in range(6):
+                general = spectra.general_quadratic_spectrum(osc.as_quadratic(), n)
+                assert spectra.closed_form_eigenvalue(osc, n, 1) == general.real
+                assert spectra.closed_form_eigenvalue(osc, n, -1) == -general.real
+
 
 def three_param_bands(h, omega, size):
     """(diag, lower, upper) by the three-parameter formula in real arithmetic."""
@@ -307,6 +316,51 @@ class TestGeneralQuadraticSpectrum:
                 expected = spectra.general_quadratic_spectrum(target, n)
                 assert abs(eigs[n] - expected) < 1e-8
             checked += 1
+
+
+class TestBrokenPhase:
+    def test_gamma_family_transition(self):
+        assert not spectra.broken_phase(canonical.ahmed_hermitian(0.5, alpha=1.0))
+        assert not spectra.broken_phase(canonical.ahmed_hermitian(1.0, alpha=1.0))
+        assert spectra.broken_phase(canonical.ahmed_hermitian(1.5, alpha=1.0))
+
+    def test_rounding_is_not_broken(self):
+        # Omega^2 = 1 - 1e-26 j: Im Omega = -5e-27, below 1e-12 |Omega|
+        assert not spectra.broken_phase(canonical.QuadraticHamiltonian(1.0, 1e-13 + 5e-14j, 1.0))
+        # Im Omega = 1e-6 is well above it
+        assert spectra.broken_phase(canonical.QuadraticHamiltonian(1.0, 0.0, -1e-12))
+
+
+class TestSolveLevels:
+    def test_without_reference(self):
+        q = canonical.ahmed_hermitian(1.5, alpha=1.0)
+        levels, solved = spectra.solve_levels(q, 1.0, 40, 4)
+        assert solved.levels == 4 and solved.fock.size == 40
+        assert [level.index for level in levels] == [0, 1, 2, 3]
+        assert [level.eigenvalue for level in levels] == list(solved.eigenvalues)
+        assert [level.parity for level in levels] == list(solved.parities)
+        assert all(level.reference is level.deviation is level.matched is None
+                   for level in levels)
+
+    def test_against_a_reference(self):
+        base = canonical.scaled_oscillator(2.0)
+        target = canonical.apply_to_quadratic(canonical.rath_mallick(0.3, 0.2), base)
+        levels, solved = spectra.solve_levels(target, 1.0, 80, 6, reference=base)
+        for level, eig in zip(levels, solved.eigenvalues):
+            reference = spectra.general_quadratic_spectrum(base, level.index)
+            assert level.reference == reference
+            assert level.deviation == abs(eig - reference) < 1e-10
+            assert level.matched is None
+
+    def test_verify_matches_its_levels(self):
+        transform = canonical.rath_mallick(0.3, 0.2)
+        report = spectra.verify_isospectral(transform, trunc=80, n_levels=6, tol=1e-8)
+        levels, _ = spectra.solve_levels(
+            canonical.apply_to_quadratic(transform, canonical.harmonic_oscillator()),
+            1.0, 80, 6, reference=canonical.harmonic_oscillator())
+        assert report.levels == tuple(dataclasses.replace(level, matched=True)
+                                      for level in levels)
+        assert report.max_deviation == max(level.deviation for level in levels)
 
 
 class TestVerifyIsospectral:
