@@ -198,6 +198,9 @@ def rath_mallick(alpha, beta):
     """Two-parameter mix x -> (x + i a p)/s, p -> (p + i b x)/s, s = sqrt(1+ab)."""
     alpha, beta = complex(alpha), complex(beta)
     denom = 1 + alpha * beta
+    # s = 1/sqrt(denom) is finite and nonzero whenever denom is finite and not singular
+    if not cmath.isfinite(denom):
+        raise NonFiniteError(f"mix transform overflows: 1 + alpha*beta = {denom!r}")
     if abs(denom) < 1e-12:
         raise ValueError(f"singular parameters: 1 + alpha*beta = {denom!r}")
     s = 1 / cmath.sqrt(denom)
@@ -228,15 +231,25 @@ def apply_to_quadratic(u, h):
 
     Collecting coefficients directly; agrees with the symbolic route through
     weyl.substitute_linear.  No scalar term appears because the symmetrized
-    cross term transforms into itself plus squares.
+    cross term transforms into itself plus squares.  NonFiniteError when a
+    coefficient of the image overflows.
     """
-    return QuadraticHamiltonian(
-        c_pp=h.c_pp * u.u22 ** 2 + 2 * h.c_xp * u.u12 * u.u22 + h.c_xx * u.u12 ** 2,
-        c_xp=h.c_pp * u.u21 * u.u22
-        + h.c_xp * (u.u11 * u.u22 + u.u12 * u.u21)
-        + h.c_xx * u.u11 * u.u12,
-        c_xx=h.c_pp * u.u21 ** 2 + 2 * h.c_xp * u.u11 * u.u21 + h.c_xx * u.u11 ** 2,
-    )
+    try:
+        return QuadraticHamiltonian(
+            c_pp=h.c_pp * u.u22 ** 2 + 2 * h.c_xp * u.u12 * u.u22 + h.c_xx * u.u12 ** 2,
+            c_xp=h.c_pp * u.u21 * u.u22
+            + h.c_xp * (u.u11 * u.u22 + u.u12 * u.u21)
+            + h.c_xx * u.u11 * u.u12,
+            c_xx=h.c_pp * u.u21 ** 2 + 2 * h.c_xp * u.u11 * u.u21 + h.c_xx * u.u11 ** 2,
+        )
+    # both are finite, so only an overflow makes the image non-finite
+    except (OverflowError, NonFiniteError):
+        largest_u = max(abs(u.u11), abs(u.u12), abs(u.u21), abs(u.u22))
+        largest_h = max(abs(h.c_pp), abs(h.c_xp), abs(h.c_xx))
+        raise NonFiniteError(
+            f"quadratic image under the transform overflows: transform entries up "
+            f"to {largest_u:.3g}, quadratic coefficients up to {largest_h:.3g} in modulus"
+        ) from None
 
 
 def normalizable(u):

@@ -156,24 +156,30 @@ def critical_frequencies(h):
 
 
 def branch_frequency(h, branch):
-    """The critical frequency realizing the branch (+1 or -1)."""
+    """The critical frequency realizing the branch (+1 or -1); NonFiniteError
+    when it overflows."""
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
     crit = critical_frequencies(h)
+    if crit.kind == "complex_pair":
+        raise BrokenPhaseError(f"discriminant {crit.discriminant} < 0: complex spectrum")
+    if crit.kind == "degenerate":
+        raise ValueError("exceptional point: the two critical frequencies coincide")
+    if crit.kind == "none":
+        raise ValueError("no critical frequency exists (h11 = h12 = 0)")
     if crit.kind == "pair":
-        return crit.omega_plus if branch == 1 else crit.omega_minus
-    if crit.kind == "single":
+        omega = crit.omega_plus if branch == 1 else crit.omega_minus
+    else:
         realized = 1 if h.h12 > 0 else -1
         if branch != realized:
             raise ValueError(
                 f"h11 = 0 realizes only the {'+' if realized == 1 else '-'} branch"
             )
-        return crit.omega_single
-    if crit.kind == "complex_pair":
-        raise BrokenPhaseError(f"discriminant {crit.discriminant} < 0: complex spectrum")
-    if crit.kind == "degenerate":
-        raise ValueError("exceptional point: the two critical frequencies coincide")
-    raise ValueError("no critical frequency exists (h11 = h12 = 0)")
+        omega = crit.omega_single
+    if not math.isfinite(omega):
+        raise canonical.NonFiniteError(
+            f"frequency of the {'+' if branch == 1 else '-'} branch overflows: {omega}")
+    return omega
 
 
 def closed_form_eigenvalue(h, n, branch):

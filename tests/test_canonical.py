@@ -88,6 +88,24 @@ class TestFiniteEntries:
         with pytest.raises(canonical.NonFiniteError, match="c_xx"):
             canonical.ahmed_hermitian(1e200, alpha=1e200)
 
+    @pytest.mark.parametrize("alpha, beta", [(1e200, 1e200), (1e200, -1e200)])
+    def test_overflowing_mix_is_non_finite(self, alpha, beta):
+        # 1 + alpha beta overflows, so s = 1/sqrt(1 + alpha beta) would be 0
+        with pytest.raises(canonical.NonFiniteError, match="^mix transform overflows"):
+            canonical.rath_mallick(alpha, beta)
+
+    @pytest.mark.parametrize("transform, base", [
+        # u21**2 and u11**2 raise OverflowError
+        (canonical.gauge(1e300), canonical.harmonic_oscillator()),
+        (canonical.from_matrix(1e200, 0, 0, 1e-200), canonical.harmonic_oscillator()),
+        # c_xx u11**2 is inf
+        (canonical.from_matrix(1e100, 0, 0, 1e-100), canonical.scaled_oscillator(1e200)),
+    ])
+    def test_overflowing_image_is_non_finite(self, transform, base):
+        with pytest.raises(canonical.NonFiniteError,
+                           match="^quadratic image under the transform overflows"):
+            canonical.apply_to_quadratic(transform, base)
+
     def test_non_finite_error_is_a_value_error(self):
         assert issubclass(canonical.NonFiniteError, ValueError)
 

@@ -623,6 +623,23 @@ class TestExitCodes:
         assert caught == [] and (code, out) == (3, "")
         assert err == "nhosc: numeric failure: number-basis matrix of size 40 overflows\n"
 
+    @pytest.mark.parametrize("command, message", [
+        ("verify --rm-alpha 1e200 --rm-beta 1e200 -N 40 -n 4",
+         "mix transform overflows: 1 + alpha*beta = (inf+0j)"),
+        ("wavefunction --h11 1e200 --h12 1e200 --h22 1e200",
+         "frequency of the + branch overflows: inf"),
+        ("verify --gauge-g 1e300 -N 40 -n 4",
+         "quadratic image under the transform overflows: transform entries up to 1e+300, "
+         "quadratic coefficients up to 0.5 in modulus"),
+        ("verify --u11 1e200 --u12 0 --u21 0 --u22 1e-200 -N 40 -n 4",
+         "quadratic image under the transform overflows: transform entries up to 1e+200, "
+         "quadratic coefficients up to 0.5 in modulus"),
+    ])
+    def test_overflow_is_named_numeric_failure(self, command, message):
+        code, out, err, caught = run_quiet(command.split())
+        assert caught == [] and (code, out) == (3, "")
+        assert err == f"nhosc: numeric failure: {message}\n"
+
     @pytest.mark.parametrize("argv, value", [
         (["spectrum", "--omega", "0"], "0.0"),
         (["spectrum", "--omega", "-1"], "-1.0"),

@@ -110,6 +110,17 @@ class TestCriticalFrequencies:
         assert crit.kind == "pair"
         assert crit.sign_contract is False
 
+    @pytest.mark.parametrize("h, branch, message", [
+        # D = h11 h22 + h12^2 overflows, and with it both roots
+        (ThreeParamOscillator(1e200, 1e200, 1e200), 1, "frequency of the \\+ branch overflows: inf"),
+        (ThreeParamOscillator(1e200, 1e200, 1e200), -1, "frequency of the - branch overflows: -inf"),
+        # h11 = 0: h22 / (2 h12) overflows
+        (ThreeParamOscillator(0.0, 1e-300, 1e10), 1, "frequency of the \\+ branch overflows: inf"),
+    ])
+    def test_overflowing_branch_frequency_is_non_finite(self, h, branch, message):
+        with pytest.raises(canonical.NonFiniteError, match=f"^{message}$"):
+            spectra.branch_frequency(h, branch)
+
 
 class TestClosedForm:
     def test_sho_levels(self):
