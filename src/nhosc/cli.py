@@ -124,7 +124,6 @@ def _build():
         p_spec.add_argument("--omega", type=float),
         p_spec.add_argument("-N", "--trunc", type=int),
         p_spec.add_argument("-n", "--levels", type=int),
-        p_spec.add_argument("--tol", type=float),
     ] + _add_common(p_spec)
 
     p_scan = sub.add_parser("scan", help="sweep one parameter, track the phase indicator")
@@ -212,7 +211,6 @@ def _require_finite(ns):
 
 def _validate_run(ns):
     _require_positive(ns.omega, "omega")
-    _require_positive(ns.tol, "tol")
     if ns.levels < 1:
         raise ConfigError("levels must be at least 1")
     if ns.trunc < 4 * ns.levels:
@@ -489,7 +487,6 @@ def cmd_spectrum(ns):
     _default(ns, "omega", 1.0)
     _default(ns, "trunc", 100)
     _default(ns, "levels", 10)
-    _default(ns, "tol", 1e-8)
     _default(ns, "format", "json")
     _validate_run(ns)
     model = resolve_model(ns)
@@ -648,6 +645,7 @@ def cmd_verify(ns):
     _default(ns, "tol_eta", 1e-6)
     _default(ns, "format", "json")
     _validate_run(ns)
+    _require_positive(ns.tol, "tol")
     _require_positive(ns.tol_eta, "tol-eta")
     transform, params = resolve_transform(ns)
     base = (

@@ -481,6 +481,12 @@ class TestUnreadFlags:
     def test_read_flags_accepted(self, capsys, argv):
         assert run_cli(capsys, *argv)[0] == 0
 
+    def test_spectrum_has_no_tol_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["spectrum", "--h11", "0.5", "--h12", "0", "--h22", "0.5", "--tol", "1e-8"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--gamma", "--alpha", "--k"])
     def test_wavefunction_has_no_gamma_flags(self, capsys, flag):
         with pytest.raises(SystemExit) as info:
@@ -514,6 +520,9 @@ class TestConfigFile:
         (["wavefunction", "--level", "1", "--grid-points", "101"], "alpha = 3", "alpha"),
         (["spectrum", "--h11", "0.5", "--h12", "0", "--h22", "0.5", "-n", "2", "-N", "12"],
          "tol-eta = 5", "tol-eta"),
+        # spectrum compares its levels with the closed form but applies no tolerance
+        (["spectrum", "--h11", "0.5", "--h12", "0", "--h22", "0.5", "-n", "2", "-N", "12"],
+         "tol = 1e-8", "tol"),
     ])
     def test_key_of_another_subcommand_rejected(self, capsys, tmp_path, argv, text, key):
         config = tmp_path / "run.cfg"
@@ -986,7 +995,7 @@ def run_flags(draw):
     # mostly trunc >= 4 * levels >= 4, which the CLI requires
     levels = draw(st.one_of(st.integers(1, 4), st.integers(1, 4), st.integers(0, 4)))
     trunc = draw(st.integers(max(1, 4 * levels - 2), 4 * levels + 12))
-    return [f"-N={trunc}", f"-n={levels}"] + optional(draw, number_flag("tol", FUZZ_POSITIVE))
+    return [f"-N={trunc}", f"-n={levels}"]
 
 
 @st.composite
@@ -1008,6 +1017,7 @@ def verify_argv(draw):
         flags = ["--u11=1", "--u12=0", f"--u21={c!r}j", "--u22=1"]
     return (["verify"] + flags + optional(draw, number_flag("base-k", FUZZ_POSITIVE))
             + optional(draw, number_flag("omega")) + run_flags(draw)
+            + optional(draw, number_flag("tol", FUZZ_POSITIVE))
             + optional(draw, number_flag("tol-eta", FUZZ_POSITIVE)))
 
 

@@ -31,10 +31,10 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 # command -> (exit code, sha256 of stdout, sha256 of stderr)
 DIGESTS = {
     'spectrum --h11 0.5 --h12 0 --h22 0.5 -n 5':
-        (0, '2fbde71dfb0b65697ae4da8a7bfcfa32e6f127b0d86fae0c69c04db4ecdfb0cc',
+        (0, '092f99d6df89ee9d308efbb697eef11b9f9d59334193e7f0efc0e54a0a316d23',
          EMPTY),
     'spectrum --rm-alpha 0.3 --rm-beta 0.2 -n 10 -N 200':
-        (0, '5bf732bf7926b1edc8c7d545b2fd0be195f929fbfdcce8f47a96f342ba833744',
+        (0, 'b1fc3273d1e9e320cf3062215c4c49cc6bbff691fa7bd20caa685b5f8b94ffda',
          EMPTY),
     'scan --alpha 1.0 --scan gamma --start 0 --stop 2 --step 0.01':
         (0, '0d505e900870cc5e7fe9362a21e6c59d89dcd01c73a02f9a1cef4c57cc96ce64',
@@ -52,16 +52,16 @@ DIGESTS = {
         (0, '0dfb94ca161685c477820f326f681dcb3217d1ea85ffe07c2a1ba458ad8821e2',
          EMPTY),
     'spectrum --h11=0.32041746369561314 --h12=0.16996941664222537 --h22=0.5476547371014461 -n 10 -N 200':
-        (0, 'e0f1c27e21b5a14a624aba7c5abe6215696f6b190b8fa018b8f510649624ffc3',
+        (0, 'eb31bed9b8cffc36b600e8fd3434c673b65d4191b5d5e1925d4df3da10e2d4bd',
          EMPTY),
     'spectrum --h11=0.5103847594360817 --h12=0.2574171661963569 --h22=0.37622130850727764 -n 10 -N 400':
-        (0, '400a36c83ccdb5758d4fb9dbc8e21f04f1f51fca923f5c51c255d703f3f5ff93',
+        (0, 'e066eb4574e1ed67158e231610f0b03f3b3b766f2e782b754b72aecf01a9aa97',
          EMPTY),
     'spectrum --rm-alpha=0.7218889872961263 --rm-beta=-0.17155837111220518 -n 10 -N 400':
-        (0, 'ab1a378a5e0d9902c672b125a0994afe24d77dee7038964de0d4bb72f126cd4d',
+        (0, 'fc5bb8479adfa7278df3ed8bda57e8abae5273ccbdad4ecacd3684b4ecd376aa',
          EMPTY),
     'spectrum --gamma=-0.20049890770249762 --alpha=1.1377126496463152 -n 10 -N 400':
-        (0, 'af077bde97cb8553e62220cdf6645a32619339951d2fffa9dfe90401f0cd6026',
+        (0, 'f6c0f2fe6c1ebdf2c9a7460c6991a0ca1a126eb325df755ad1e35485b76c25ab',
          EMPTY),
     'verify --rm-alpha=0.34430518977014 --rm-beta=0.6682360721558334 -N 200 -n 8':
         (0, 'b5bbd775a16ad3ff397a9e4b80997cf6885075d4404fc58e97bcb0a762399eb3',
@@ -73,7 +73,7 @@ DIGESTS = {
         (0, 'b0ea00672b84835d0cfecdfa4bf38e043a8d15425c31bd78b30527cf85bd740c',
          EMPTY),
     'spectrum --rm-alpha 0.6 --rm-beta 0.6 -n 28 -N 400':
-        (0, '2da56a7fe811e0f2b944001ad4f8ffe210e18eaa74fb310a427a88b7fc9192d4',
+        (0, 'ed4db718f364b280fcccb5fccb66b94d3b43e68cc6a63f8c058c8e91ab92f7b3',
          EMPTY),
     'verify --rm-alpha 0.6 --rm-beta 0.6 -n 28 -N 400':
         (3, EMPTY,
@@ -100,7 +100,7 @@ DIGESTS = {
         (0, '2394fadb9ed831adb91ac6f6a5aab4564a815fcdb8154819c70b30392058d526',
          EMPTY),
     'spectrum --gamma 1.5 --alpha 1 -N 40 -n 4':
-        (0, 'f1caa7950dfd331ac483f62794b17eda8a5d6e43dd7984c9dfede073f3a095d3',
+        (0, '603df2e2eee4d089e1bd5a4438ae66f2c769c24d44555022de8e04b31d1d3d4a',
          EMPTY),
     'spectrum --gamma 1.5 --alpha 1 -N 40 -n 4 --format csv':
         (0, '37add5d94b0366bd85651b9584fec7bc7ccc39a350eef199e362144e2693fca7',
