@@ -231,8 +231,7 @@ def apply_to_quadratic(u, h):
 
     Collecting coefficients directly; agrees with the symbolic route through
     weyl.substitute_linear.  No scalar term appears because the symmetrized
-    cross term transforms into itself plus squares.  NonFiniteError when a
-    coefficient of the image overflows.
+    cross term transforms into itself plus squares.  NonFiniteError on overflow.
     """
     try:
         return QuadraticHamiltonian(
@@ -244,12 +243,10 @@ def apply_to_quadratic(u, h):
         )
     # both are finite, so only an overflow makes the image non-finite
     except (OverflowError, NonFiniteError):
-        largest_u = max(abs(u.u11), abs(u.u12), abs(u.u21), abs(u.u22))
-        largest_h = max(abs(h.c_pp), abs(h.c_xp), abs(h.c_xx))
         raise NonFiniteError(
-            f"quadratic image under the transform overflows: transform entries up "
-            f"to {largest_u:.3g}, quadratic coefficients up to {largest_h:.3g} in modulus"
-        ) from None
+            "quadratic image under the transform overflows: transform entries up to "
+            f"{max(map(abs, vars(u).values())):.3g}, quadratic coefficients up to "
+            f"{max(map(abs, vars(h).values())):.3g} in modulus") from None
 
 
 def normalizable(u):

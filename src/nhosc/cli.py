@@ -496,16 +496,9 @@ def cmd_spectrum(ns):
     closed_minus = [-v for v in closed_plus] if model.oscillator is not None else None
     records, _ = spectra.solve_levels(model.quadratic, ns.omega, ns.trunc, ns.levels,
                                      reference=None if broken else model.quadratic)
-    levels = [
-        {
-            "n": level.index,
-            "eigenvalue": _cj(level.eigenvalue),
-            "parity": level.parity,
-            "closed_form": None if broken else _cj(level.reference),
-            "deviation": level.deviation,
-        }
-        for level in records
-    ]
+    levels = [{"n": level.index, "eigenvalue": _cj(level.eigenvalue), "parity": level.parity,
+               "closed_form": None if broken else _cj(level.reference),
+               "deviation": level.deviation} for level in records]
     max_dev = None if broken else max(level.deviation for level in records)
 
     results = {
@@ -544,18 +537,9 @@ def cmd_spectrum(ns):
         "diagnostics": diagnostics,
     }
     header = ["n", "eigen_re", "eigen_im", "parity", "closed_re", "closed_im", "deviation"]
-    rows = (
-        [
-            entry["n"],
-            entry["eigenvalue"]["re"],
-            entry["eigenvalue"]["im"],
-            entry["parity"],
-            entry["closed_form"]["re"] if entry["closed_form"] else None,
-            entry["closed_form"]["im"] if entry["closed_form"] else None,
-            entry["deviation"],
-        ]
-        for entry in levels
-    )
+    rows = ([level.index, level.eigenvalue.real, level.eigenvalue.imag, level.parity]
+            + ([None, None] if broken else [level.reference.real, level.reference.imag])
+            + [level.deviation] for level in records)
     _emit(ns, document, header, rows)
     return EXIT_OK
 

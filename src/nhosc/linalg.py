@@ -225,9 +225,8 @@ def eigenvalues(t):
 
 
 def _order(values):
-    """Indices that sort complex values by real part then imaginary part;
-    stable, so equal values keep their order.  Every eigenvalue list of the
-    package is in this order."""
+    """Indices sorting complex values by real then imaginary part, stably: the
+    package's one eigenvalue order."""
     return np.lexsort((values.imag, values.real))
 
 

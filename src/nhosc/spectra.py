@@ -156,8 +156,7 @@ def critical_frequencies(h):
 
 
 def branch_frequency(h, branch):
-    """The critical frequency realizing the branch (+1 or -1); NonFiniteError
-    when it overflows."""
+    """The critical frequency realizing the branch (+1 or -1), which must be finite."""
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
     crit = critical_frequencies(h)
@@ -371,8 +370,7 @@ def parity_spectrum(fock, levels=None):
 
 @dataclass(frozen=True)
 class SpectrumLevel:
-    """Level `index` of a solved truncation; reference and deviation are None
-    when it was compared with nothing, matched when no tolerance was applied."""
+    """A solved level; reference, deviation and matched are None until compared."""
 
     index: int
     eigenvalue: complex
@@ -406,9 +404,8 @@ def solve_levels(q, omega, trunc, n_levels, reference=None):
     levels = []
     for n, (eig, parity) in enumerate(zip(solved.eigenvalues, solved.parities)):
         ref = None if reference is None else general_quadratic_spectrum(reference, n)
-        levels.append(SpectrumLevel(index=n, eigenvalue=complex(eig), parity=int(parity),
-                                    reference=ref,
-                                    deviation=None if ref is None else float(abs(eig - ref))))
+        dev = None if ref is None else float(abs(eig - ref))
+        levels.append(SpectrumLevel(n, complex(eig), int(parity), reference=ref, deviation=dev))
     return tuple(levels), solved
 
 
