@@ -23,6 +23,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
+from . import _pycomplex as pyc
 from . import canonical, linalg, spectra, wavefun
 
 EXIT_OK = 0
@@ -558,7 +559,97 @@ def _scan_values(ns):
     if count > MAX_SCAN_POINTS:
         raise ConfigError(f"scan has {count:.7g} points, more than the {MAX_SCAN_POINTS} "
                           "allowed; raise --step or narrow --start/--stop")
-    return [ns.start + i * ns.step for i in range(count)]
+    # start + i * step, rounded as Python rounds it: i converts to float exactly
+    return (ns.start + np.arange(count) * ns.step).tolist()
+
+
+# the modulus below which canonical.rath_mallick and canonical.normalizable
+# raise; a scan point within _RISK_SLACK of it, or of DET_TOL, is risky
+_SINGULAR = 1e-12
+_RISK_SLACK = 2.0
+
+
+def _finite(*columns):
+    return np.logical_and.reduce([np.isfinite(column) for column in columns])
+
+
+def _modulus_at_least(z, low):
+    """Where abs(z) is at least `low` and does not overflow."""
+    size = np.hypot(*z)
+    return (size >= low) & np.isfinite(size)
+
+
+def _three_param_columns(p):
+    """three_param_model's quadratic (h11, 1j h12, h22); it raises nowhere."""
+    return ((p["h11"], 0.0), pyc.mul(pyc.I, (p["h12"], 0.0)), (p["h22"], 0.0)), None, False
+
+
+def _mix_columns(p):
+    """mix_model's quadratic (spectra.rath_mallick_oscillator) and transform
+    (canonical.rath_mallick), and where a check of theirs might fire."""
+    lam, beta = p["rm_alpha"], p["rm_beta"]
+    denom = 2.0 * (1.0 + lam * beta)
+    h11, h12, h22 = (1.0 - lam * lam) / denom, (lam + beta) / denom, (1.0 - beta * beta) / denom
+    # s = 1/sqrt(1 + alpha beta), u12 = 1j alpha s, u21 = 1j beta s, u11 = u22 = s
+    shift = pyc.add((1.0, 0.0), pyc.mul((lam, 0.0), (beta, 0.0)))
+    s, _ = pyc.div((1.0, 0.0), pyc.sqrt(shift))
+    u12, u21 = (pyc.mul(pyc.mul(pyc.I, (value, 0.0)), s) for value in (lam, beta))
+    det_error = pyc.sub(pyc.sub(pyc.mul(s, s), pyc.mul(u21, u12)), (1.0, 0.0))
+    risky = ~(_finite(h11, h12, h22, *shift, *s, *u12, *u21) & (denom != 0.0)
+              & _modulus_at_least(shift, _RISK_SLACK * _SINGULAR)
+              & (np.hypot(*det_error) <= canonical.DET_TOL / _RISK_SLACK))
+    quadratic = (h11, 0.0), pyc.mul(pyc.I, (h12, 0.0)), (h22, 0.0)
+    return quadratic, (s, u12, u21, s), risky
+
+
+def _gamma_columns(p):
+    """gamma_model's quadratic (canonical.ahmed_hermitian); c_xx may overflow."""
+    gamma, k = p["gamma"], p["k"]
+    if k is None:
+        k = p["alpha"] * p["alpha"] - gamma * gamma
+    c_xx = 0.5 * (gamma * gamma + k)
+    return ((0.5, 0.0), (-0.5 * gamma, 0.0), (c_xx, 0.0)), None, ~np.isfinite(c_xx)
+
+
+_SCAN_COLUMNS = {three_param_model: _three_param_columns, mix_model: _mix_columns,
+                 gamma_model: _gamma_columns}
+
+
+def _scan_columns(build, point, param, values, levels):
+    """max_imag and margin (None without a transform) at every scan value, and
+    the points that the value classes must evaluate instead.
+
+    Each column is computed as the classes compute the point, operation for
+    operation, with the interpreter's complex rounding (_pycomplex), so a
+    point that is not risky holds their result bit for bit.  A point is risky
+    where building it might raise, where normalizable might raise, or where a
+    result is not finite.
+    """
+    count = len(values)
+    p = {key: None if getattr(point, key) is None else np.full(count, getattr(point, key))
+         for key in _MODEL_KEYS}
+    p[param] = np.array(values)
+    try:
+        top = float(2 * (levels - 1) + 1)
+    except OverflowError:  # general_quadratic_spectrum raises it, at the first point
+        top = math.nan
+    with np.errstate(all="ignore"):
+        (c_pp, c_xp, c_xx), transform, risky = _SCAN_COLUMNS[build](p)
+        # The indicator is the largest |Im E_n| over the lowest `levels` levels,
+        # E_n = Omega (2n+1).  Im E_n is Im(Omega)*(2n+1) rounded, plus
+        # Re(Omega)*0, which is +-0 at every level (NaN at every level when
+        # Re(Omega) is not finite).  Rounding is monotone, so |Im E_n| never
+        # decreases with n and the top level holds the maximum bit for bit.
+        omega = pyc.sqrt(pyc.sub(pyc.mul(c_pp, c_xx), pyc.mul(c_xp, c_xp)))
+        indicator = np.abs(pyc.mul(omega, (top, 0.0))[1])
+        risky = risky | ~np.isfinite(p[param]) | ~np.isfinite(indicator)
+        margin = None
+        if transform is not None:
+            u11, u12, u21, u22 = transform
+            denom = pyc.sub(u22, pyc.mul(pyc.I, u12))
+            (margin, _), _ = pyc.div(pyc.add(u11, pyc.mul(pyc.I, u21)), denom)
+            risky |= ~(np.isfinite(margin) & _modulus_at_least(denom, _RISK_SLACK * _SINGULAR))
+    return indicator, margin, risky
 
 
 def cmd_scan(ns):
@@ -577,31 +668,37 @@ def cmd_scan(ns):
     point = argparse.Namespace(**vars(ns))
     setattr(point, param, values[0])
     build = model_family(point)
-
-    rows = []
-    transition_bracket = margin_bracket = previous_indicator = previous_margin = None
-    for index, value in enumerate(values):
-        setattr(point, param, value)
+    indicator, margin, risky = _scan_columns(build, point, param, values, ns.levels)
+    # a point that might raise, or whose result is not finite, is rebuilt by
+    # the value classes in scan order, so the first bad point raises as the
+    # classes make it raise; every other point already holds their result
+    for index in np.flatnonzero(risky):
+        setattr(point, param, values[index])
         model = build(point)
-        # The indicator is the largest |Im E_n| over the lowest `levels` levels,
-        # E_n = Omega (2n+1).  Im E_n is Im(Omega)*(2n+1) rounded, plus
-        # Re(Omega)*0, which is +-0 at every level (NaN at every level when
-        # Re(Omega) is not finite).  Rounding is monotone, so |Im E_n| never
-        # decreases with n and the top level holds the maximum bit for bit.
-        indicator = abs(spectra.general_quadratic_spectrum(model.quadratic, ns.levels - 1).imag)
-        margin = (None if model.transform is None
-                  else canonical.normalizable(model.transform).margin)
-        transition = indicator > ns.threshold and (previous_indicator is None
-                                                   or previous_indicator <= ns.threshold)
-        if transition and transition_bracket is None and index > 0:
-            transition_bracket = [values[index - 1], value]
-        if (margin is not None and previous_margin is not None and margin_bracket is None
-                and (margin > 0) != (previous_margin > 0)):
-            margin_bracket = [values[index - 1], value]
-        rows.append({"index": index, "value": value, "max_imag": indicator,
-                     "margin": margin, "transition": transition and index > 0})
-        previous_indicator = indicator
-        previous_margin = margin
+        indicator[index] = abs(spectra.general_quadratic_spectrum(model.quadratic,
+                                                                  ns.levels - 1).imag)
+        if margin is not None:
+            margin[index] = canonical.normalizable(model.transform).margin
+
+    # rows after the first cross the threshold upwards where the previous
+    # indicator did not exceed it; NaN compares False both ways, as in Python
+    crossing = np.zeros(len(values), dtype=bool)
+    crossing[1:] = (indicator[1:] > ns.threshold) & (indicator[:-1] <= ns.threshold)
+    transition_bracket = margin_bracket = None
+    if crossing.any():
+        index = int(crossing.argmax())
+        transition_bracket = [values[index - 1], values[index]]
+    if margin is not None:
+        positive = margin > 0
+        flips = positive[1:] != positive[:-1]
+        if flips.any():
+            index = int(flips.argmax()) + 1
+            margin_bracket = [values[index - 1], values[index]]
+    rows = [{"index": index, "value": value, "max_imag": imag, "margin": sign,
+             "transition": flag}
+            for index, (value, imag, sign, flag) in enumerate(zip(
+                values, indicator.tolist(),
+                repeat(None) if margin is None else margin.tolist(), crossing.tolist()))]
 
     document = {
         "config": _config_echo(ns, "scan"),

@@ -1,6 +1,7 @@
 import argparse
 import collections
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhosc import cli, linalg, spectra
+from nhosc import canonical, cli, linalg, spectra
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -1245,6 +1246,157 @@ class TestScanModelFamily:
         assert run_cli(capsys, "scan", *argv, "--format", fmt) == (code, "", message + "\n")
 
 
+def scan_point(argv, param, value):
+    """The namespace cmd_scan evaluates at one point of a scan over `param`."""
+    point = _scan_namespace(tuple(argv), param)
+    setattr(point, param.replace("-", "_"), value)
+    return point
+
+
+@functools.cache
+def _parsed_scan(argv, param):
+    return vars(cli.build_parser().parse_args(["scan", *argv, "--scan", param]))
+
+
+def _scan_namespace(argv, param):
+    return argparse.Namespace(**_parsed_scan(argv, param))
+
+
+def class_row(point, levels):
+    """max_imag and margin of one point through the value classes."""
+    model = cli.resolve_model(point)
+    indicator = abs(spectra.general_quadratic_spectrum(model.quadratic, levels - 1).imag)
+    margin = None if model.transform is None else canonical.normalizable(model.transform).margin
+    return indicator, margin
+
+
+class TestScanColumns:
+    """cmd_scan evaluates its points as float64 columns; a point that is not
+    flagged risky holds the value classes' result bit for bit, and every
+    point at which the classes raise is flagged."""
+
+    EDGES = [0.0, -0.0, 1.0, -1.0, 1e-8, -1e-8, 1e3, -1e3, 0.5, -0.5, 2.0, 5e-324, 1e-300,
+             1e154, -1e155, 1e200, -1e300, 1 - 1.5e-12, -1 + 1.5e-12, -1 - 1e-13]
+
+    @pytest.mark.parametrize("argv, param", [
+        (["--h11", "0.5", "--h12", "0.2", "--h22", "0.4"], "h11"),
+        (["--h11", "0.5", "--h12", "0.2", "--h22", "-0.4"], "h12"),
+        (["--h11=-1e-8", "--h12", "0.2", "--h22", "0.4"], "h22"),
+        (["--rm-alpha", "0.3", "--rm-beta", "0.2"], "rm-alpha"),
+        (["--rm-alpha", "1", "--rm-beta", "0.2"], "rm-beta"),
+        (["--rm-alpha=-1", "--rm-beta", "0.2"], "rm-beta"),
+        (["--rm-alpha", "1e200", "--rm-beta", "0.2"], "rm-beta"),
+        (["--gamma", "0.5", "--alpha", "1"], "gamma"),
+        (["--gamma", "0.5", "--alpha", "1"], "alpha"),
+        (["--gamma", "1e200", "--alpha", "1"], "alpha"),
+        (["--gamma", "0.5", "--k", "2"], "gamma"),
+        (["--gamma", "0.5", "--k", "2"], "k"),
+        (["--gamma=-3", "--alpha", "1", "--k=-0.0"], "k"),
+    ])
+    def test_columns_match_the_classes(self, argv, param):
+        rng = np.random.default_rng(len(argv) + len(param))
+        values = self.EDGES + rng.uniform(-3, 3, 60).tolist()
+        point = scan_point(argv, param, values[0])
+        build = cli.model_family(point)
+        key = param.replace("-", "_")
+        for levels in (1, 8, 13):
+            indicator, margin, risky = cli._scan_columns(build, point, key, values, levels)
+            for index, value in enumerate(values):
+                try:
+                    expected = class_row(scan_point(argv, param, value), levels)
+                except (ValueError, OverflowError):
+                    assert risky[index], (value, levels)
+                    continue
+                if not risky[index]:
+                    got = (indicator[index], None if margin is None else margin[index])
+                    assert [None if x is None else float(x).hex() for x in got] == \
+                        [None if x is None else x.hex() for x in expected], (value, levels)
+                elif index >= len(self.EDGES):
+                    # a moderate value that the classes accept is not near a threshold
+                    assert not all(map(math.isfinite, expected)), (value, levels)
+
+    def test_clean_sweeps_call_no_class_per_point(self, capsys, monkeypatch):
+        calls = collections.Counter()
+        for module, name in ((spectra, "general_quadratic_spectrum"),
+                             (canonical, "normalizable"), (canonical, "rath_mallick"),
+                             (spectra, "rath_mallick_oscillator"),
+                             (canonical, "ahmed_hermitian")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k:
+                                calls.update([_n]) or _f(*a, **k))
+        for argv, _ in TestGoldenScans.SCANS:
+            code, doc = run_json(capsys, *argv)
+            assert code == 0
+        assert calls == collections.Counter()
+
+    def test_flagged_rows_come_from_the_classes(self, capsys, monkeypatch):
+        """Corrupt every column value and flag every point: the bytes stay."""
+        argv = ["scan", "--rm-alpha", "0.3", "--scan", "rm-beta", "--start=-0.9",
+                "--stop", "1.1", "--step", "0.05"]
+        expected = run_cli(capsys, *argv)
+        columns = cli._scan_columns
+
+        def all_risky(*args):
+            indicator, margin, risky = columns(*args)
+            indicator[:] = margin[:] = -1.0
+            return indicator, margin, np.ones_like(risky)
+
+        monkeypatch.setattr(cli, "_scan_columns", all_risky)
+        assert run_cli(capsys, *argv) == expected
+
+    def test_flagged_point_the_classes_accept(self, capsys, monkeypatch):
+        # |u22 - i u12| = |1 + alpha| s is within twice the 1e-12 limit of
+        # normalizable at every point, so each point is flagged, yet none fails
+        argv = ["--rm-alpha=-0.9999999999988", "--scan", "rm-beta", "--start", "0",
+                "--stop", "0.5", "--step", "0.25"]
+        calls = []
+        original = spectra.general_quadratic_spectrum
+        monkeypatch.setattr(spectra, "general_quadratic_spectrum",
+                            lambda q, n: calls.append(n) or original(q, n))
+        code, doc = run_json(capsys, "scan", *argv)
+        assert code == 0 and calls == [7, 7, 7]
+        for row in doc["results"]["rows"]:
+            point = scan_point(argv[:1], "rm-beta", row["value"])
+            assert (row["max_imag"], row["margin"]) == class_row(point, 8)
+            assert row["margin"] > 1e11
+
+    # a failing point keeps the exit code and message of the per-point classes
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv, code, message", [
+        # a singular mix crossing, at rm-beta = -1 exactly
+        (["--rm-alpha", "1", "--rm-beta=-1", "--scan", "rm-beta", "--start=-2", "--stop", "0",
+          "--step", "0.1"], 2, "nhosc: error: singular parameters: 1 + lam*beta = 0"),
+        # gamma^2 overflows, and k = alpha^2 - gamma^2 with it
+        (["--gamma=1e200", "--alpha", "1", "--scan", "alpha", "--start", "0", "--stop", "1",
+          "--step", "0.5"], 3, "nhosc: numeric failure: c_xx must be finite, got (nan+0j)"),
+        # 2n + 1 does not convert to float
+        (["--alpha", "1", "--scan", "gamma", "--start", "0", "--stop", "1", "--step", "0.5",
+          f"-n={10 ** 400}"], 3, "nhosc: numeric failure: int too large to convert to float"),
+        # per point: the build fails before max_imag ...
+        (["--gamma=1e200", "--alpha", "1", "--scan", "alpha", "--start", "0", "--stop", "0",
+          "--step", "1", f"-n={10 ** 400}"],
+         3, "nhosc: numeric failure: c_xx must be finite, got (nan+0j)"),
+        (["--rm-alpha=-1", "--scan", "rm-beta", "--start", "1", "--stop", "1", "--step", "1"],
+         2, "nhosc: error: singular parameters: 1 + lam*beta = 0"),
+        # ... and max_imag before the margin
+        (["--rm-alpha=-1", "--scan", "rm-beta", "--start", "0", "--stop", "0", "--step", "1",
+          f"-n={10 ** 400}"], 3, "nhosc: numeric failure: int too large to convert to float"),
+        # the first failing point wins, whatever fails at a later one
+        (["--rm-alpha=-1", "--scan", "rm-beta", "--start", "0", "--stop", "1", "--step", "0.5"],
+         2, "nhosc: error: degenerate transform: u22 - i u12 vanishes"),
+        # the classes accept every point, but the values are not finite
+        (["--h11", "1e300", "--h22", "1e300", "--scan", "h12", "--start", "0", "--stop", "1",
+          "--step", "0.5"], 3, None),
+    ])
+    def test_failing_points(self, capsys, fmt, argv, code, message):
+        if message is None:
+            message = "nhosc: numeric failure: " + {
+                "json": "non-finite result: Out of range float values are not JSON "
+                        "compliant: nan",
+                "csv": "non-finite result nan"}[fmt]
+        assert run_cli(capsys, "scan", *argv, "--format", fmt) == (code, "", message + "\n")
+
+
 class TestScanPointCap:
     def test_cap_is_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 5)
@@ -1290,11 +1442,12 @@ README_SCAN = ["scan", "--alpha", "1.0", "--scan", "gamma", "--start", "0", "--s
 class TestGoldenScans:
     """sha256 of stdout for the README scan and two 2,001-point sweeps.
 
-    Scans use only cmath and Python floats, so these bytes do not depend on
-    the platform's BLAS or numpy version.
+    Scans use elementwise float64 operations in the interpreter's own complex
+    rounding order, and no BLAS, so these bytes do not depend on the
+    platform's BLAS or numpy version.
     """
 
-    @pytest.mark.parametrize("argv, digests", [
+    SCANS = [
         (README_SCAN,
          ("0d505e900870cc5e7fe9362a21e6c59d89dcd01c73a02f9a1cef4c57cc96ce64",
           "dc9d3f86a1769d3e4c031f0aa7696a1df1cfc2b27c0472a7f1dd041969cd3e9e")),
@@ -1306,7 +1459,9 @@ class TestGoldenScans:
           "--start=-0.8875924925519162", "--stop=1.1129075074480836", "--step=0.001"],
          ("4ab8f4fd7b4fd40dfbb66631e870f25bc963cf71da91a2ce172fb3bf5086bbf5",
           "0531d8bb9f1326ea2abd2d64a15862f56fad8014ed86694dfc102ae18df28cd7")),
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv, digests", SCANS)
     def test_stdout_digest(self, capsys, argv, digests):
         for fmt, digest in zip(("json", "csv"), digests):
             code, out, err = run_cli(capsys, *argv, "--format", fmt)
