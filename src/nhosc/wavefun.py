@@ -255,7 +255,8 @@ def synthesize(pair, omega, grid):
     support = np.nonzero(np.abs(coeffs) > 0)[0]
     top = int(support.max()) if support.size else 0
     basis = hermite_basis(top, omega, grid.points)
-    values = coeffs[: top + 1] @ basis
+    # summed row by row, not by a BLAS product, whose order moves with its threads
+    values = (coeffs[: top + 1, None] * basis).sum(axis=0)
     return WavefunctionSample(
         grid=grid,
         values=values,

@@ -91,7 +91,7 @@ DIGESTS = {
         (0, 'bf8d089df25e6a5d9aeeb5c6e77647fa6d2677883c0a0c510e5d5ed498455c03',
          EMPTY),
     'wavefunction --h11 0.4 --h12 0.3 --h22 0.6 --excitation 1 --parity 1':
-        (0, 'adce3e63c8daea55b7dbccec460bfb46cb332df0d5fe165aef293c555b5c0b88',
+        (0, '4735d55ee5bab195d9572e837da482041b590b10d1ed00dad85203557c85ae66',
          EMPTY),
     'spectrum --gamma 0.3 --k 2 -N 40 -n 4 --format csv':
         (0, '23f58e36bf4a4acce0d5ad2d1255fc40e6fdb76f72fb2a1b87959fdd53470765',
