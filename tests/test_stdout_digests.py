@@ -20,7 +20,12 @@ digests of the current tree in this file's format.
 import contextlib
 import hashlib
 import io
+import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +133,25 @@ def run(command):
 @pytest.mark.parametrize("command", list(DIGESTS))
 def test_stdout_digest(command):
     assert run(command) == DIGESTS[command]
+
+
+def test_digests_do_not_depend_on_blas_threads():
+    """Every pinned command again, in one process whose BLAS runs one thread.
+
+    The in-process digests run at the default thread count, and the benchmark
+    pins one thread, so output that depends on the count fails one of the two.
+    """
+    paths = [str(Path(cli.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]))
+    script = ("import json, test_stdout_digests as t; "
+              "print(json.dumps({command: t.run(command) for command in t.DIGESTS}))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = {command: tuple(result) for command, result in json.loads(proc.stdout).items()}
+    assert {command: result for command, result in got.items()
+            if result != DIGESTS[command]} == {}
 
 
 if __name__ == "__main__":
