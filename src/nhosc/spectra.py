@@ -146,6 +146,14 @@ def critical_frequencies(h):
     root = math.sqrt(d)
     w_plus = (root - h.h12) / h.h11
     w_minus = -(root + h.h12) / h.h11
+    # one of the two cancels when h11 h22 << h12^2; that one comes from
+    # w_plus w_minus = -h22/h11 instead.  An overflowed root keeps both
+    # forms above, so the frequencies report the overflow
+    if math.isfinite(root):
+        if h.h12 >= 0.0:
+            w_plus = h.h22 / (root + h.h12)
+        else:
+            w_minus = -h.h22 / (root - h.h12)
     return CriticalFrequencies(
         kind="pair",
         discriminant=d,

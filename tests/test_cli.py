@@ -597,6 +597,17 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "verify", "--gauge-g", "1e200", "-N", "40", "-n", "4")
         assert code == 3 and out == "" and "numeric failure" in err
 
+    def test_critical_frequencies_of_a_tiny_h11(self, capsys):
+        # (sqrt(D) - h12)/h11 cancels here: it read 0.499933427988708, and 0
+        # at h11 = 1e-17, where the eigenvector state then exited 2
+        code, doc = run_json(capsys, "spectrum", "--h11", "1e-12", "--h12", "0.5", "--h22",
+                             "0.5", "-N", "8", "-n", "2")
+        assert code == 0
+        assert doc["results"]["critical_frequencies"]["omega_plus"] == 0.49999999999975
+        code, doc = run_json(capsys, "wavefunction", "--h11", "1e-17", "--h12", "0.5",
+                             "--h22", "0.5")
+        assert code == 0 and doc["results"]["omega"] == 0.5 and doc["results"]["nodes"] == 0
+
     def test_config_file_values_checked(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("h11 = 0.5\nh12 = 0\nh22 = inf\n")

@@ -88,6 +88,22 @@ class TestCriticalFrequencies:
             assert abs(crit.omega_plus - (1 - beta) / (1 + lam)) < 1e-12
             assert abs(crit.omega_minus - (1 + beta) / (lam - 1)) < 1e-12
 
+    @pytest.mark.parametrize("h11, h12, h22", [
+        (1e-12, 0.5, 0.5), (1e-12, -0.5, 0.5), (1e-17, 0.5, 0.5), (-1e-17, -0.5, 0.5),
+        (1e-9, 3.0, -2.0), (0.3, 0.2, 0.5), (0.5, -0.2, 0.4), (2.0, 1e-9, 3.0),
+    ])
+    def test_roots_free_of_cancellation(self, h11, h12, h22):
+        """Both roots of h11 w^2 + 2 h12 w - h22 = 0 to a few ulps, when
+        h11 h22 << h12^2 as well: 40-digit roots as the reference."""
+        mpmath = pytest.importorskip("mpmath")
+        crit = spectra.critical_frequencies(ThreeParamOscillator(h11, h12, h22))
+        with mpmath.workdps(40):
+            a, b, c = (mpmath.mpf(v) for v in (h11, h12, h22))
+            root = mpmath.sqrt(a * c + b * b)
+            for got, exact in ((crit.omega_plus, (root - b) / a),
+                               (crit.omega_minus, -(root + b) / a)):
+                assert abs(mpmath.mpf(got) / exact - 1) < 1e-15, (got, exact)
+
     def test_broken_phase(self):
         crit = spectra.critical_frequencies(ThreeParamOscillator(0.5, 0.0, -0.5))
         assert crit.kind == "complex_pair"

@@ -39,7 +39,7 @@ DIGESTS = {
         (0, '092f99d6df89ee9d308efbb697eef11b9f9d59334193e7f0efc0e54a0a316d23',
          EMPTY),
     'spectrum --rm-alpha 0.3 --rm-beta 0.2 -n 10 -N 200':
-        (0, 'b1fc3273d1e9e320cf3062215c4c49cc6bbff691fa7bd20caa685b5f8b94ffda',
+        (0, '50d2e1dab29bb73e9918afbb70aec47c97415fd4627a0cc1c023bdb977ccfa51',
          EMPTY),
     'scan --alpha 1.0 --scan gamma --start 0 --stop 2 --step 0.01':
         (0, '0d505e900870cc5e7fe9362a21e6c59d89dcd01c73a02f9a1cef4c57cc96ce64',
@@ -60,10 +60,10 @@ DIGESTS = {
         (0, 'eb31bed9b8cffc36b600e8fd3434c673b65d4191b5d5e1925d4df3da10e2d4bd',
          EMPTY),
     'spectrum --h11=0.5103847594360817 --h12=0.2574171661963569 --h22=0.37622130850727764 -n 10 -N 400':
-        (0, 'e066eb4574e1ed67158e231610f0b03f3b3b766f2e782b754b72aecf01a9aa97',
+        (0, '8ebb9fb6c6353d365e2ae33e138c7ba5de491fc615a36dc3b39a565a290ad3e0',
          EMPTY),
     'spectrum --rm-alpha=0.7218889872961263 --rm-beta=-0.17155837111220518 -n 10 -N 400':
-        (0, 'fc5bb8479adfa7278df3ed8bda57e8abae5273ccbdad4ecacd3684b4ecd376aa',
+        (0, '8b1ff09ea18d8ee98edff9cf22e59b037478239fb890d205cb4ce699e74f9888',
          EMPTY),
     'spectrum --gamma=-0.20049890770249762 --alpha=1.1377126496463152 -n 10 -N 400':
         (0, 'f6c0f2fe6c1ebdf2c9a7460c6991a0ca1a126eb325df755ad1e35485b76c25ab',
@@ -78,7 +78,7 @@ DIGESTS = {
         (0, 'b0ea00672b84835d0cfecdfa4bf38e043a8d15425c31bd78b30527cf85bd740c',
          EMPTY),
     'spectrum --rm-alpha 0.6 --rm-beta 0.6 -n 28 -N 400':
-        (0, 'ed4db718f364b280fcccb5fccb66b94d3b43e68cc6a63f8c058c8e91ab92f7b3',
+        (0, '87c3e2cb0bfa935a09941d2b66ed8abec28a6c0dda3253e981a6b5117702773d',
          EMPTY),
     'verify --rm-alpha 0.6 --rm-beta 0.6 -n 28 -N 400':
         (3, EMPTY,
@@ -96,7 +96,7 @@ DIGESTS = {
         (0, 'bf8d089df25e6a5d9aeeb5c6e77647fa6d2677883c0a0c510e5d5ed498455c03',
          EMPTY),
     'wavefunction --h11 0.4 --h12 0.3 --h22 0.6 --excitation 1 --parity 1':
-        (0, '4735d55ee5bab195d9572e837da482041b590b10d1ed00dad85203557c85ae66',
+        (0, '411e230e3b9125bb4964167af46887d5c69f923d48e197a682b3712397bbd27f',
          EMPTY),
     'spectrum --gamma 0.3 --k 2 -N 40 -n 4 --format csv':
         (0, '23f58e36bf4a4acce0d5ad2d1255fc40e6fdb76f72fb2a1b87959fdd53470765',
