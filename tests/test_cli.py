@@ -624,6 +624,17 @@ class TestExitCodes:
             )
         assert code == 3 and out == "" and "non-finite" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_scan_row_is_numeric_failure(self, capsys, fmt):
+        # every point builds, but h11 h22 overflows in max_imag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "scan", "--h11", "1e300", "--h22", "1e300", "--scan", "h12",
+                "--start", "0", "--stop", "1", "--step", "0.5", "--format", fmt,
+            )
+        assert code == 3 and out == "" and "non-finite" in err
+
     def test_overflow_in_model_is_numeric_failure(self, capsys):
         code, out, err = run_cli(
             capsys, "spectrum", "--gamma", "1e200", "--alpha", "1e200", "-N", "8", "-n", "2"
@@ -863,7 +874,7 @@ class TestJsonText:
 
 
 def old_indicator(point, levels):
-    """The scan indicator as the per-level maximum, the reference for the scan loop."""
+    """The scan indicator as the per-level maximum, the reference for the scan columns."""
     model = cli.resolve_model(point)
     return max(
         abs(spectra.general_quadratic_spectrum(model.quadratic, n).imag) for n in range(levels)
@@ -1252,16 +1263,30 @@ class TestScanModelFamily:
          3, "nhosc: numeric failure: c_xx must be finite, got (nan+0j)"),
         (["--rm-alpha", "1e200", "--scan", "rm-beta", "--start", "0", "--stop", "1e200",
           "--step", "1e199"], 3, "nhosc: numeric failure: h11 must be finite"),
+        # a singular mix crossing, at rm-beta = -1 exactly
+        (["--rm-alpha", "1", "--rm-beta=-1", "--scan", "rm-beta", "--start=-2", "--stop", "0",
+          "--step", "0.1"], 2, "nhosc: error: singular parameters: 1 + lam*beta = 0"),
+        # gamma^2 overflows, and k = alpha^2 - gamma^2 with it
+        (["--gamma=1e200", "--alpha", "1", "--scan", "alpha", "--start", "0", "--stop", "1",
+          "--step", "0.5"], 3, "nhosc: numeric failure: c_xx must be finite, got (nan+0j)"),
+        # 2n + 1 does not convert to float
+        (["--alpha", "1", "--scan", "gamma", "--start", "0", "--stop", "1", "--step", "0.5",
+          f"-n={10 ** 400}"], 3, "nhosc: numeric failure: int too large to convert to float"),
+        # per point, the build fails before max_imag ...
+        (["--gamma=1e200", "--alpha", "1", "--scan", "alpha", "--start", "0", "--stop", "0",
+          "--step", "1", f"-n={10 ** 400}"],
+         3, "nhosc: numeric failure: c_xx must be finite, got (nan+0j)"),
+        (["--rm-alpha=-1", "--scan", "rm-beta", "--start", "1", "--stop", "1", "--step", "1"],
+         2, "nhosc: error: singular parameters: 1 + lam*beta = 0"),
+        # ... and max_imag before the margin
+        (["--rm-alpha=-1", "--scan", "rm-beta", "--start", "0", "--stop", "0", "--step", "1",
+          f"-n={10 ** 400}"], 3, "nhosc: numeric failure: int too large to convert to float"),
+        # the first failing point wins, whatever fails at a later one
+        (["--rm-alpha=-1", "--scan", "rm-beta", "--start", "0", "--stop", "1", "--step", "0.5"],
+         2, "nhosc: error: degenerate transform: u22 - i u12 vanishes"),
     ])
     def test_failure_mid_sweep(self, capsys, fmt, argv, code, message):
         assert run_cli(capsys, "scan", *argv, "--format", fmt) == (code, "", message + "\n")
-
-
-def scan_point(argv, param, value):
-    """The namespace cmd_scan evaluates at one point of a scan over `param`."""
-    point = _scan_namespace(tuple(argv), param)
-    setattr(point, param.replace("-", "_"), value)
-    return point
 
 
 @functools.cache
@@ -1269,8 +1294,11 @@ def _parsed_scan(argv, param):
     return vars(cli.build_parser().parse_args(["scan", *argv, "--scan", param]))
 
 
-def _scan_namespace(argv, param):
-    return argparse.Namespace(**_parsed_scan(argv, param))
+def scan_point(argv, param, value):
+    """The namespace cmd_scan evaluates at one point of a scan over `param`."""
+    point = argparse.Namespace(**_parsed_scan(tuple(argv), param))
+    setattr(point, param.replace("-", "_"), value)
+    return point
 
 
 def class_row(point, levels):
@@ -1370,42 +1398,6 @@ class TestScanColumns:
             point = scan_point(argv[:1], "rm-beta", row["value"])
             assert (row["max_imag"], row["margin"]) == class_row(point, 8)
             assert row["margin"] > 1e11
-
-    # a failing point keeps the exit code and message of the per-point classes
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("argv, code, message", [
-        # a singular mix crossing, at rm-beta = -1 exactly
-        (["--rm-alpha", "1", "--rm-beta=-1", "--scan", "rm-beta", "--start=-2", "--stop", "0",
-          "--step", "0.1"], 2, "nhosc: error: singular parameters: 1 + lam*beta = 0"),
-        # gamma^2 overflows, and k = alpha^2 - gamma^2 with it
-        (["--gamma=1e200", "--alpha", "1", "--scan", "alpha", "--start", "0", "--stop", "1",
-          "--step", "0.5"], 3, "nhosc: numeric failure: c_xx must be finite, got (nan+0j)"),
-        # 2n + 1 does not convert to float
-        (["--alpha", "1", "--scan", "gamma", "--start", "0", "--stop", "1", "--step", "0.5",
-          f"-n={10 ** 400}"], 3, "nhosc: numeric failure: int too large to convert to float"),
-        # per point: the build fails before max_imag ...
-        (["--gamma=1e200", "--alpha", "1", "--scan", "alpha", "--start", "0", "--stop", "0",
-          "--step", "1", f"-n={10 ** 400}"],
-         3, "nhosc: numeric failure: c_xx must be finite, got (nan+0j)"),
-        (["--rm-alpha=-1", "--scan", "rm-beta", "--start", "1", "--stop", "1", "--step", "1"],
-         2, "nhosc: error: singular parameters: 1 + lam*beta = 0"),
-        # ... and max_imag before the margin
-        (["--rm-alpha=-1", "--scan", "rm-beta", "--start", "0", "--stop", "0", "--step", "1",
-          f"-n={10 ** 400}"], 3, "nhosc: numeric failure: int too large to convert to float"),
-        # the first failing point wins, whatever fails at a later one
-        (["--rm-alpha=-1", "--scan", "rm-beta", "--start", "0", "--stop", "1", "--step", "0.5"],
-         2, "nhosc: error: degenerate transform: u22 - i u12 vanishes"),
-        # the classes accept every point, but the values are not finite
-        (["--h11", "1e300", "--h22", "1e300", "--scan", "h12", "--start", "0", "--stop", "1",
-          "--step", "0.5"], 3, None),
-    ])
-    def test_failing_points(self, capsys, fmt, argv, code, message):
-        if message is None:
-            message = "nhosc: numeric failure: " + {
-                "json": "non-finite result: Out of range float values are not JSON "
-                        "compliant: nan",
-                "csv": "non-finite result nan"}[fmt]
-        assert run_cli(capsys, "scan", *argv, "--format", fmt) == (code, "", message + "\n")
 
 
 class TestScanPointCap:

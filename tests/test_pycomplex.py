@@ -89,12 +89,3 @@ def test_square_root_is_cmaths():
     assert (np.maximum(*map(np.abs, z)) < TINY).sum() > 100
     assert (np.maximum(*map(np.abs, z)) > 1e300).sum() > 100
 
-
-def test_numpys_complex_arithmetic_differs(pairs):
-    """Why the ports exist: numpy's complex product rounds differently."""
-    a, b = pairs
-    with np.errstate(all="ignore"):
-        ours = pyc.mul(a, b)
-        theirs = (a[0] + 1j * a[1]) * (b[0] + 1j * b[1])
-    finite = np.isfinite(theirs) & np.isfinite(ours[0]) & np.isfinite(ours[1])
-    assert np.any(finite & ((theirs.real != ours[0]) | (theirs.imag != ours[1])))
