@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
@@ -365,24 +365,36 @@ def _csv_cell(value):
     return str(value)
 
 
-_CONTAINERS = (dict, list, tuple)
-_ROW_BATCH = 256
+class ColumnTable:
+    """A list of rows given as its columns, each a range of ints, a numpy
+    array of bools or float64, or None for nulls; written as the rows' dicts."""
+
+    def __init__(self, columns):
+        self.columns = columns
+        (self.size,) = {len(column) for column in columns.values() if column is not None}
+
+    def rows(self, keys):
+        """The rows as tuples of Python scalars, in the order of `keys`."""
+        return zip(*(repeat(None, self.size) if column is None
+                     else column if isinstance(column, range) else column.tolist()
+                     for column in map(self.columns.__getitem__, keys)))
+
+
+_CONTAINERS = (dict, list, tuple, ColumnTable)
 _NOT_SERIALIZABLE = json.JSONEncoder().default
-# encodes a list of scalars with "\x00" between them; strings escape a NUL
-_SCALARS = c_make_encoder(None, _NOT_SERIALIZABLE, encode_basestring_ascii, None, ": ",
-                          "\x00", True, False, False)
+_OUT_OF_RANGE = "Out of range float values are not JSON compliant: "
 
 
 def _json_text(document):
-    """The text json.dumps(document, indent=2, sort_keys=True, allow_nan=False) writes.
+    """The text json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    writes, with each ColumnTable as the list of its rows.
 
     A container whose items are all scalars goes through the stdlib's C
     encoder in one call, with one encoder per nesting level whose item
-    separator carries that level's newline and indent; a row table (see
-    _row_table) goes through in batches.  Only other containers that hold
-    containers are walked here, and their keys must be strings, as in every
-    document this module writes.  NaN and infinities raise json.dumps's
-    ValueError.
+    separator carries that level's newline and indent.  Only containers that
+    hold containers are walked here, and their keys must be strings, as in
+    every document this module writes.  NaN and infinities raise json.dumps's
+    ValueError, naming the first in its order.
     """
     encoders = {}
 
@@ -395,6 +407,8 @@ def _json_text(document):
         return encoder
 
     def encode(obj, level):
+        if isinstance(obj, ColumnTable):
+            return _column_text(obj, level)
         inner = "\n" + "  " * (level + 1)
         if obj and isinstance(obj, _CONTAINERS):
             is_dict = isinstance(obj, dict)
@@ -406,60 +420,51 @@ def _json_text(document):
                     parts = [encode_basestring_ascii(key) + ": " + encode(value, level + 1)
                              for key, value in sorted(obj.items())]
                 else:
-                    text = _row_table(obj, level)
-                    if text is not None:
-                        return text
                     parts = [encode(value, level + 1) for value in obj]
                 return (("{" if is_dict else "[") + inner + ("," + inner).join(parts)
                         + "\n" + "  " * level + ("}" if is_dict else "]"))
-        text = "".join(encoder_at(level)(obj, 0))
+        try:
+            text = "".join(encoder_at(level)(obj, 0))
+        except ValueError:  # Python 3.11's C encoder does not name the value
+            items = ([obj[key] for key in sorted(obj)] if isinstance(obj, dict)
+                     else obj if isinstance(obj, _CONTAINERS) else [obj])
+            raise ValueError(_OUT_OF_RANGE + repr(next(
+                value for value in items if isinstance(value, float) and not math.isfinite(value))))
         if len(text) > 2 and text[0] in "[{":
             return text[0] + inner + text[1:-1] + "\n" + "  " * level + text[-1]
         return text
 
-    try:
-        return encode(document, 0)
-    except ValueError:
-        # the C encoder does not always name the out-of-range float
-        json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
-        raise
+    return encode(document, 0)
 
 
-def _row_table(rows, level):
-    """The indented text of a row table at nesting level `level`, or None.
-
-    A row table is a list of non-empty dicts (not dict subclasses) with one
-    set of str keys and no container values.  Its values, row by row in
-    sorted key order, go through the C encoder one call per _ROW_BATCH rows,
-    since the encoder holds every small piece of its text until it returns.
-    Each batch fills its rows' copies of one row template with one %.  Any
-    other list is left to the caller's walk.  NaN and infinities raise
-    ValueError.
-    """
-    # plain dicts only: a subclass's [] may not raise on a missing key
-    if set(map(type, rows)) != {dict}:
-        return None
-    order = sorted(rows[0]) if all(map(isinstance, rows[0], repeat(str))) else ()
-    # a row as long as the first that holds each of its keys has its key set
-    if not (order and all(map(len(order).__eq__, map(len, rows)))):
-        return None
-    try:
-        values = [row[key] for row in rows for key in order]
-    except KeyError:
-        return None
-    if any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values))):
-        return None
-    outer, row, field = ("  " * (level + depth) for depth in range(3))
-    template = ("{\n" + field + (",\n" + field).join(
-        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in order)
-        + "\n" + row + "}")
-    step = len(order) * _ROW_BATCH
-    filled = []
-    for start in range(0, len(values), step):
-        batch = values[start:start + step]
-        filled.append((",\n" + row).join(repeat(template, len(batch) // len(order)))
-                      % tuple("".join(_SCALARS(batch, 0))[1:-1].split("\x00")))
-    return "[\n" + row + (",\n" + row).join(filled) + "\n" + outer + "]"
+def _column_text(table, level):
+    """The text of table's rows as dicts at nesting level `level`: each row
+    joins its cells with each key's prefix, and one join writes the rows."""
+    row, field = "  " * (level + 1), "  " * (level + 2)
+    parts, bad = [], []
+    for position, key in enumerate(sorted(table.columns)):
+        column = table.columns[key]
+        parts.append(repeat((",\n" + row + "{\n" if position == 0 else ",\n")
+                            + field + encode_basestring_ascii(key) + ": "))
+        if column is None:
+            parts.append(repeat("null"))
+        elif isinstance(column, range):
+            parts.append(map(int.__repr__, column))
+        elif column.dtype == bool:
+            parts.append(map(("false", "true").__getitem__, column.tolist()))
+        else:
+            finite = np.isfinite(column)
+            if not finite.all():
+                bad.append((int(finite.argmin()), position, column[~finite][0].item()))
+            parts.append(map(float.__repr__, column.tolist()))
+    if bad:  # the first in json.dumps's order: row by row, keys sorted in a row
+        raise ValueError(_OUT_OF_RANGE + repr(min(bad)[2]))
+    rows = map("".join, zip(*parts, repeat("\n" + row + "}")))
+    first = next(rows, None)
+    if first is None:
+        return "[]"
+    # the first row's "," is the list's "["
+    return "".join(chain(("[", first[1:]), rows, ("\n" + "  " * level + "]",)))
 
 
 def _emit(ns, document, csv_header, csv_rows):
@@ -560,7 +565,7 @@ def _scan_values(ns):
         raise ConfigError(f"scan has {count:.7g} points, more than the {MAX_SCAN_POINTS} "
                           "allowed; raise --step or narrow --start/--stop")
     # start + i * step, rounded as Python rounds it: i converts to float exactly
-    return (ns.start + np.arange(count) * ns.step).tolist()
+    return ns.start + np.arange(count) * ns.step
 
 
 # the modulus below which canonical.rath_mallick and canonical.normalizable
@@ -660,7 +665,8 @@ def cmd_scan(ns):
         raise ConfigError("levels must be at least 1")
     _require_positive(ns.threshold, "threshold")
     param = ns.scan.replace("-", "_") if ns.scan else None
-    values = _scan_values(ns)
+    grid = _scan_values(ns)
+    values = grid.tolist()
     if param not in _MODEL_KEYS:
         raise ConfigError(f"cannot scan {ns.scan!r}; choose one of "
                           + ", ".join(key.replace("_", "-") for key in _MODEL_KEYS))
@@ -668,7 +674,7 @@ def cmd_scan(ns):
     point = argparse.Namespace(**vars(ns))
     setattr(point, param, values[0])
     build = model_family(point)
-    indicator, margin, risky = _scan_columns(build, point, param, values, ns.levels)
+    indicator, margin, risky = _scan_columns(build, point, param, grid, ns.levels)
     # a point that might raise, or whose result is not finite, is rebuilt by
     # the value classes in scan order, so the first bad point raises as the
     # classes make it raise; every other point already holds their result
@@ -694,15 +700,12 @@ def cmd_scan(ns):
         if flips.any():
             index = int(flips.argmax()) + 1
             margin_bracket = [values[index - 1], values[index]]
-    rows = [{"index": index, "value": value, "max_imag": imag, "margin": sign,
-             "transition": flag}
-            for index, (value, imag, sign, flag) in enumerate(zip(
-                values, indicator.tolist(),
-                repeat(None) if margin is None else margin.tolist(), crossing.tolist()))]
+    table = ColumnTable({"index": range(len(values)), "value": grid, "max_imag": indicator,
+                         "margin": margin, "transition": crossing})
 
     document = {
         "config": _config_echo(ns, "scan"),
-        "results": {"rows": rows},
+        "results": {"rows": table},
         "diagnostics": {
             "threshold": ns.threshold,
             "transition_bracket": transition_bracket,
@@ -710,11 +713,7 @@ def cmd_scan(ns):
         },
     }
     header = ["index", "value", "max_imag", "margin", "transition"]
-    csv_rows = (
-        [row["index"], row["value"], row["max_imag"], row["margin"], row["transition"]]
-        for row in rows
-    )
-    _emit(ns, document, header, csv_rows)
+    _emit(ns, document, header, table.rows(header))
     return EXIT_OK
 
 

@@ -1112,10 +1112,10 @@ def same_keyed_tables(draw, keys, values):
 
 
 class TestJsonRowTables:
-    """A list of same-keyed flat dicts is C-encoded in batches and fills one
-    row template; the text is json.dumps's."""
+    """Lists of dicts, same-keyed or not, are walked a row at a time; the text
+    is json.dumps's."""
 
-    # braces, brackets, "%" and NUL in keys and strings stay on the row-table path
+    # braces, brackets, "%" and NUL in keys and strings
     plain = st.text(alphabet=",:\"\\\n\u00e9xy%\x00", max_size=4)
     braced = st.text(alphabet="xy{}[]%\x00", min_size=1, max_size=3)
     numbers = st.one_of(
@@ -1175,53 +1175,84 @@ class TestJsonRowTables:
         assert str(raised.value) == str(expected.value)
         assert str(raised.value) == f"Out of range float values are not JSON compliant: {bad!r}"
 
-    def test_row_template_taken_only_for_same_keyed_flat_rows(self, monkeypatch):
-        results = []
-        row_table = cli._row_table
 
-        def spy(*args):
-            results.append(row_table(*args))
-            return results[-1]
+@st.composite
+def column_tables(draw, floats):
+    """A ColumnTable of 1 to 8 rows: int (range), bool, all-None and float columns."""
+    size = draw(st.integers(1, 8))
+    kinds = {
+        "int": st.integers(-(2**70), 2**70).map(lambda start: range(start, start + size)),
+        "bool": st.lists(st.booleans(), min_size=size, max_size=size).map(np.array),
+        "none": st.none(),
+        "float": st.lists(floats, min_size=size, max_size=size)
+        .map(lambda cells: np.array(cells, dtype=np.float64)),
+    }
+    names = draw(st.lists(TestJsonRowTables.plain, min_size=1, max_size=5, unique=True))
+    columns = {name: draw(st.sampled_from(sorted(kinds)).flatmap(kinds.get)) for name in names}
+    if all(column is None for column in columns.values()):
+        columns[names[0]] = range(size)
+    return cli.ColumnTable(columns)
 
-        monkeypatch.setattr(cli, "_row_table", spy)
-        plain = [{"index": 0, "value": 0.5, "margin": None},
-                 {"margin": 1, "value": -0.0, "index": 1}]
-        cases = [
-            (plain, True),                                   # one key set, two orders
-            ([{"a{": "}", "[": "]"}, {"[": "{", "a{": 1}], True),  # braces and brackets
-            ([{"%s": "%d", "\x00": "\x00%"}], True),         # % and NUL
-            ([{"a": np.float64(0.1), "b": np.float64(-0.0)}], True),
-            ([{"a": 1}, {"b": 2}], False),                   # differing key sets
-            ([{"a": 1, "b": 2}, {"a": 1, "c": 2}], False),   # same size, other keys
-            ([{"a": 1}, {"a": 1, "b": 2}], False),           # an extra key
-            ([{1: 1}, {1: 2}], False),                       # a non-str key
-            ([{"a": 1}, {}], False),                         # an empty row
-            ([{}, {"a": 1}], False),
-            ([{"a": 1}, {"a": [1]}], False),                 # a container value
-            ([{"a": 1}, collections.OrderedDict(a=2)], False),  # a dict subclass
-        ]
-        for table, fast in cases:
-            results.clear()
-            assert cli._json_text({"rows": table}) == TestJsonText.dumps({"rows": table})
-            assert (results[0] is not None) == fast, table
 
-    @pytest.mark.parametrize("batch", [1, 2, 3])
-    def test_batches_join_like_one_call(self, monkeypatch, batch):
-        monkeypatch.setattr(cli, "_ROW_BATCH", batch)
-        plain = [{"i": i, "x": i / 7, "s": "a,b"} for i in range(7)]
-        tables = [plain] + [
-            plain[:k] + [dict(plain[k], s=text)] + plain[k + 1:]
-            for k in range(7) for text in ("{", "]", math.inf)
-        ]
-        for table in tables:
-            document = {"results": {"rows": table}}
-            try:
-                expected = TestJsonText.dumps(document)
-            except ValueError as exc:
-                with pytest.raises(ValueError, match="^" + re.escape(str(exc)) + "$"):
-                    cli._json_text(document)
-            else:
-                assert cli._json_text(document) == expected
+def row_dicts(table):
+    keys = list(table.columns)
+    return [dict(zip(keys, row)) for row in table.rows(keys)]
+
+
+class TestColumnTables:
+    """A ColumnTable is written as json.dumps writes the list of its rows as dicts."""
+
+    FLOATS = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                         1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16]),
+    )
+    # the table at the top, as a dict value at two depths, and inside lists
+    wrappers = st.sampled_from([
+        lambda table: table,
+        lambda table: {"results": {"rows": table}, "z": 1},
+        lambda table: [[table], 0],
+        lambda table: {"a": [{"b": table, "c": [1.5, None]}], "d": {}},
+    ])
+
+    @given(wrappers, column_tables(FLOATS))
+    @PROPERTY_SETTINGS
+    def test_matches_json_dumps_of_row_dicts(self, wrap, table):
+        assert cli._json_text(wrap(table)) == TestJsonText.dumps(wrap(row_dicts(table)))
+
+    @given(wrappers, column_tables(st.one_of(FLOATS, st.sampled_from(TestJsonText.NON_FINITE))))
+    @PROPERTY_SETTINGS
+    def test_non_finite_names_the_first(self, wrap, table):
+        rows = row_dicts(table)
+        first = [row[key] for row in rows for key in sorted(row)
+                 if isinstance(row[key], float) and not math.isfinite(row[key])]
+        try:
+            expected = TestJsonText.dumps(wrap(rows))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                cli._json_text(wrap(table))
+            assert str(raised.value) == str(exc)
+            assert str(raised.value) == \
+                f"Out of range float values are not JSON compliant: {first[0]!r}"
+        else:
+            assert not first
+            assert cli._json_text(wrap(table)) == expected
+
+    def test_rows_in_key_order(self):
+        table = cli.ColumnTable({"i": range(2), "x": np.array([0.5, -0.0]), "m": None,
+                                 "t": np.array([True, False])})
+        assert list(table.rows(["t", "i", "m", "x"])) == [(True, 0, None, 0.5),
+                                                          (False, 1, None, -0.0)]
+
+    def test_empty_table(self):
+        table = cli.ColumnTable({"a": range(0), "b": np.zeros(0), "c": None})
+        for wrap in (lambda rows: rows, lambda rows: {"r": [rows, 1]}):
+            assert cli._json_text(wrap(table)) == TestJsonText.dumps(wrap([]))
+
+    @pytest.mark.parametrize("columns", [{"a": None}, {"a": range(2), "b": np.zeros(3)}])
+    def test_rejects_columns_without_one_length(self, columns):
+        with pytest.raises(ValueError, match="values to unpack"):
+            cli.ColumnTable(columns)
 
 
 class TestScanModelFamily:
