@@ -282,7 +282,8 @@ def _simpson(values, dx):
     weights = np.ones(end)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    total = float(weights @ values[:end]) * dx / 3.0
+    # a fixed-order sum: a BLAS dot product may depend on the thread count
+    total = float((weights * values[:end]).sum()) * dx / 3.0
     if end != n:
         total += 0.5 * dx * float(values[-2] + values[-1])
     return total

@@ -54,7 +54,7 @@ DIGESTS = {
         (0, '7eee2dbdc9993b1caffdf70de6714749dcce770e85addc9428e8d9692ae6d44a',
          EMPTY),
     'wavefunction --rm-alpha 0.3 --rm-beta 0.2':
-        (0, '0dfb94ca161685c477820f326f681dcb3217d1ea85ffe07c2a1ba458ad8821e2',
+        (0, '5833bba51096854656fa32f02fd8c66b2d3c6259a09a5e15ea7e6db9893badb1',
          EMPTY),
     'spectrum --h11=0.32041746369561314 --h12=0.16996941664222537 --h22=0.5476547371014461 -n 10 -N 200':
         (0, 'eb31bed9b8cffc36b600e8fd3434c673b65d4191b5d5e1925d4df3da10e2d4bd',
@@ -93,7 +93,7 @@ DIGESTS = {
         (4, 'fb3ad35c7bca6a6b8b227c403ff82bc9d441415c073e9088f1464059ee28891b',
          EMPTY),
     'wavefunction --level 3 --omega 1.5':
-        (0, 'bf8d089df25e6a5d9aeeb5c6e77647fa6d2677883c0a0c510e5d5ed498455c03',
+        (0, 'f5593ff9ec4ca777f0c7f60664c9aa09361a6cc68681e49507f6b2073a179e4c',
          EMPTY),
     'wavefunction --h11 0.4 --h12 0.3 --h22 0.6 --excitation 1 --parity 1':
         (0, '411e230e3b9125bb4964167af46887d5c69f923d48e197a682b3712397bbd27f',
