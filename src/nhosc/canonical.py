@@ -10,6 +10,7 @@ generator; all of them compose and invert as a group.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,8 +74,11 @@ class CanonicalTransform:
         fields["u21"] = _finite_complex("u21", u21)
         fields["u22"] = _finite_complex("u22", u22)
         det = self.determinant
-        # written so that a NaN determinant (products overflowing) fails too
-        if not abs(det - 1) <= DET_TOL:
+        # relative to the products it cancels, which round by about their size
+        # times EPS (large near a singular mix point); a NaN determinant or an
+        # overflowed product fails
+        scale = abs(self.u11 * self.u22) + abs(self.u21 * self.u12)
+        if not abs(det - 1) <= DET_TOL * scale < math.inf:
             raise ValueError(f"determinant must be 1, measured {det!r}")
 
     @property

@@ -137,23 +137,31 @@ def critical_frequencies(h):
         return CriticalFrequencies(
             kind="single", discriminant=d, omega_single=h.h22 / (2.0 * h.h12)
         )
-    if d < 0.0:
+    h11, h12, h22, scaled = h.h11, h.h12, h.h22, d
+    if not math.isfinite(d):
+        # D overflows; the frequencies, ratios of h's entries and sqrt(D), need
+        # not: take them from h scaled by 2^-k to entries below 2^511.  An h11
+        # that underflows stays nonzero, so that its ratio overflows: D's
+        # overflow then came from h12^2, so the ratio is above 2^1073
+        k = math.frexp(max(abs(h11), abs(h12), abs(h22)))[1] - 511
+        h11, h12, h22 = (math.ldexp(value, -k) for value in (h11, h12, h22))
+        h11 = h11 or math.copysign(5e-324, h.h11)
+        scaled = h11 * h22 + h12 * h12
+    if scaled < 0.0:
         return CriticalFrequencies(kind="complex_pair", discriminant=d)
-    if d == 0.0:
+    if scaled == 0.0:
         return CriticalFrequencies(
-            kind="degenerate", discriminant=d, omega_single=-h.h12 / h.h11
+            kind="degenerate", discriminant=d, omega_single=-h12 / h11
         )
-    root = math.sqrt(d)
-    w_plus = (root - h.h12) / h.h11
-    w_minus = -(root + h.h12) / h.h11
+    root = math.sqrt(scaled)
+    w_plus = (root - h12) / h11
+    w_minus = -(root + h12) / h11
     # one of the two cancels when h11 h22 << h12^2; that one comes from
-    # w_plus w_minus = -h22/h11 instead.  An overflowed root keeps both
-    # forms above, so the frequencies report the overflow
-    if math.isfinite(root):
-        if h.h12 >= 0.0:
-            w_plus = h.h22 / (root + h.h12)
-        else:
-            w_minus = -h.h22 / (root - h.h12)
+    # w_plus w_minus = -h22/h11 instead
+    if h12 >= 0.0:
+        w_plus = h22 / (root + h12)
+    else:
+        w_minus = -h22 / (root - h12)
     return CriticalFrequencies(
         kind="pair",
         discriminant=d,

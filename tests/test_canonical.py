@@ -69,10 +69,11 @@ class TestFiniteEntries:
         with pytest.raises(canonical.NonFiniteError, match=f"^{name} must be finite"):
             canonical.CanonicalTransform(*entries)
 
-    def test_overflowing_determinant_rejected(self):
-        # each entry is finite, but the products overflow and the determinant is NaN
+    @pytest.mark.parametrize("entries", [(1e200, 1e200, 1e200, 1e200), (1e200, 0, 0, 1e200)])
+    def test_overflowing_determinant_rejected(self, entries):
+        # each entry is finite, but the products overflow and the determinant is NaN or inf
         with pytest.raises(ValueError, match="determinant must be 1"):
-            canonical.from_matrix(1e200, 1e200, 1e200, 1e200)
+            canonical.from_matrix(*entries)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 1)])
     @pytest.mark.parametrize("position", range(3))
@@ -171,6 +172,18 @@ class TestRathMallick:
     def test_generic_determinant(self):
         u = canonical.rath_mallick(0.3, 0.2)
         assert abs(u.determinant - 1) < 1e-14
+
+    @pytest.mark.parametrize("beta", [-0.99999999, -0.9999999999, -0.999999999998])
+    def test_near_singular_determinant_accepted(self, beta):
+        # s = 1/sqrt(1 + beta) is large and det = s*s + beta*s*s rounds by
+        # about s*s*EPS, far above DET_TOL in absolute terms
+        u = canonical.rath_mallick(1.0, beta)
+        assert abs(u.determinant - 1) <= 4 * np.finfo(float).eps * abs(u.u11 * u.u22)
+
+    @pytest.mark.parametrize("entries", [(2, 0, 0, 1), (1, 1e-11, 1, 1), (1e6, 0, 0, 1e-6 + 1e-15)])
+    def test_wrong_determinant_rejected(self, entries):
+        with pytest.raises(ValueError, match="^determinant must be 1"):
+            canonical.from_matrix(*entries)
 
 
 class TestGauge:

@@ -608,6 +608,25 @@ class TestExitCodes:
                              "--h22", "0.5")
         assert code == 0 and doc["results"]["omega"] == 0.5 and doc["results"]["nodes"] == 0
 
+    def test_overflowing_discriminant_with_finite_frequencies(self, capsys):
+        # D = h11 h22 + h12^2 overflows (it exited 3, "frequency of the +
+        # branch overflows: inf"), the frequencies are those of (1, 1, 1)
+        code, doc = run_json(capsys, "wavefunction", "--h11", "1e200", "--h12", "1e200",
+                             "--h22", "1e200")
+        assert code == 0 and doc["results"]["nodes"] == 0
+        assert doc["results"]["omega"] == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-15)
+
+    def test_near_singular_mix_determinant(self, capsys):
+        # at 1 + alpha beta = 1e-8 the determinant rounds to 1 + 1.5e-8, within
+        # its bound relative to |u11 u22| + |u21 u12| = 2e8; it exited 2
+        code, doc = run_json(capsys, "spectrum", "--rm-alpha", "1", "--rm-beta=-0.99999999",
+                             "-N", "8", "-n", "2")
+        assert code == 0 and doc["diagnostics"]["normalizable"]["flag"] is True
+        # a determinant that is wrong, not rounded, still exits 2
+        assert run_cli(capsys, "verify", "--u11", "2", "--u12", "0", "--u21", "0", "--u22", "1",
+                       "-N", "40", "-n", "4") == (
+            2, "", "nhosc: error: determinant must be 1, measured (2+0j)\n")
+
     def test_config_file_values_checked(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("h11 = 0.5\nh12 = 0\nh22 = inf\n")
@@ -658,7 +677,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, message", [
         ("verify --rm-alpha 1e200 --rm-beta 1e200 -N 40 -n 4",
          "mix transform overflows: 1 + alpha*beta = (inf+0j)"),
-        ("wavefunction --h11 1e200 --h12 1e200 --h22 1e200",
+        ("wavefunction --h11 1e-300 --h12=-1e300 --h22 1",
          "frequency of the + branch overflows: inf"),
         ("verify --gauge-g 1e300 -N 40 -n 4",
          "quadratic image under the transform overflows: transform entries up to 1e+300, "

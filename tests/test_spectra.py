@@ -91,6 +91,9 @@ class TestCriticalFrequencies:
     @pytest.mark.parametrize("h11, h12, h22", [
         (1e-12, 0.5, 0.5), (1e-12, -0.5, 0.5), (1e-17, 0.5, 0.5), (-1e-17, -0.5, 0.5),
         (1e-9, 3.0, -2.0), (0.3, 0.2, 0.5), (0.5, -0.2, 0.4), (2.0, 1e-9, 3.0),
+        # D = h11 h22 + h12^2 overflows, the roots do not
+        (1e200, 1e200, 1e200), (1e200, -1e200, 1e200), (1.7e308, 1.7e308, 1.7e308),
+        (1e300, 1e300, -2e299), (-1e250, 3e250, 1e250), (1e290, 1e300, -1e290),
     ])
     def test_roots_free_of_cancellation(self, h11, h12, h22):
         """Both roots of h11 w^2 + 2 h12 w - h22 = 0 to a few ulps, when
@@ -126,16 +129,31 @@ class TestCriticalFrequencies:
         assert crit.kind == "pair"
         assert crit.sign_contract is False
 
+    def test_overflowing_discriminant_of_a_real_pair(self):
+        # D = -inf + inf is NaN, but the scaled D is 0: the exceptional point
+        # of (1, 1, -1) scaled by 1e200
+        crit = spectra.critical_frequencies(ThreeParamOscillator(1e200, 1e200, -1e200))
+        assert crit.kind == "degenerate" and crit.omega_single == -1.0
+        crit = spectra.critical_frequencies(ThreeParamOscillator(-1e200, 1e150, 1e200))
+        assert crit.kind == "complex_pair" and crit.discriminant == -math.inf
+
     @pytest.mark.parametrize("h, branch, message", [
-        # D = h11 h22 + h12^2 overflows, and with it both roots
-        (ThreeParamOscillator(1e200, 1e200, 1e200), 1, "frequency of the \\+ branch overflows: inf"),
-        (ThreeParamOscillator(1e200, 1e200, 1e200), -1, "frequency of the - branch overflows: -inf"),
+        # D = h11 h22 + h12^2 overflows, and the root divided by a tiny h11
+        (ThreeParamOscillator(1e-300, -1e300, 1.0), 1, "frequency of the \\+ branch overflows: inf"),
+        (ThreeParamOscillator(1e-300, 1e300, 1.0), -1, "frequency of the - branch overflows: -inf"),
         # h11 = 0: h22 / (2 h12) overflows
         (ThreeParamOscillator(0.0, 1e-300, 1e10), 1, "frequency of the \\+ branch overflows: inf"),
     ])
     def test_overflowing_branch_frequency_is_non_finite(self, h, branch, message):
         with pytest.raises(canonical.NonFiniteError, match=f"^{message}$"):
             spectra.branch_frequency(h, branch)
+
+    @pytest.mark.parametrize("h12", [1e300, -1e300])
+    def test_other_branch_of_an_overflowing_pair(self, h12):
+        # h22 / (sqrt(D) + |h12|), with no division by the tiny h11
+        branch = 1 if h12 > 0 else -1
+        omega = spectra.branch_frequency(ThreeParamOscillator(1e-300, h12, 1.0), branch)
+        assert omega == pytest.approx(branch * 0.5e-300, rel=1e-15)
 
 
 class TestClosedForm:
