@@ -497,9 +497,8 @@ def cmd_spectrum(ns):
     _validate_run(ns)
     model = resolve_model(ns)
     broken = spectra.broken_phase(model.quadratic)
-    closed_plus = [spectra.general_quadratic_spectrum(model.quadratic, n)
-                   for n in range(ns.levels)]
-    closed_minus = [-v for v in closed_plus] if model.oscillator is not None else None
+    closed = np.array([spectra.general_quadratic_spectrum(model.quadratic, n)
+                       for n in range(ns.levels)])
     records, _ = spectra.solve_levels(model.quadratic, ns.omega, ns.trunc, ns.levels,
                                      reference=None if broken else model.quadratic)
     levels = [{"n": level.index, "eigenvalue": _cj(level.eigenvalue), "parity": level.parity,
@@ -518,8 +517,9 @@ def cmd_spectrum(ns):
         },
         "broken_phase": broken,
         "closed_form": {
-            "plus": [_cj(v) for v in closed_plus],
-            "minus": [_cj(v) for v in closed_minus] if closed_minus is not None else None,
+            "plus": ColumnTable({"re": closed.real, "im": closed.imag}),
+            "minus": ColumnTable({"re": -closed.real, "im": -closed.imag})
+            if model.oscillator is not None else None,
         },
         "critical_frequencies": None,
         "numeric": levels,
