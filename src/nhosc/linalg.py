@@ -14,10 +14,8 @@ eigenvalues already found (`_contour`), and evaluates det(T - z) and its
 log-derivative by the O(n) continuant (`_det_phase`), vectorised over the
 contour points.
 
-`eigenvalues` runs single-shift QR with Wilkinson shifts, deflating one or two
-eigenvalues at a time, on the dense form of the same symmetrized matrix.  It
-has two roles only: it solves a segment on which QL breaks down, and the tests
-use it as the reference for the tridiagonal solver.
+A segment on which QL breaks down goes to Aberth's iteration (`_aberth`) on the
+same continuant, which the same count certifies when asked for the lowest L.
 
 A `Tridiagonal` holds its bands as numpy complex128 arrays; numpy is used for
 storage and vectorized arithmetic only.
@@ -36,7 +34,7 @@ import numpy as np
 
 DEFLATION_REL = 1e-14
 EPS = 2.220446049250313e-16
-# QL or QR sweeps spent on one eigenvalue before giving up
+# QL sweeps spent on one eigenvalue before giving up
 MAX_SWEEPS = 30
 # largest |c| or |s| accepted in a complex orthogonal QL rotation
 ROTATION_BOUND = 1e4
@@ -64,6 +62,8 @@ COUNT_MIN_ROWS = 64
 COUNT_TIE_REL = 1e-8
 COUNT_SAMPLES = 256
 COUNT_FIRST_STEP = 0.45
+# Aberth's iteration: the points whose pairwise terms one array holds
+ABERTH_CHUNK = 256
 # Inverse iteration's accepted residual, relative to ||t||_F, and its solves
 EIGENVECTOR_TOL = 1e-12
 EIGENVECTOR_MAX_ITER = 20
@@ -71,7 +71,6 @@ EIGENVECTOR_MAX_ITER = 20
 __all__ = [
     "EigenConvergenceError",
     "frobenius_norm",
-    "eigenvalues",
     "Tridiagonal",
     "TridiagonalLU",
     "tridiagonal_eigenvalues",
@@ -81,8 +80,8 @@ __all__ = [
 
 
 class EigenConvergenceError(RuntimeError):
-    """QR or inverse iteration failed to converge; for inverse iteration it
-    carries the best residual achieved."""
+    """Aberth's iteration or inverse iteration failed to converge; for inverse
+    iteration it carries the best residual achieved."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -118,110 +117,6 @@ def _radix_scale(modulus):
         return 1.0
     # 2^1023, the largest power of two, lifts even a subnormal big above SCALE_MIN
     return math.ldexp(1.0, min(-math.frexp(big)[1], 1023))
-
-
-def _eig2(a, b, c, d):
-    """Eigenvalues of [[a, b], [c, d]], larger-magnitude root first."""
-    mid = 0.5 * (a + d)
-    q = cmath.sqrt(0.25 * (a - d) ** 2 + b * c)
-    l1 = mid + q if abs(mid + q) >= abs(mid - q) else mid - q
-    det = a * d - b * c
-    l2 = det / l1 if l1 != 0 else mid - q
-    return l1, l2
-
-
-def _qr_sweep(h, lo, hi, shift):
-    """One implicit-shift QR step (bulge chase) on the block h[lo:hi, lo:hi].
-
-    The shift enters only the first rotation, so large shifts never touch
-    entries far from the bulge; each rotation is a similarity applied
-    immediately on both sides.
-    """
-    x = h[lo, lo] - shift
-    z = h[lo + 1, lo]
-    for k in range(lo, hi - 1):
-        r = math.hypot(abs(x), abs(z))
-        if r == 0.0:
-            c, s = 1.0 + 0j, 0j
-        else:
-            c, s = x.conjugate() / r, z.conjugate() / r
-        col0 = k - 1 if k > lo else lo
-        top = h[k, col0:hi].copy()
-        bot = h[k + 1, col0:hi]
-        h[k, col0:hi] = c * top + s * bot
-        h[k + 1, col0:hi] = -s.conjugate() * top + c.conjugate() * bot
-        if k > lo:
-            h[k + 1, k - 1] = 0.0
-        row_end = min(k + 3, hi)
-        left = h[lo:row_end, k].copy()
-        right = h[lo:row_end, k + 1]
-        h[lo:row_end, k] = c.conjugate() * left + s.conjugate() * right
-        h[lo:row_end, k + 1] = -s * left + c * right
-        if k + 2 < hi:
-            x = h[k + 1, k]
-            z = h[k + 2, k]
-
-
-def eigenvalues(t):
-    """All eigenvalues of a Tridiagonal, sorted by real part then imaginary part.
-
-    QR runs on the dense form of the complex symmetric tridiagonal diagonally
-    similar to t (see `_symmetric_offdiagonal`), the matrix QL is given, which
-    is already in Hessenberg form; O(n^2) per sweep.  More than MAX_SWEEPS
-    sweeps for one eigenvalue raise EigenConvergenceError.
-    """
-    scale, scaled = _radix_scaled(t)
-    if scale != 1.0:
-        return eigenvalues(scaled) / scale
-    offdiag = _symmetric_offdiagonal(t)
-    h = Tridiagonal(t.diag, offdiag, offdiag).dense()
-    hnorm = frobenius_norm(h)
-    n = t.size
-    eig = np.empty(n, dtype=complex)
-    hi = n
-    sweeps = 0
-    while hi > 0:
-        for k in range(1, hi):
-            thresh = DEFLATION_REL * (abs(h[k - 1, k - 1]) + abs(h[k, k]))
-            if thresh == 0.0:
-                thresh = EPS * hnorm
-            if abs(h[k, k - 1]) <= thresh:
-                h[k, k - 1] = 0.0
-        lo = hi - 1
-        while lo > 0 and h[lo, lo - 1] != 0.0:
-            lo -= 1
-        if lo == hi - 1:
-            eig[hi - 1] = h[hi - 1, hi - 1]
-            hi -= 1
-            sweeps = 0
-            continue
-        if lo == hi - 2:
-            eig[hi - 2], eig[hi - 1] = _eig2(
-                h[lo, lo], h[lo, lo + 1], h[lo + 1, lo], h[lo + 1, lo + 1]
-            )
-            hi -= 2
-            sweeps = 0
-            continue
-        if sweeps >= MAX_SWEEPS:
-            raise EigenConvergenceError(
-                f"QR iteration stalled on block [{lo}, {hi}) after {sweeps} sweeps")
-        sweeps += 1
-        if sweeps % 10 == 0:
-            # exceptional shift to break symmetry-induced cycles
-            shift = h[hi - 1, hi - 1] + 0.75 * abs(h[hi - 1, hi - 2])
-        elif sweeps % 10 == 5 and sweeps > 10:
-            # the mean eigenvalue of the block, once the shift above has not
-            # helped: a nilpotent block cycles under both, and its eigenvalues
-            # all sit at that mean
-            shift = np.trace(h[lo:hi, lo:hi]) / (hi - lo)
-        else:
-            l1, l2 = _eig2(
-                h[hi - 2, hi - 2], h[hi - 2, hi - 1], h[hi - 1, hi - 2], h[hi - 1, hi - 1]
-            )
-            corner = h[hi - 1, hi - 1]
-            shift = l1 if abs(l1 - corner) <= abs(l2 - corner) else l2
-        _qr_sweep(h, lo, hi, shift)
-    return eig[_order(eig)]
 
 
 def _order(values):
@@ -279,13 +174,6 @@ class Tridiagonal:
     def matvec(self, v):
         """T v for a vector of shape (n,) or each column of an (n, k) array."""
         return _band_matvec(self.diag, self.lower, self.upper, v)
-
-    def dense(self):
-        n = self.size
-        a = np.diag(self.diag)
-        a[np.arange(1, n), np.arange(n - 1)] = self.lower
-        a[np.arange(n - 1), np.arange(1, n)] = self.upper
-        return a
 
 
 def _band_matvec(diag, lower, upper, v):
@@ -574,25 +462,79 @@ def _ql_symmetric(d, e, floor, lowest=None):
     return d
 
 
+def _aberth(d, e, lowest=None):
+    """Eigenvalues of the complex symmetric tridiagonal with diagonal d and
+    off-diagonal e (arrays), sorted by `_order`, by Aberth's iteration (Math.
+    Comp. 27 (1973) 339): the fallback where QL breaks down.
+
+    From n points on the Gershgorin circle about mean(d), each step moves z_k
+    by N / (1 - N sum_{j != k} 1 / (z_k - z_j)), N = 1 / g the Newton step of
+    the continuant (`_det_phase`); z_k freezes for good once its step is at
+    most EPS (|z_k| + ||T||_F).  Returns all once all are frozen or, with
+    `lowest` = L < n, the lowest L once they are frozen and `_count_below`
+    finds exactly L eigenvalues left of the line midway to the next real part.
+    Past 4 (MAX_SWEEPS + n) steps it raises EigenConvergenceError; a multiple
+    eigenvalue is approached linearly (~80 steps on a nilpotent 3 x 3 block).
+    """
+    n = d.size
+    norm = _norm(np.abs(np.concatenate((d, e, e))))
+    edges = np.abs(np.concatenate(([0.0], e, [0.0])))
+    radius = float((np.abs(d - d.mean()) + edges[:-1] + edges[1:]).max())
+    # the first angle is off the real axis, so the points have no mirror symmetry
+    z = d.mean() + radius * np.exp(1j * (2.0 * math.pi * np.arange(n) / n + 0.7))
+    frozen = np.zeros(n, dtype=bool)
+    d_list, e2 = d.tolist(), (e * e).tolist()
+    tried = 0
+    for _ in range(4 * (MAX_SWEEPS + n)):
+        moving = np.flatnonzero(~frozen)
+        pull = np.empty(moving.size, dtype=complex)
+        with np.errstate(all="ignore"):
+            for lo in range(0, moving.size, ABERTH_CHUNK):
+                rows = moving[lo : lo + ABERTH_CHUNK]
+                diff = z[rows, None] - z
+                diff[np.arange(rows.size), rows] = math.inf
+                pull[lo : lo + ABERTH_CHUNK] = (1.0 / diff).sum(axis=1)
+            # g is infinite where det(T - z_k) = 0, and NaN where an earlier
+            # row of the continuant vanishes: that point stays, unfrozen
+            g = _det_phase(d_list, e2, z[moving])[1]
+            newton = np.where(np.isinf(g), 0.0, 1.0 / g)
+            step = newton / (1.0 - newton * pull)
+            usable = np.isfinite(step)
+            z[moving[usable]] -= step[usable]
+            frozen[moving] = np.abs(step) <= EPS * (np.abs(z[moving]) + norm)
+        order = _order(z)
+        if frozen.all():
+            return z[order]
+        # the count is tried again only once more points have frozen
+        if lowest is not None and lowest < n and frozen[order[:lowest]].all() and frozen.sum() > tried:
+            tried = frozen.sum()
+            x, right = z.real[order[lowest - 1]], z.real[order[lowest]]
+            line = 0.5 * (x + right)
+            if right - x > COUNT_TIE_REL * abs(x):
+                if _count_below(d, e, line, line - x, z[frozen]) == lowest:
+                    return z[order[:lowest]]
+    raise EigenConvergenceError(
+        f"Aberth iteration on a {n}-row segment did not converge in {4 * (MAX_SWEEPS + n)} steps")
+
+
 def tridiagonal_eigenvalues(t, lowest=None):
-    """All eigenvalues of a Tridiagonal, sorted like `eigenvalues`, or with
-    `lowest` only the first `lowest` of them.
+    """All eigenvalues of a Tridiagonal, sorted by `_order`, or with `lowest`
+    only the first `lowest` of them.
 
     The matrix splits wherever a product upper[k] * lower[k] is negligible by
-    the deflation test of `eigenvalues`; at an exact zero it is block
-    triangular.  Each unreduced segment is diagonally similar to the complex
-    symmetric tridiagonal with off-diagonal sqrt(upper[k] * lower[k]), which
-    implicit QL with complex orthogonal rotations keeps in that form at O(n)
-    work per sweep (Cullum & Willoughby, SIAM J. Matrix Anal. Appl. 17 (1996)
-    83).  A segment on which QL breaks down goes to `eigenvalues` instead,
-    which runs QR on the same symmetric matrix.
+    QL's deflation test; at an exact zero it is block triangular.  Each
+    unreduced segment is diagonally similar to the complex symmetric
+    tridiagonal with off-diagonal sqrt(upper[k] * lower[k]), which implicit QL
+    with complex orthogonal rotations keeps in that form at O(n) work per
+    sweep (Cullum & Willoughby, SIAM J. Matrix Anal. Appl. 17 (1996) 83).  A
+    segment on which QL breaks down goes to `_aberth` instead.
 
     With `lowest`, QL on each segment stops once the values it has deflated
     provably include the segment's `lowest` of smallest real part, by
     Bendixson's theorem or by counting the eigenvalues left of a line (see
     `_ql_symmetric`).  The result is the first `lowest` values of the full
     solve, unless that solve would break down on a segment only after the
-    point where this one stopped, and go to the dense QR there.
+    point where this one stopped, and go to `_aberth` there.
     """
     scale, scaled = _radix_scaled(t)
     if scale != 1.0:
@@ -615,8 +557,7 @@ def tridiagonal_eigenvalues(t, lowest=None):
             try:
                 eig.extend(_ql_symmetric(d, e, floor, lowest))
             except _QLBreakdown:
-                segment = Tridiagonal(t.diag[lo:hi], t.lower[lo : hi - 1], t.upper[lo : hi - 1])
-                eig.extend(eigenvalues(segment))
+                eig.extend(_aberth(t.diag[lo:hi], offdiag[lo : hi - 1], lowest))
         lo = hi
     eig = np.array(eig, dtype=complex)
     return eig[_order(eig)][:lowest]

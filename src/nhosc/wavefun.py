@@ -254,9 +254,11 @@ def synthesize(pair, omega, grid):
     coeffs = np.asarray(pair.coefficients, dtype=complex)
     support = np.nonzero(np.abs(coeffs) > 0)[0]
     top = int(support.max()) if support.size else 0
-    basis = hermite_basis(top, omega, grid.points)
-    # summed row by row, not by a BLAS product, whose order moves with its threads
-    values = (coeffs[: top + 1, None] * basis).sum(axis=0)
+    # row by row in O(M) memory, not by a BLAS product, whose order moves with its threads
+    rows = _hermite_rows(top, omega, _hermite_args(top, omega, grid.points)[1].ravel())
+    values = coeffs[0] * next(rows)
+    for c, row in zip(coeffs[1 : top + 1], rows):
+        values = values + c * row
     return WavefunctionSample(
         grid=grid,
         values=values,

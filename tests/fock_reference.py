@@ -25,9 +25,18 @@ def weyl_truncation(poly, omega, size):
     return out[:size, :size]
 
 
+def dense_tridiagonal(t):
+    """The n x n matrix of a linalg.Tridiagonal."""
+    n = t.size
+    out = np.diag(t.diag)
+    out[np.arange(1, n), np.arange(n - 1)] = t.lower
+    out[np.arange(n - 1), np.arange(1, n)] = t.upper
+    return out
+
+
 def dense(fock):
     """The size x size matrix of a spectra.FockMatrix."""
     out = np.zeros((fock.size, fock.size), dtype=complex)
     for par, block in enumerate(fock.blocks):
-        out[par::2, par::2] = block.dense()
+        out[par::2, par::2] = dense_tridiagonal(block)
     return out

@@ -242,15 +242,15 @@ class TestVerify:
 ])
 def test_truncation_never_enters_the_qr_fallback(capsys, monkeypatch, argv):
     """QL solves every parity block of spectrum and verify: it never breaks
-    down and hands a segment to the QR fallback."""
+    down and hands a segment to the Aberth fallback."""
     calls = []
-    qr = linalg.eigenvalues
+    aberth = linalg._aberth
 
-    def spy(segment):
-        calls.append("eigenvalues")
-        return qr(segment)
+    def spy(d, e, lowest=None):
+        calls.append("aberth")
+        return aberth(d, e, lowest)
 
-    monkeypatch.setattr(linalg, "eigenvalues", spy)
+    monkeypatch.setattr(linalg, "_aberth", spy)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err, calls) == (0, "", [])
     assert out

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from fock_reference import dense, weyl_truncation
+from fock_reference import dense, dense_tridiagonal, weyl_truncation
 
 from nhosc import canonical, linalg, spectra
 from nhosc.spectra import ThreeParamOscillator
@@ -502,8 +502,9 @@ class TestStructuralInvariants:
             osc = random_oscillator(rng)
             crit = spectra.critical_frequencies(osc)
             fock = spectra.quadratic_fock_matrix(osc.as_quadratic(), crit.omega_plus, 50)
-            # each parity block is triangular here; QR solves it block by block
-            eigs = np.sort_complex(np.concatenate([linalg.eigenvalues(b) for b in fock.blocks]))
+            # each parity block is triangular here; LAPACK solves it block by block
+            eigs = np.sort_complex(np.concatenate(
+                [np.linalg.eigvals(dense_tridiagonal(b)) for b in fock.blocks]))
             expected = np.sort(
                 [spectra.closed_form_eigenvalue(osc, n, 1) for n in range(50)]
             )

@@ -1,11 +1,11 @@
-"""The tridiagonal eigensolver and O(n) LU against LAPACK and the QR fallback,
-which solves the same symmetrized segment as QL."""
+"""The tridiagonal eigensolver and O(n) LU against LAPACK, and Aberth's
+fallback, which solves the same symmetrized segment as QL."""
 
 import math
 
 import numpy as np
 import pytest
-from fock_reference import dense, weyl_truncation
+from fock_reference import dense, dense_tridiagonal, weyl_truncation
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -68,7 +68,7 @@ class TestTridiagonalProperties:
     @given(tridiagonals())
     def test_eigenvalues_match_lapack_within_condition(self, t):
         found = linalg.tridiagonal_eigenvalues(t)
-        expected, kappa = lapack_eigenvalues_and_condition(t.dense())
+        expected, kappa = lapack_eigenvalues_and_condition(dense_tridiagonal(t))
         assert found.size == t.size
         scale = max(t.norm(), np.finfo(float).tiny)
         unused = list(found)
@@ -91,7 +91,7 @@ class TestTridiagonalProperties:
     def test_lu_solves(self, t, seed):
         rng = np.random.default_rng(seed)
         rhs = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
-        dense = t.dense()
+        dense = dense_tridiagonal(t)
         try:
             x = linalg.tridiagonal_lu(t).solve(rhs)
         except linalg.EigenConvergenceError:  # an exactly zero pivot
@@ -106,10 +106,10 @@ class TestTridiagonalProperties:
 class TestTridiagonal:
     def test_dense_round_trip_and_adjoint(self):
         t = random_tridiagonal(np.random.default_rng(3), 6)
-        dense = t.dense()
+        dense = dense_tridiagonal(t)
         assert np.array_equal(np.diagonal(dense, -1), t.lower)
         assert np.array_equal(np.diagonal(dense, 1), t.upper)
-        assert np.array_equal(t.adjoint().dense(), dense.conj().T)
+        assert np.array_equal(dense_tridiagonal(t.adjoint()), dense.conj().T)
         v = np.arange(6) + 1j
         assert np.allclose(t.matvec(v), dense @ v, rtol=1e-15, atol=1e-14)
 
@@ -124,7 +124,7 @@ class TestTridiagonal:
         for n in (2, 5, 40):
             t = random_tridiagonal(rng, n)
             found = linalg.tridiagonal_eigenvalues(t)
-            dense = linalg.eigenvalues(t)
+            dense = np.sort_complex(np.linalg.eigvals(dense_tridiagonal(t)))
             assert np.abs(found - dense).max() <= 1e-10 * t.norm()
 
     def test_triangular_returns_exact_diagonal(self):
@@ -140,16 +140,16 @@ class TestTridiagonal:
     def test_breakdown_falls_back_to_dense_qr(self, monkeypatch, force):
         t = random_tridiagonal(np.random.default_rng(17), 12)
         calls = []
-        dense_eigenvalues = linalg.eigenvalues
+        aberth = linalg._aberth
         max_sweeps = linalg.MAX_SWEEPS
 
-        def spy(segment):
-            calls.append(segment.size)
-            # QR gets the usual sweep budget even where QL was denied one
+        def spy(d, e, lowest=None):
+            calls.append(d.size)
+            # Aberth gets the usual step budget even where QL was denied one
             monkeypatch.setattr(linalg, "MAX_SWEEPS", max_sweeps)
-            return dense_eigenvalues(segment)
+            return aberth(d, e, lowest)
 
-        monkeypatch.setattr(linalg, "eigenvalues", spy)
+        monkeypatch.setattr(linalg, "_aberth", spy)
         if force == "rotation_bound":
             # |c|, |s| <= 1 fails for almost every rotation
             monkeypatch.setattr(linalg, "ROTATION_BOUND", 1.0)
@@ -157,7 +157,7 @@ class TestTridiagonal:
             monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
         found = linalg.tridiagonal_eigenvalues(t)
         assert calls == [12]
-        assert np.array_equal(found, dense_eigenvalues(t))
+        assert np.array_equal(found, aberth(*symmetrized(t)))
 
     @pytest.mark.parametrize("grade", [1.0, 1e6, 1e-6])
     @pytest.mark.parametrize("bands", [
@@ -165,8 +165,9 @@ class TestTridiagonal:
         ([1j, -1j, -1j, -1j], [-1, 1j, 1j], [-1, -1, -1j]),
     ], ids=["size3", "size4"])
     def test_natural_breakdown_falls_back_to_qr(self, monkeypatch, bands, grade):
-        """QL breaks down on these unforced; QR on the symmetrized segment
-        solves them, and a graded (diagonally similar) copy alike."""
+        """QL breaks down on these unforced; Aberth's iteration on the
+        symmetrized segment solves them, and a graded (diagonally similar)
+        copy alike."""
         diag, lower, upper = bands
         t = linalg.Tridiagonal(diag, np.array(lower) / grade, np.array(upper) * grade)
         raised = []
@@ -179,12 +180,13 @@ class TestTridiagonal:
         monkeypatch.setattr(linalg, "_QLBreakdown", Spy)
         found = linalg.tridiagonal_eigenvalues(t)
         assert raised == [True]
-        expected, kappa = lapack_eigenvalues_and_condition(t.dense())
+        expected, kappa = lapack_eigenvalues_and_condition(dense_tridiagonal(t))
         for value, k in zip(expected, kappa):
             assert np.abs(found - value).min() <= 1e-10 * k * t.norm()
         monkeypatch.undo()
         ungraded = linalg.Tridiagonal(diag, lower, upper)
-        assert np.abs(found - linalg.eigenvalues(ungraded)).max() <= 1e-13 * ungraded.norm()
+        ungraded_found = linalg.tridiagonal_eigenvalues(ungraded)
+        assert np.abs(found - ungraded_found).max() <= 1e-13 * ungraded.norm()
 
     def test_lu_pivots_and_rejects_singular(self):
         # a zero leading diagonal forces a row swap, and so fill-in in upper2
@@ -192,7 +194,7 @@ class TestTridiagonal:
         lu = linalg.tridiagonal_lu(t)
         assert lu.swapped[0] and lu.upper2[0] != 0
         rhs = np.array([1.0, -2.0, 3.0j, 0.5])
-        assert np.abs(t.dense() @ lu.solve(rhs) - rhs).max() < 1e-14
+        assert np.abs(dense_tridiagonal(t) @ lu.solve(rhs) - rhs).max() < 1e-14
         singular = linalg.Tridiagonal([1.0, 0.0], [0.0], [1.0])
         with pytest.raises(linalg.EigenConvergenceError, match="singular"):
             linalg.tridiagonal_lu(singular)
@@ -293,16 +295,16 @@ class TestStructuredRoute:
            st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 41)))
     def test_quadratic_truncation_blocks_are_tridiagonal(self, quad, omega, size):
         fallback = []
-        qr = linalg.eigenvalues
+        aberth = linalg._aberth
 
-        def spy(segment):
-            fallback.append(segment.size)
-            return qr(segment)
+        def spy(d, e, lowest=None):
+            fallback.append(d.size)
+            return aberth(d, e, lowest)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg, "eigenvalues", spy)
+            patch.setattr(linalg, "_aberth", spy)
             self.check_truncation(quad, omega, size)
-        # QL solved every block: the QR fallback never ran
+        # QL solved every block: the Aberth fallback never ran
         assert fallback == []
 
     @staticmethod
@@ -312,10 +314,15 @@ class TestStructuredRoute:
         assert all(isinstance(block, linalg.Tridiagonal) for block in fock.blocks)
         # the blocks hold the whole matrix-reference truncation, which is banded;
         # the routes round differently, and the band formula drops a +-2
-        # amplitude below PRUNE_REL = 1e-14 of its terms, hence 10 * PRUNE_REL
+        # amplitude below PRUNE_REL = 1e-14 of its terms, hence 10 * PRUNE_REL;
+        # relative to the largest entry or, where every entry cancels to 0
+        # (i (xp + px) at N = 2, whose diagonal is -1 + 1), to the
+        # largest coefficient, the scale of the terms the reference rounds
         mat = dense(fock)
-        reference = weyl_truncation(quad.weyl_poly(), omega, size)
-        assert np.abs(mat - reference).max() <= 1e-13 * np.abs(mat).max()
+        poly = quad.weyl_poly()
+        reference = weyl_truncation(poly, omega, size)
+        scale = np.abs(mat).max() or max(map(abs, poly.terms.values()), default=0.0)
+        assert np.abs(mat - reference).max() <= 1e-13 * scale
         rows, cols = np.nonzero(mat)
         assert set((rows - cols).tolist()) <= {-2, 0, 2}
         solved = spectra.parity_spectrum(fock)
@@ -377,6 +384,16 @@ def gamma_block(trunc):
     return block
 
 
+def mix_block(alpha, beta, trunc):
+    """Odd block of the mix-family truncation at (alpha, beta)."""
+    quad = spectra.rath_mallick_oscillator(alpha, beta).as_quadratic()
+    return spectra.quadratic_fock_matrix(quad, 1.0, trunc).blocks[1]
+
+
+def broken_ql(*args):
+    raise linalg._QLBreakdown
+
+
 SEEDED_KINDS = ("mix", "gauge", "three_param", "gamma")
 
 
@@ -423,7 +440,7 @@ class TestLowestLevels:
     @PROPERTY_SETTINGS
     @given(graded_tridiagonals())
     def test_k_smallest_real_parts_of_lapack(self, t):
-        expected, kappa = lapack_eigenvalues_and_condition(t.dense())
+        expected, kappa = lapack_eigenvalues_and_condition(dense_tridiagonal(t))
         scale = max(t.norm(), np.finfo(float).tiny)
         # every eigenvalue within its tolerance of LAPACK's moves each order
         # statistic of the real parts by at most the largest tolerance
@@ -442,14 +459,43 @@ class TestLowestLevels:
         if force == "rotation_bound":
             monkeypatch.setattr(linalg, "ROTATION_BOUND", 1.0)
         else:
-            def broken(*args):
-                raise linalg._QLBreakdown
-
-            monkeypatch.setattr(linalg, "_ql_symmetric", broken)
+            monkeypatch.setattr(linalg, "_ql_symmetric", broken_ql)
         full = linalg.tridiagonal_eigenvalues(t)
-        assert np.array_equal(full, linalg.eigenvalues(t))
+        assert np.array_equal(full, linalg._aberth(*symmetrized(t)))
         for k in range(1, 13):
             assert np.array_equal(linalg.tridiagonal_eigenvalues(t, lowest=k), full[:k])
+
+    def test_breakdown_prefix_is_certified_by_the_count(self, monkeypatch):
+        counts = []
+        count_below = linalg._count_below
+
+        def spy(*args):
+            counts.append(count_below(*args))
+            return counts[-1]
+
+        block = mix_block(0.3, 0.2, 200)
+        expected = linalg.tridiagonal_eigenvalues(block, lowest=10)
+        monkeypatch.setattr(linalg, "_count_below", spy)
+        monkeypatch.setattr(linalg, "_ql_symmetric", broken_ql)
+        found = linalg.tridiagonal_eigenvalues(block, lowest=10)
+        assert counts == [10]
+        assert np.abs(found - expected).max() <= 1e-11
+
+    def test_breakdown_refuses_what_it_cannot_certify(self, monkeypatch, capsys):
+        # at (0.6, 0.6) the high levels have kappa near 1e13: their points
+        # never freeze, and the count gives up on the lowest 10
+        monkeypatch.setattr(linalg, "_ql_symmetric", broken_ql)
+        with pytest.raises(linalg.EigenConvergenceError, match="Aberth"):
+            linalg.tridiagonal_eigenvalues(mix_block(0.6, 0.6, 200), lowest=10)
+        assert cli.main(["spectrum", "--rm-alpha", "0.6", "--rm-beta", "0.6",
+                         "-N", "200", "-n", "18"]) == cli.EXIT_NUMERIC
+        assert "Aberth iteration" in capsys.readouterr().err
+
+    def test_aberth_sums_in_chunks_without_changing_a_bit(self, monkeypatch):
+        d, e = symmetrized(random_tridiagonal(np.random.default_rng(53), 40))
+        whole = linalg._aberth(d, e)
+        monkeypatch.setattr(linalg, "ABERTH_CHUNK", 7)
+        assert np.array_equal(linalg._aberth(d, e), whole)
 
     def test_prefix_of_radix_scaled_matrix(self):
         block = gamma_block(80)
@@ -653,12 +699,12 @@ class TestEigenvalueCount:
     def test_box_holds_every_eigenvalue_left_of_c(self, segment):
         d, e = segment
         sym = linalg.Tridiagonal(d, e, e)
-        values, kappa = lapack_eigenvalues_and_condition(sym.dense())
+        values, kappa = lapack_eigenvalues_and_condition(dense_tridiagonal(sym))
         # LAPACK's own error, kappa * eps * ||T||, with room for rounding;
         # ||T|| from the entries over the largest, whose squares cannot
         # underflow (those of a 1e-216 matrix do, and sym.norm() reads 0)
-        big = float(np.abs(sym.dense()).max())
-        norm = big * np.linalg.norm(sym.dense() / big) if big > 0 else 0.0
+        big = float(np.abs(dense_tridiagonal(sym)).max())
+        norm = big * np.linalg.norm(dense_tridiagonal(sym) / big) if big > 0 else 0.0
         slack = 1e-12 * kappa * max(norm, np.finfo(float).tiny)
         real = np.sort(values.real)
         for c in np.concatenate(((real[1:] + real[:-1]) / 2, [real[-1] + 1.0])):
@@ -685,7 +731,7 @@ class TestEigenvalueCount:
         counted = 0
         for name, block in admissible_blocks(rng, 48):
             d, e = symmetrized(block)
-            sym = linalg.Tridiagonal(d, e, e).dense()
+            sym = dense_tridiagonal(linalg.Tridiagonal(d, e, e))
             values = np.linalg.eigvals(sym)
             real = np.sort(values.real)
             lowest = int(rng.integers(1, min(12, block.size - 1) + 1))

@@ -189,11 +189,22 @@ class TestSubstituteLinear:
             assert lhs.isclose(rhs, rel_tol=1e-9)
 
     def test_rejects_non_unit_determinant(self):
-        class Fake:
-            u11, u12, u21, u22 = 2.0, 0.0, 0.0, 1.0
+        from nhosc import canonical
 
+        # the transform checks its determinant as it is built, the one place
+        # the determinant is checked
         with pytest.raises(ValueError, match="determinant"):
-            weyl.substitute_linear(X, Fake())
+            weyl.substitute_linear(X, canonical.from_matrix(2.0, 0.0, 0.0, 1.0))
+
+    def test_accepts_every_transform_that_can_be_built(self):
+        from nhosc import canonical
+
+        # near the singular mix line the determinant rounds to 1 + 1.5e-8,
+        # within the transform's bound relative to the products it cancels
+        u = canonical.rath_mallick(1, -0.99999999)
+        oscillator = canonical.harmonic_oscillator()
+        image = weyl.substitute_linear(oscillator.weyl_poly(), u)
+        assert image.isclose(canonical.apply_to_quadratic(u, oscillator).weyl_poly(), rel_tol=1e-15)
 
 
 def ahmed_h_beta(alpha, beta):
