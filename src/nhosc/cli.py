@@ -23,7 +23,6 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
-from . import _pycomplex as pyc
 from . import canonical, linalg, spectra, wavefun
 
 EXIT_OK = 0
@@ -31,6 +30,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
+# the most points a scan or a wavefunction grid may have
 MAX_SCAN_POINTS = 1_000_000
 
 _MODEL_KEYS = ("h11", "h12", "h22", "rm_alpha", "rm_beta", "gamma", "alpha", "k")
@@ -483,8 +483,11 @@ def _emit(ns, document, csv_header, csv_rows):
             writer.writerow([_csv_cell(cell) for cell in row])
         text = buffer.getvalue()
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"{ns.out}: cannot write output file: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -578,42 +581,39 @@ def _finite(*columns):
     return np.logical_and.reduce([np.isfinite(column) for column in columns])
 
 
-def _modulus_at_least(z, low):
-    """Where abs(z) is at least `low` and does not overflow."""
-    size = np.hypot(*z)
-    return (size >= low) & np.isfinite(size)
-
-
 def _three_param_columns(p):
-    """three_param_model's quadratic (h11, 1j h12, h22); it raises nowhere."""
-    return ((p["h11"], 0.0), pyc.mul(pyc.I, (p["h12"], 0.0)), (p["h22"], 0.0)), None, False
+    """three_param_model's discriminant h11 h22 + h12^2; it raises nowhere."""
+    return p["h11"] * p["h22"] + p["h12"] * p["h12"], None, False
 
 
 def _mix_columns(p):
-    """mix_model's quadratic (spectra.rath_mallick_oscillator) and transform
-    (canonical.rath_mallick), and where a check of theirs might fire."""
+    """mix_model's discriminant (spectra.rath_mallick_oscillator), the margin
+    of its transform (canonical.rath_mallick, canonical.normalizable), and
+    where a check of theirs might fire."""
     lam, beta = p["rm_alpha"], p["rm_beta"]
-    denom = 2.0 * (1.0 + lam * beta)
+    shift = 1.0 + lam * beta
+    denom = 2.0 * shift
     h11, h12, h22 = (1.0 - lam * lam) / denom, (lam + beta) / denom, (1.0 - beta * beta) / denom
-    # s = 1/sqrt(1 + alpha beta), u12 = 1j alpha s, u21 = 1j beta s, u11 = u22 = s
-    shift = pyc.add((1.0, 0.0), pyc.mul((lam, 0.0), (beta, 0.0)))
-    s, _ = pyc.div((1.0, 0.0), pyc.sqrt(shift))
-    u12, u21 = (pyc.mul(pyc.mul(pyc.I, (value, 0.0)), s) for value in (lam, beta))
-    det_error = pyc.sub(pyc.sub(pyc.mul(s, s), pyc.mul(u21, u12)), (1.0, 0.0))
-    risky = ~(_finite(h11, h12, h22, *shift, *s, *u12, *u21) & (denom != 0.0)
-              & _modulus_at_least(shift, _RISK_SLACK * _SINGULAR)
-              & (np.hypot(*det_error) <= canonical.DET_TOL / _RISK_SLACK))
-    quadratic = (h11, 0.0), pyc.mul(pyc.I, (h12, 0.0)), (h22, 0.0)
-    return quadratic, (s, u12, u21, s), risky
+    # s = 1/sqrt(1 + alpha beta) is t or i t, u12 = i alpha s and u21 = i beta s;
+    # either way the margin and the determinant round as these real expressions
+    t = np.copysign(1.0 / np.sqrt(np.abs(shift)), shift)
+    u12, u21 = lam * t, beta * t
+    margin = (t - u21) / (t + u12)
+    det_error = t * t + u21 * u12 - np.sign(shift)
+    risky = ~(_finite(h11, h12, h22, shift, u12, u21, margin)
+              & (np.abs(shift) >= _RISK_SLACK * _SINGULAR)
+              & (np.abs(t + u12) >= _RISK_SLACK * _SINGULAR)
+              & (np.abs(det_error) <= canonical.DET_TOL / _RISK_SLACK))
+    return h11 * h22 + h12 * h12, margin, risky
 
 
 def _gamma_columns(p):
-    """gamma_model's quadratic (canonical.ahmed_hermitian); c_xx may overflow."""
+    """gamma_model's discriminant c_pp c_xx - c_xp^2 (canonical.ahmed_hermitian)."""
     gamma, k = p["gamma"], p["k"]
     if k is None:
         k = p["alpha"] * p["alpha"] - gamma * gamma
-    c_xx = 0.5 * (gamma * gamma + k)
-    return ((0.5, 0.0), (-0.5 * gamma, 0.0), (c_xx, 0.0)), None, ~np.isfinite(c_xx)
+    c_xp, c_xx = -0.5 * gamma, 0.5 * (gamma * gamma + k)
+    return 0.5 * c_xx - c_xp * c_xp, None, False
 
 
 _SCAN_COLUMNS = {three_param_model: _three_param_columns, mix_model: _mix_columns,
@@ -624,11 +624,13 @@ def _scan_columns(build, point, param, values, levels):
     """max_imag and margin (None without a transform) at every scan value, and
     the points that the value classes must evaluate instead.
 
-    Each column is computed as the classes compute the point, operation for
-    operation, with the interpreter's complex rounding (_pycomplex), so a
-    point that is not risky holds their result bit for bit.  A point is risky
-    where building it might raise, where normalizable might raise, or where a
-    result is not finite.
+    Each family's parameters are real, so its c_pp c_xx - c_xp^2 is a real D
+    (its imaginary part is +-0), rounded as one real expression.  cmath.sqrt
+    of it is sqrt(|D|), on the real or the imaginary side, wherever |D| is at
+    least 8 DBL_MIN, where its scaling by 1/8 is exact.  So a point that is
+    not risky holds the classes' result bit for bit.  A point is risky where
+    building it might raise, where normalizable might raise, where D lies in
+    (-8 DBL_MIN, 0), or where a result is not finite.
     """
     count = len(values)
     p = {key: None if getattr(point, key) is None else np.full(count, getattr(point, key))
@@ -639,21 +641,13 @@ def _scan_columns(build, point, param, values, levels):
     except OverflowError:  # general_quadratic_spectrum raises it, at the first point
         top = math.nan
     with np.errstate(all="ignore"):
-        (c_pp, c_xp, c_xx), transform, risky = _SCAN_COLUMNS[build](p)
+        discriminant, margin, risky = _SCAN_COLUMNS[build](p)
         # The indicator is the largest |Im E_n| over the lowest `levels` levels,
-        # E_n = Omega (2n+1).  Im E_n is Im(Omega)*(2n+1) rounded, plus
-        # Re(Omega)*0, which is +-0 at every level (NaN at every level when
-        # Re(Omega) is not finite).  Rounding is monotone, so |Im E_n| never
-        # decreases with n and the top level holds the maximum bit for bit.
-        omega = pyc.sqrt(pyc.sub(pyc.mul(c_pp, c_xx), pyc.mul(c_xp, c_xp)))
-        indicator = np.abs(pyc.mul(omega, (top, 0.0))[1])
-        risky = risky | ~np.isfinite(p[param]) | ~np.isfinite(indicator)
-        margin = None
-        if transform is not None:
-            u11, u12, u21, u22 = transform
-            denom = pyc.sub(u22, pyc.mul(pyc.I, u12))
-            (margin, _), _ = pyc.div(pyc.add(u11, pyc.mul(pyc.I, u21)), denom)
-            risky |= ~(np.isfinite(margin) & _modulus_at_least(denom, _RISK_SLACK * _SINGULAR))
+        # E_n = sqrt(D) (2n+1): sqrt(-D) (2n+1) rounded where D < 0, and 0
+        # elsewhere.  Rounding is monotone, so the top level holds the maximum.
+        indicator = np.where(discriminant < 0, np.sqrt(-discriminant), 0.0) * top
+        risky = (risky | ~_finite(p[param], discriminant, indicator)
+                 | ((discriminant < 0) & (discriminant > -8 * sys.float_info.min)))
     return indicator, margin, risky
 
 
@@ -674,6 +668,8 @@ def cmd_scan(ns):
     point = argparse.Namespace(**vars(ns))
     setattr(point, param, values[0])
     build = model_family(point)
+    if build is gamma_model and param == "alpha" and ns.k is not None:
+        raise ConfigError("cannot scan alpha: with --k set, the gamma model does not read --alpha")
     indicator, margin, risky = _scan_columns(build, point, param, grid, ns.levels)
     # a point that might raise, or whose result is not finite, is rebuilt by
     # the value classes in scan order, so the first bad point raises as the
@@ -795,14 +791,21 @@ def _grid(ns, omega, level=0):
     grid.
 
     The default grid has DEFAULT_GRID_POINTS points, or more where the level
-    needs them (wavefun.min_grid_points); fewer explicit --grid-points than
-    that on the default width, a --grid-span that is not positive, or a
-    --grid-span grid spaced wider than wavefun.max_grid_spacing, are a
-    ConfigError.  A grid that passes holds more than 30 points within the
+    needs them (wavefun.min_grid_points); more than MAX_SCAN_POINTS points,
+    fewer explicit --grid-points than that on the default width, a --grid-span
+    that is not positive, or a --grid-span grid spaced wider than
+    wavefun.max_grid_spacing, are a ConfigError, raised before any point is
+    allocated.  A grid that passes holds more than 30 points within the
     default half-width, where the state lives."""
     fewest = wavefun.min_grid_points(level)
     if ns.grid_points is None:
+        if fewest > MAX_SCAN_POINTS:
+            raise ConfigError(f"level {level} needs {fewest} grid-points by default, more than "
+                              f"the {MAX_SCAN_POINTS} allowed")
         ns.grid_points = max(wavefun.DEFAULT_GRID_POINTS, fewest)
+    if ns.grid_points > MAX_SCAN_POINTS:
+        raise ConfigError(f"grid has {ns.grid_points} points, more than the {MAX_SCAN_POINTS} "
+                          "allowed")
     if ns.grid_span is None:
         if ns.grid_points < fewest:
             raise ConfigError(f"level {level} needs at least {fewest} grid-points on the "

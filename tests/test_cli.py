@@ -482,6 +482,16 @@ class TestUnreadFlags:
     def test_read_flags_accepted(self, capsys, argv):
         assert run_cli(capsys, *argv)[0] == 0
 
+    def test_scan_of_a_parameter_the_model_does_not_read(self, capsys, tmp_path):
+        # with --k set, ahmed_hermitian ignores alpha, so every row would be the same
+        message = ("nhosc: error: cannot scan alpha: with --k set, the gamma model does not "
+                   "read --alpha\n")
+        argv = ["scan", "--gamma", "0.5", "--scan", "alpha"] + self.SCAN
+        assert run_cli(capsys, *argv, "--k", "2") == (2, "", message)
+        config = tmp_path / "run.cfg"
+        config.write_text("k = 2\n")
+        assert run_cli(capsys, *argv, "--config", str(config)) == (2, "", message)
+
     def test_spectrum_has_no_tol_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["spectrum", "--h11", "0.5", "--h12", "0", "--h22", "0.5", "--tol", "1e-8"])
@@ -549,6 +559,18 @@ class TestOutputFile:
         assert stdout == ""
         doc = json.loads(out_path.read_text())
         assert doc["config"]["command"] == "spectrum"
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--h11", "0.5", "--h12", "0.2", "--h22", "0.5", "-N", "8", "-n", "2"],
+        ["scan", "--alpha", "1", "--scan", "gamma", "--start", "0", "--stop", "1", "--step", "0.5"],
+        ["verify", "--gauge-g", "0.3", "-N", "16", "-n", "2"],
+        ["wavefunction", "--level", "0"],
+    ])
+    def test_unwritable_path_is_a_config_error(self, capsys, tmp_path, argv):
+        for path, reason in ((tmp_path / "missing" / "x", "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+            assert run_cli(capsys, *argv, "--out", str(path)) == (
+                2, "", f"nhosc: error: {path}: cannot write output file: {reason}\n")
 
 
 def test_module_entry_point():
@@ -1364,8 +1386,9 @@ class TestScanColumns:
     flagged risky holds the value classes' result bit for bit, and every
     point at which the classes raise is flagged."""
 
-    EDGES = [0.0, -0.0, 1.0, -1.0, 1e-8, -1e-8, 1e3, -1e3, 0.5, -0.5, 2.0, 5e-324, 1e-300,
-             1e154, -1e155, 1e200, -1e300, 1 - 1.5e-12, -1 + 1.5e-12, -1 - 1e-13]
+    EDGES = [0.0, -0.0, 1.0, -1.0, 1e-8, -1e-8, 1e3, -1e3, 0.5, -0.5, 2.0, 5e-324, -5e-324,
+             1e-310, sys.float_info.min, 1e-300, 1e154, -1e155, 1e200, -1e300,
+             sys.float_info.max, -sys.float_info.max, 1 - 1.5e-12, -1 + 1.5e-12, -1 - 1e-13]
 
     @pytest.mark.parametrize("argv, param", [
         (["--h11", "0.5", "--h12", "0.2", "--h22", "0.4"], "h11"),
@@ -1381,6 +1404,10 @@ class TestScanColumns:
         (["--gamma", "0.5", "--k", "2"], "gamma"),
         (["--gamma", "0.5", "--k", "2"], "k"),
         (["--gamma=-3", "--alpha", "1", "--k=-0.0"], "k"),
+        # 1 + alpha beta < 0 for most values: s is imaginary
+        (["--rm-alpha=-2", "--rm-beta", "1"], "rm-beta"),
+        (["--rm-alpha", "1", "--rm-beta=-3"], "rm-alpha"),
+        (["--h11", "1", "--h12", "0", "--h22", "0"], "h22"),
     ])
     def test_columns_match_the_classes(self, argv, param):
         rng = np.random.default_rng(len(argv) + len(param))
@@ -1403,6 +1430,24 @@ class TestScanColumns:
                 elif index >= len(self.EDGES):
                     # a moderate value that the classes accept is not near a threshold
                     assert not all(map(math.isfinite, expected)), (value, levels)
+
+    def test_discriminant_band_is_rebuilt_by_the_classes(self, capsys):
+        # cmath.sqrt divides D by 8 first, which rounds where -D < 8 DBL_MIN, so
+        # there sqrt(-D) need not be its root; D = h22 exactly here
+        tiny = sys.float_info.min
+        argv = ["--h11", "1", "--h12", "0"]
+        code, doc = run_json(capsys, "scan", *argv, "--scan", "h22", f"--start={-8 * tiny!r}",
+                             "--stop=0", f"--step={0.37 * tiny!r}")
+        assert code == 0
+        rows = doc["results"]["rows"]
+        values = [row["value"] for row in rows]
+        point = scan_point(argv, "h22", values[0])
+        _, _, risky = cli._scan_columns(cli.three_param_model, point, "h22", values, 8)
+        assert risky.tolist() == [-8 * tiny < value < 0 for value in values]
+        assert [row["max_imag"] for row in rows] == \
+            [class_row(scan_point(argv, "h22", value), 8)[0] for value in values]
+        assert any(math.sqrt(-value) * 15 != row["max_imag"] for value, row in zip(values, rows)
+                   if value < 0)
 
     def test_clean_sweeps_call_no_class_per_point(self, capsys, monkeypatch):
         calls = collections.Counter()
@@ -1472,15 +1517,8 @@ class TestScanPointCap:
 
     def test_huge_scan_exits_before_allocating(self):
         # under a 1 GiB address-space limit a list of the points would fail
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "nhosc", "scan", "--alpha", "1", "--scan", "gamma",
-             "--start", "0", "--stop", "1", "--step", "1e-300"],
-            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
-            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
-        )
+        proc = run_in_one_gib("scan", "--alpha", "1", "--scan", "gamma",
+                              "--start", "0", "--stop", "1", "--step", "1e-300")
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.splitlines() == [
             "nhosc: error: scan has 1e+300 points, more than the 1000000 allowed; "
@@ -1488,15 +1526,56 @@ class TestScanPointCap:
         ]
 
 
+def run_in_one_gib(*argv):
+    """nhosc with argv in a subprocess under a 1 GiB address-space limit."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "nhosc", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+
+
+class TestGridPointCap:
+    """A wavefunction grid has at most cli.MAX_SCAN_POINTS points, the same cap
+    as a scan."""
+
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 5)
+        argv = ["wavefunction", "--level", "0", "--grid-span", "1"]
+        code, doc = run_json(capsys, *argv, "--grid-points", "5")
+        assert code == 0 and doc["diagnostics"]["grid_points"] == 5
+        assert run_cli(capsys, *argv, "--grid-points", "6") == (
+            2, "", "nhosc: error: grid has 6 points, more than the 5 allowed\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--level", "0", "--grid-points", "100000000000"],
+         "grid has 100000000000 points, more than the 1000000 allowed"),
+        (["--level", "0", "--grid-points", "100000000", "--grid-span", "10"],
+         "grid has 100000000 points, more than the 1000000 allowed"),
+        # the default grid of a high level
+        (["--level", "10000000"], "level 10000000 needs 50997915 grid-points by default, more "
+                                  "than the 1000000 allowed"),
+    ])
+    def test_huge_grid_exits_before_allocating(self, argv, message):
+        proc = run_in_one_gib("wavefunction", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"nhosc: error: {message}\n")
+
+
 README_SCAN = ["scan", "--alpha", "1.0", "--scan", "gamma", "--start", "0", "--stop", "2",
                "--step", "0.01"]
 
 
 class TestGoldenScans:
-    """sha256 of stdout for the README scan and two 2,001-point sweeps.
+    """sha256 of stdout for the README scan and four sweeps of 1,401 to 2,001
+    points: a gamma sweep, a mix sweep, a three-parameter sweep through D = 0,
+    and a mix sweep where 1 + alpha beta < 0 (s imaginary) and the margin is
+    exactly 0 at beta = 1.
 
-    Scans use elementwise float64 operations in the interpreter's own complex
-    rounding order, and no BLAS, so these bytes do not depend on the
+    Scans use elementwise real float64 operations, each rounded as the value
+    classes round it, and no BLAS, so these bytes do not depend on the
     platform's BLAS or numpy version.
     """
 
@@ -1512,6 +1591,14 @@ class TestGoldenScans:
           "--start=-0.8875924925519162", "--stop=1.1129075074480836", "--step=0.001"],
          ("4ab8f4fd7b4fd40dfbb66631e870f25bc963cf71da91a2ce172fb3bf5086bbf5",
           "0531d8bb9f1326ea2abd2d64a15862f56fad8014ed86694dfc102ae18df28cd7")),
+        (["scan", "--h11", "0.5", "--h22=-0.3", "--scan", "h12", "--start=-1", "--stop",
+          "1.0005", "--step", "0.001"],
+         ("17fc0c3dec323e5dfb1151bfe9d12107d203694178c64cf8777a7defa6b7b35c",
+          "21bf55209ca8ec74ebf40191a796bf8e72bf8aaccc4a8e19aa3ab8b03ca198e3")),
+        (["scan", "--rm-alpha=-2", "--scan", "rm-beta", "--start", "0.6", "--stop", "2.0005",
+          "--step", "0.001"],
+         ("c212399ff7777c9813ed1392e142e953e3603bb321921cf2448a5f2f054c9199",
+          "88e899aa30ce640d5e33417431c7126c50093b341807b5c3e424ff31590c74a4")),
     ]
 
     @pytest.mark.parametrize("argv, digests", SCANS)
