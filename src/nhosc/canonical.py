@@ -53,12 +53,7 @@ def _finite_complex(name, value):
     return value
 
 
-# The value classes below write their own __init__: each field is converted,
-# checked and stored once, in field order, straight into the instance dict
-# (frozen dataclasses block plain assignment).
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class CanonicalTransform:
     """2x2 complex matrix of a canonical transformation, det = 1."""
 
@@ -67,12 +62,9 @@ class CanonicalTransform:
     u21: complex
     u22: complex
 
-    def __init__(self, u11, u12, u21, u22):
-        fields = vars(self)
-        fields["u11"] = _finite_complex("u11", u11)
-        fields["u12"] = _finite_complex("u12", u12)
-        fields["u21"] = _finite_complex("u21", u21)
-        fields["u22"] = _finite_complex("u22", u22)
+    def __post_init__(self):
+        for name in ("u11", "u12", "u21", "u22"):
+            object.__setattr__(self, name, _finite_complex(name, getattr(self, name)))
         det = self.determinant
         # relative to the products it cancels, which round by about their size
         # times EPS (large near a singular mix point); a NaN determinant or an
@@ -114,7 +106,7 @@ class Generator:
         return cmath.sqrt(self.c * self.c - self.a * self.b)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class QuadraticHamiltonian:
     """H = c_pp p^2 + c_xp (xp + px) + c_xx x^2."""
 
@@ -122,11 +114,9 @@ class QuadraticHamiltonian:
     c_xp: complex
     c_xx: complex
 
-    def __init__(self, c_pp, c_xp, c_xx):
-        fields = vars(self)
-        fields["c_pp"] = _finite_complex("c_pp", c_pp)
-        fields["c_xp"] = _finite_complex("c_xp", c_xp)
-        fields["c_xx"] = _finite_complex("c_xx", c_xx)
+    def __post_init__(self):
+        for name in ("c_pp", "c_xp", "c_xx"):
+            object.__setattr__(self, name, _finite_complex(name, getattr(self, name)))
 
     def weyl_poly(self):
         return (

@@ -390,22 +390,12 @@ def _json_text(document):
     writes, with each ColumnTable as the list of its rows.
 
     A container whose items are all scalars goes through the stdlib's C
-    encoder in one call, with one encoder per nesting level whose item
-    separator carries that level's newline and indent.  Only containers that
-    hold containers are walked here, and their keys must be strings, as in
-    every document this module writes.  NaN and infinities raise json.dumps's
-    ValueError, naming the first in its order.
+    encoder in one call, made with an item separator that carries the
+    container's newline and indent.  Only containers that hold containers
+    are walked here, and their keys must be strings, as in every document
+    this module writes.  NaN and infinities raise json.dumps's ValueError,
+    naming the first in its order.
     """
-    encoders = {}
-
-    def encoder_at(level):
-        encoder = encoders.get(level)
-        if encoder is None:
-            encoder = encoders[level] = c_make_encoder(
-                None, _NOT_SERIALIZABLE, encode_basestring_ascii, None, ": ",
-                ",\n" + "  " * (level + 1), True, False, False)
-        return encoder
-
     def encode(obj, level):
         if isinstance(obj, ColumnTable):
             return _column_text(obj, level)
@@ -424,7 +414,8 @@ def _json_text(document):
                 return (("{" if is_dict else "[") + inner + ("," + inner).join(parts)
                         + "\n" + "  " * level + ("}" if is_dict else "]"))
         try:
-            text = "".join(encoder_at(level)(obj, 0))
+            text = "".join(c_make_encoder(None, _NOT_SERIALIZABLE, encode_basestring_ascii, None,
+                                          ": ", "," + inner, True, False, False)(obj, 0))
         except ValueError:  # Python 3.11's C encoder does not name the value
             items = ([obj[key] for key in sorted(obj)] if isinstance(obj, dict)
                      else obj if isinstance(obj, _CONTAINERS) else [obj])

@@ -71,7 +71,7 @@ def _finite_float(name, value):
     return value
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ThreeParamOscillator:
     """H = h11 p^2 + i h12 (xp + px) + h22 x^2, all coefficients real."""
 
@@ -79,12 +79,9 @@ class ThreeParamOscillator:
     h12: float
     h22: float
 
-    def __init__(self, h11, h12, h22):
-        # each field converted, checked and stored once (frozen: via the dict)
-        fields = vars(self)
-        fields["h11"] = _finite_float("h11", h11)
-        fields["h12"] = _finite_float("h12", h12)
-        fields["h22"] = _finite_float("h22", h22)
+    def __post_init__(self):
+        for name in ("h11", "h12", "h22"):
+            object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
 
     @property
     def discriminant(self):

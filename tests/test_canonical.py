@@ -375,7 +375,8 @@ class TestQuadraticHelpers:
 
 
 class TestValueObjects:
-    """The hand-written __init__ keeps what the generated one gave."""
+    """Fields are converted and checked in __post_init__; the generated
+    __init__, eq, hash and repr are the dataclass ones."""
 
     def test_fields_in_order(self):
         assert [f.name for f in dataclasses.fields(CanonicalTransform)] == [

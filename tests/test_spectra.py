@@ -581,7 +581,8 @@ class TestMixIdentityChain:
 
 
 class TestThreeParamOscillatorValue:
-    """The hand-written __init__ keeps what the generated one gave."""
+    """Fields are converted and checked in __post_init__; the generated
+    __init__, eq, hash and repr are the dataclass ones."""
 
     def test_fields_equality_hash_repr(self):
         osc = ThreeParamOscillator(0.5, 0, 1)
