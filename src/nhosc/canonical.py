@@ -20,6 +20,9 @@ from . import weyl
 from .weyl import NonFiniteError
 
 DET_TOL = 1e-12
+# the modulus of 1 + alpha*beta (rath_mallick) or u22 - i u12 (normalizable)
+# below which a transform is singular
+SINGULAR_TOL = 1e-12
 _THETA_SERIES_CUTOFF = 1e-6
 
 __all__ = [
@@ -195,7 +198,7 @@ def rath_mallick(alpha, beta):
     # s = 1/sqrt(denom) is finite and nonzero whenever denom is finite and not singular
     if not cmath.isfinite(denom):
         raise NonFiniteError(f"mix transform overflows: 1 + alpha*beta = {denom!r}")
-    if abs(denom) < 1e-12:
+    if abs(denom) < SINGULAR_TOL:
         raise ValueError(f"singular parameters: 1 + alpha*beta = {denom!r}")
     s = 1 / cmath.sqrt(denom)
     return CanonicalTransform(s, 1j * alpha * s, 1j * beta * s, s)
@@ -251,7 +254,7 @@ def normalizable(u):
     boundary by sign change.
     """
     denom = u.u22 - 1j * u.u12
-    if abs(denom) < 1e-12:
+    if abs(denom) < SINGULAR_TOL:
         raise ValueError("degenerate transform: u22 - i u12 vanishes")
     margin = ((u.u11 + 1j * u.u21) / denom).real
     return NormalizabilityResult(margin > 0, margin)

@@ -262,7 +262,8 @@ def model_family(ns):
     """Check the model flags; return the builder of the family they choose.
 
     The choice depends only on which model options are set, not on their
-    values, so a scan makes it once and calls the builder at every point.
+    values, so a scan makes it once and calls the builder only at its risky
+    points (see _scan_columns).
     """
     build = _choose(ns, _MODEL_FAMILIES, "specify exactly one model family: --h11/--h12/--h22, "
                     "--rm-alpha/--rm-beta, or --gamma with --alpha or --k").build
@@ -490,6 +491,10 @@ def cmd_spectrum(ns):
     _default(ns, "format", "json")
     _validate_run(ns)
     model = resolve_model(ns)
+    if not cmath.isfinite(model.quadratic.frequency_scale):
+        raise canonical.NonFiniteError(
+            "non-finite spectrum scale: c_pp c_xx - c_xp^2 overflows for coefficients up "
+            f"to {max(map(abs, vars(model.quadratic).values())):.3g} in modulus")
     broken = spectra.broken_phase(model.quadratic)
     closed = np.array([spectra.general_quadratic_spectrum(model.quadratic, n)
                        for n in range(ns.levels)])
@@ -562,9 +567,7 @@ def _scan_values(ns):
     return ns.start + np.arange(count) * ns.step
 
 
-# the modulus below which canonical.rath_mallick and canonical.normalizable
-# raise; a scan point within _RISK_SLACK of it, or of DET_TOL, is risky
-_SINGULAR = 1e-12
+# a scan point within _RISK_SLACK of canonical.SINGULAR_TOL or of DET_TOL is risky
 _RISK_SLACK = 2.0
 
 
@@ -592,8 +595,8 @@ def _mix_columns(p):
     margin = (t - u21) / (t + u12)
     det_error = t * t + u21 * u12 - np.sign(shift)
     risky = ~(_finite(h11, h12, h22, shift, u12, u21, margin)
-              & (np.abs(shift) >= _RISK_SLACK * _SINGULAR)
-              & (np.abs(t + u12) >= _RISK_SLACK * _SINGULAR)
+              & (np.abs(shift) >= _RISK_SLACK * canonical.SINGULAR_TOL)
+              & (np.abs(t + u12) >= _RISK_SLACK * canonical.SINGULAR_TOL)
               & (np.abs(det_error) <= canonical.DET_TOL / _RISK_SLACK))
     return h11 * h22 + h12 * h12, margin, risky
 
@@ -786,9 +789,14 @@ def _grid(ns, omega, level=0):
     fewer explicit --grid-points than that on the default width, a --grid-span
     that is not positive, or a --grid-span grid spaced wider than
     wavefun.max_grid_spacing, are a ConfigError, raised before any point is
-    allocated.  A grid that passes holds more than 30 points within the
-    default half-width, where the state lives."""
-    fewest = wavefun.min_grid_points(level)
+    allocated, as is a level too large to count its nodes in floating point.
+    A grid that passes holds more than 30 points within the default
+    half-width, where the state lives."""
+    try:
+        fewest = wavefun.min_grid_points(level)
+    except OverflowError:
+        raise ConfigError(f"level {level} needs more grid-points than the {MAX_SCAN_POINTS} "
+                          "allowed") from None
     if ns.grid_points is None:
         if fewest > MAX_SCAN_POINTS:
             raise ConfigError(f"level {level} needs {fewest} grid-points by default, more than "
@@ -843,17 +851,20 @@ def _eigenvector_state(ns):
     _default(ns, "excitation", 0)
     _default(ns, "parity", 0)
     osc = spectra.ThreeParamOscillator(ns.h11, ns.h12, ns.h22)
+    # the grid is checked before the recurrence allocates the state
+    level = spectra.eigenvector_top(ns.excitation, ns.parity)
     try:
-        pair = spectra.eigenvector_coefficients(osc, ns.branch, ns.excitation, ns.parity)
+        omega = spectra.branch_frequency(osc, ns.branch)
     except spectra.BrokenPhaseError as exc:
         raise ConfigError(str(exc))
-    if pair.frequency <= 0:
+    if omega <= 0:
         raise ConfigError(
-            f"branch frequency {pair.frequency:g} is not positive; the state is "
+            f"branch frequency {omega:g} is not positive; the state is "
             "square integrable along the imaginary axis only and is not sampled"
         )
-    grid = _grid(ns, pair.frequency, 2 * ns.excitation + ns.parity)
-    return wavefun.synthesize(pair, pair.frequency, grid)
+    grid = _grid(ns, omega, level)
+    pair = spectra.eigenvector_coefficients(osc, ns.branch, ns.excitation, ns.parity)
+    return wavefun.synthesize(pair, omega, grid)
 
 
 _STATES = (

@@ -40,6 +40,7 @@ __all__ = [
     "critical_frequencies",
     "branch_frequency",
     "closed_form_eigenvalue",
+    "eigenvector_top",
     "eigenvector_coefficients",
     "quadratic_fock_matrix",
     "ParitySpectrum",
@@ -271,19 +272,26 @@ class EigenPair:
     residual: float
 
 
+def eigenvector_top(excitation, parity):
+    """Index 2k + s of the last Fock component of the eigenvector of excitation
+    k and parity s; ValueError for a parity not 0 or 1 or a negative k."""
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+    if excitation < 0:
+        raise ValueError("excitation must be non-negative")
+    return 2 * excitation + parity
+
+
 def eigenvector_coefficients(h, branch, excitation, parity, trunc=None):
     """Finite-support eigenvector from the terminating three-term recurrence.
 
     At the branch frequency every C_n vanishes, so d_{n+2} = (E - B_n)/A_{n+2} d_n
     terminates at n = 2k+s with E = B_{2k+s}; B_n and A_n are read off the
     truncation at that frequency.  When the A_n vanish too (h12 = 0) the matrix
-    is diagonal and the unit vector at 2k+s is returned.
+    is diagonal and the unit vector at 2k+s is returned.  NonFiniteError when
+    the recurrence overflows.
     """
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    if excitation < 0:
-        raise ValueError("excitation must be non-negative")
-    top = 2 * excitation + parity
+    top = eigenvector_top(excitation, parity)
     omega = branch_frequency(h, branch)
     size = int(trunc) if trunc is not None else top + 8
     if size <= top:
@@ -297,10 +305,14 @@ def eigenvector_coefficients(h, branch, excitation, parity, trunc=None):
         d[top] = 1.0
     else:
         d[parity] = 1.0
-        for j in range(excitation):
-            n = parity + 2 * j
-            d[n + 2] = (e_val - b_n[j]) / a_next[j] * d[n]
-    d /= math.sqrt(float((np.abs(d) ** 2).sum()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(excitation):
+                n = parity + 2 * j
+                d[n + 2] = (e_val - b_n[j]) / a_next[j] * d[n]
+        if not np.isfinite(d).all():
+            raise canonical.NonFiniteError(
+                f"eigenvector coefficients of excitation {excitation} overflow")
+    d /= linalg.frobenius_norm(d)
     part = d[parity::2]  # M d has no entry off the parity block of d
     residual = float(np.sqrt((np.abs(block.matvec(part) - e_val * part) ** 2).sum()))
     return EigenPair(

@@ -389,6 +389,33 @@ class TestWavefunction:
         assert abs(doc["results"]["norm"] - 1.0) <= 1e-10
         assert doc["results"]["nodes"] == 1500
 
+    @pytest.mark.parametrize("excitation", ["300", "400"])
+    def test_high_excitation_state_is_normalized(self, capsys, excitation):
+        # the coefficients' sum of squares overflows before they are normalized
+        code, doc = run_json(capsys, "wavefunction", "--h11", "0.5", "--h12", "0.2",
+                             "--h22", "0.5", "--excitation", excitation)
+        assert code == 0
+        assert abs(doc["results"]["norm"] - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--excitation", "600"], 3,
+         "numeric failure: eigenvector coefficients of excitation 600 overflow"),
+        (["--excitation", "100000"], 2,
+         "error: level 200000 needs 1028259 grid-points by default, more than the 1000000 "
+         "allowed"),
+        (["--excitation", str(10 ** 400)], 2,
+         f"error: level {2 * 10 ** 400} needs more grid-points than the 1000000 allowed"),
+    ])
+    def test_excitation_out_of_reach(self, argv, code, message):
+        got = run_quiet(["wavefunction", "--h11", "0.5", "--h12", "0.2", "--h22", "0.5", *argv])
+        assert got == (code, "", f"nhosc: {message}\n", [])
+
+    @pytest.mark.parametrize("span", [[], ["--grid-span", "1"]])
+    def test_level_beyond_float_range(self, capsys, span):
+        assert run_cli(capsys, "wavefunction", "--level", str(10 ** 400), *span) == (
+            2, "", f"nhosc: error: level {10 ** 400} needs more grid-points than the 1000000 "
+            "allowed\n")
+
     def test_csv_has_constant_summary_columns(self, capsys):
         code, out, _ = run_cli(
             capsys, "wavefunction", "--level", "1", "--grid-points", "54",
@@ -821,6 +848,15 @@ class TestHugeCoefficients:
         doc = strict_json(out)
         assert doc["results"]["x"][::31] == [-12.0, 12.0]
         assert abs(doc["results"]["norm"] - 1.0) <= 1e-7
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_spectrum_scale_overflows(self, fmt):
+        # D = h11 h22 + h12^2 is 0, but each product overflows
+        argv = ["spectrum", "--h11", "1e200", "--h12", "1e200", "--h22=-1e200", "-N", "8",
+                "-n", "2", "--format", fmt]
+        assert run_quiet(argv) == (
+            3, "", "nhosc: numeric failure: non-finite spectrum scale: c_pp c_xx - c_xp^2 "
+            "overflows for coefficients up to 1e+200 in modulus\n", [])
 
     def test_spectrum(self):
         argv = ["spectrum", "--h11", "1e160", "--h12", "0.3", "--h22", "0.5", "-N", "40", "-n", "4"]
@@ -1558,6 +1594,10 @@ class TestGridPointCap:
         # the default grid of a high level
         (["--level", "10000000"], "level 10000000 needs 50997915 grid-points by default, more "
                                   "than the 1000000 allowed"),
+        # checked before the recurrence builds a 2e8-row truncation
+        (["--h11", "0.5", "--h12", "0.2", "--h22", "0.5", "--excitation", "100000000"],
+         "level 200000000 needs 1018897217 grid-points by default, more than the 1000000 "
+         "allowed"),
     ])
     def test_huge_grid_exits_before_allocating(self, argv, message):
         proc = run_in_one_gib("wavefunction", *argv)

@@ -315,6 +315,33 @@ class TestEigenvectorCoefficients:
         with pytest.raises(spectra.BrokenPhaseError):
             spectra.eigenvector_coefficients(ThreeParamOscillator(0.5, 0.0, -0.5), 1, 1, 0)
 
+    @pytest.mark.parametrize("excitation", [300, 400])
+    def test_normalized_where_the_sum_of_squares_overflows(self, excitation):
+        # the largest coefficient of the unnormalized recurrence exceeds 1e154
+        pair = spectra.eigenvector_coefficients(ThreeParamOscillator(0.5, 0.2, 0.5), 1,
+                                                excitation, 0)
+        assert abs(linalg.frobenius_norm(pair.coefficients) - 1.0) <= 1e-14
+        assert np.abs(pair.coefficients).max() > 0.1
+
+    def test_overflowing_recurrence_names_the_excitation(self):
+        with pytest.raises(canonical.NonFiniteError,
+                           match="^eigenvector coefficients of excitation 600 overflow$"):
+            spectra.eigenvector_coefficients(ThreeParamOscillator(0.5, 0.2, 0.5), 1, 600, 0)
+
+    @pytest.mark.parametrize("excitation, parity, top", [(0, 0, 0), (0, 1, 1), (3, 1, 7)])
+    def test_top(self, excitation, parity, top):
+        assert spectra.eigenvector_top(excitation, parity) == top
+        pair = spectra.eigenvector_coefficients(ThreeParamOscillator(0.4, 0.3, 0.6), 1,
+                                                excitation, parity)
+        assert np.nonzero(pair.coefficients)[0].max() == top
+
+    @pytest.mark.parametrize("excitation, parity, message", [
+        (0, 2, "parity must be 0 or 1"), (-1, 5, "parity must be 0 or 1"),
+        (-1, 0, "excitation must be non-negative")])
+    def test_top_rejects(self, excitation, parity, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spectra.eigenvector_top(excitation, parity)
+
 
 class TestGeneralQuadraticSpectrum:
     def test_harmonic(self):

@@ -9,9 +9,11 @@ N = 2000 mix verify, a verify that fails on a vanishing biorthogonal
 overlap, one whose huge gauge radix-scales inverse iteration, and one
 command for each choice of model, transform and wavefunction state that the
 others leave out, a broken-phase spectrum, a verify against a scaled base,
-and a verify that fails its level check (exit 4).  A change meant to keep results identical must leave every
-digest as it is; a change meant to alter output updates the affected digests
-and says so.
+a verify that fails its level check (exit 4), eigenvector states whose
+coefficients' sum of squares or recurrence overflows or whose level is past
+the grid cap or float range, and a spectrum whose scale overflows.  A change
+meant to keep results identical must leave every digest as it is; a change
+meant to alter output updates the affected digests and says so.
 
 Run `PYTHONPATH=src python tests/test_stdout_digests.py` to print the
 digests of the current tree in this file's format.
@@ -119,6 +121,30 @@ DIGESTS = {
     'verify --rm-alpha 0.8 --rm-beta 0.8 -N 200 -n 8 --format csv':
         (4, '21a3b2be08214546b9bb9db6102de5bc3b4811f2c87f20db37bb92ead914e8b3',
          EMPTY),
+    'wavefunction --h11 0.5 --h12 0.2 --h22 0.5 --excitation 300':
+        (0, '21d06248ac6c608dcd4a5d54dcc0ccf7366ba43a71648863e6f30271c6d33761',
+         EMPTY),
+    'wavefunction --h11 0.5 --h12 0.2 --h22 0.5 --excitation 400':
+        (0, 'fbab062ba4bcd41cd7438a0ab6cb9a692b3cb9807459c9899dc16296938ea06f',
+         EMPTY),
+    'wavefunction --h11 0.5 --h12 0.2 --h22 0.5 --excitation 600':
+        (3, EMPTY,
+         'f31a980ffc683a140b9b02891171448318b936fe7289b1e01333b75623c69af6'),
+    'wavefunction --h11 0.5 --h12 0.2 --h22 0.5 --excitation 100000':
+        (2, EMPTY,
+         '09989a8ad4db371798bbbf43ce54f20a090d17a1fd5059d51cfe321facb96d14'),
+    'wavefunction --h11 0.5 --h12 0.2 --h22 0.5 --excitation 100000000':
+        (2, EMPTY,
+         '1b8b60e04296d8494dda14a2251f69f27382201cd2b9e2b5b8df45b89b828396'),
+    'wavefunction --h11 0.5 --h12 0.2 --h22 0.5 --excitation 1' + '0' * 400:
+        (2, EMPTY,
+         '65c6076c2baadb179e1c2f9540f97901af52ce4256b7ef325c65b03e818bdc20'),
+    'wavefunction --level 1' + '0' * 400:
+        (2, EMPTY,
+         '39675ab021845f3f327083f3c0d7c51cb8d438de2781a8ea2f65cebb3635f294'),
+    'spectrum --h11 1e200 --h12 1e200 --h22=-1e200 -N 8 -n 2':
+        (3, EMPTY,
+         '6e8f5e15ce08c4f79e2adcd2f7906a116bf8657b35bf208b37a2c7e11a5f100f'),
 }
 
 
