@@ -405,7 +405,7 @@ class TestWavefunction:
          "allowed"),
         (["--excitation", str(10 ** 400)], 2,
          f"error: level {2 * 10 ** 400} needs more grid-points than the 1000000 allowed"),
-    ])
+    ], ids=["600", "100000", "10**400"])
     def test_excitation_out_of_reach(self, argv, code, message):
         got = run_quiet(["wavefunction", "--h11", "0.5", "--h12", "0.2", "--h22", "0.5", *argv])
         assert got == (code, "", f"nhosc: {message}\n", [])
