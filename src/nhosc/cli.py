@@ -789,7 +789,9 @@ def _grid(ns, omega, level=0):
     fewer explicit --grid-points than that on the default width, a --grid-span
     that is not positive, or a --grid-span grid spaced wider than
     wavefun.max_grid_spacing, are a ConfigError, raised before any point is
-    allocated, as is a level too large to count its nodes in floating point.
+    allocated, as is a level whose default grid needs more than
+    MAX_SCAN_POINTS points, or too many to count in floating point, on
+    every grid.
     A grid that passes holds more than 30 points within the default
     half-width, where the state lives."""
     try:
@@ -797,10 +799,11 @@ def _grid(ns, omega, level=0):
     except OverflowError:
         raise ConfigError(f"level {level} needs more grid-points than the {MAX_SCAN_POINTS} "
                           "allowed") from None
+    # on any grid: the level, not the grid, bounds the recurrence's work
+    if fewest > MAX_SCAN_POINTS:
+        raise ConfigError(f"level {level} needs {fewest} grid-points by default, more than "
+                          f"the {MAX_SCAN_POINTS} allowed")
     if ns.grid_points is None:
-        if fewest > MAX_SCAN_POINTS:
-            raise ConfigError(f"level {level} needs {fewest} grid-points by default, more than "
-                              f"the {MAX_SCAN_POINTS} allowed")
         ns.grid_points = max(wavefun.DEFAULT_GRID_POINTS, fewest)
     if ns.grid_points > MAX_SCAN_POINTS:
         raise ConfigError(f"grid has {ns.grid_points} points, more than the {MAX_SCAN_POINTS} "
@@ -824,11 +827,15 @@ def _grid(ns, omega, level=0):
 
 
 def _mix_ground_state(ns):
-    width = wavefun.rm_ground_width(ns.rm_alpha, ns.rm_beta)
+    """The ground state of the mix: the oscillator's at frequency
+    (1 - beta)/(1 + alpha), the width canonical.normalizable reads off the
+    transform, so spectrum, verify and this state share one region rule."""
+    flag, width = canonical.normalizable(canonical.rath_mallick(ns.rm_alpha, ns.rm_beta))
+    if not flag:
+        raise ConfigError(f"state is not square integrable (margin {width:g})")
     grid = _grid(ns, width)
-    values = wavefun.rm_ground_state(ns.rm_alpha, ns.rm_beta, grid.points)
     return wavefun.WavefunctionSample(
-        grid=grid, values=values, omega=width,
+        grid=grid, values=wavefun.hermite_function(0, width, grid.points), omega=width,
         source=f"rm-ground alpha={ns.rm_alpha:g} beta={ns.rm_beta:g}",
     )
 

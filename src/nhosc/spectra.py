@@ -472,26 +472,27 @@ def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, o
 
 @dataclass(frozen=True)
 class EtaReport:
-    """Biorthonormality and pseudo-Hermiticity defects on the retained span."""
+    """Biorthonormality and pseudo-Hermiticity defects on the retained span,
+    and kappa[n] = 1/|<chi_n|phi_n>| for unit vectors, the condition number of
+    level n."""
 
     biorthonormality_defect: float
     pseudo_hermiticity_defect: float
     passed: bool
+    kappa: tuple
 
 
 def eta_check(solved, tol=1e-6):
     """Numerical pseudo-Hermiticity check on the levels of a ParitySpectrum.
 
-    Computes right eigenvectors phi_n of M and Phi_n of the conjugate
-    transpose for every level of `solved`, each on the parity block of its
-    level and embedded in the full basis: one `linalg.tridiagonal_eigenvectors`
-    call per block and side takes all of that block's levels, so a check
-    makes at most four.  It then rescales to <Phi_m|phi_n> = delta_mn,
-    and measures how far eta M - M+ eta, with eta = sum |Phi_n><Phi_n|, is from
-    zero on the span of the phi_n.  eta is applied through its factors and
-    never formed, and M and M+ act block by block on the parity slices.  The
-    levels must be simple, with pairwise gaps above 1e-6 times the largest
-    modulus among them.
+    M, its eigenvectors and eta all split by parity, so each parity block B
+    is checked on its own levels: one `linalg.tridiagonal_eigenvectors` call
+    per side computes the right eigenvectors phi_n of B and chi_n of B+, which
+    are rescaled to <chi_m|phi_n> = delta_mn, and the residual
+    eta B phi - B+ eta phi, with eta = sum |chi_n><chi_n| applied through its
+    factors and never formed, is measured relative to ||M||_F.  Each defect is
+    the largest over the blocks.  The levels must be simple, with pairwise
+    gaps above 1e-6 times the largest modulus among them.
     """
     retained, parities = solved.eigenvalues, solved.parities
     n_levels = retained.size
@@ -504,17 +505,18 @@ def eta_check(solved, tol=1e-6):
                     f"eigenvalues {retained[i]} and {retained[j]} separated by {gap:.2e}",
                     pair=(complex(retained[i]), complex(retained[j])),
                 )
-    size = solved.fock.size
-    phi = np.zeros((size, n_levels), dtype=complex)
-    chi = np.zeros((size, n_levels), dtype=complex)
+    pairs = []
+    diag = np.empty(n_levels, dtype=complex)
     for par, block in enumerate(solved.fock.blocks):
         levels = np.flatnonzero(parities == par)
         if levels.size:
             lams = retained[levels]
-            phi[par::2, levels] = linalg.tridiagonal_eigenvectors(block, lams)
-            chi[par::2, levels] = linalg.tridiagonal_eigenvectors(block.adjoint(), lams.conj())
-    overlap = chi.conj().T @ phi
-    diag = np.diagonal(overlap)
+            phi = linalg.tridiagonal_eigenvectors(block, lams)
+            chi = linalg.tridiagonal_eigenvectors(block.adjoint(), lams.conj())
+            # einsum sums in a fixed order; a BLAS product's may move with its threads
+            overlap = np.einsum("im,in->mn", chi.conj(), phi)
+            diag[levels] = np.diagonal(overlap)
+            pairs.append((block, phi, chi, overlap))
     vanishing = np.flatnonzero(np.abs(diag) < 1e-12)
     if vanishing.size:
         # for unit phi_k and chi_k, |<chi_k|phi_k>| is 1/kappa_k
@@ -522,38 +524,32 @@ def eta_check(solved, tol=1e-6):
         raise DegenerateEigenvaluesError(
             f"near-defective pair: vanishing biorthogonal overlap at level {k}, "
             f"eigenvalue {complex(retained[k]):.6g}, |<chi|phi>| = {abs(diag[k]):.2e}")
-    chi = chi / diag.conj()
-    overlap = overlap / diag[:, None]
-    bio_defect = float(np.abs(overlap - np.eye(n_levels)).max())
 
-    blocks = solved.fock.blocks
-    norm = math.hypot(*(block.norm() for block in blocks))
+    norm = math.hypot(*(block.norm() for block in solved.fock.blocks))
     # the defect is unchanged when M is scaled by a power of two, which is
     # exact; scaling a huge or tiny truncation towards 1 keeps the residual
     # norms finite and their squares normal
     scale = linalg._radix_scale(np.array([norm]))
-    if scale != 1.0:
-        blocks = [block.scaled(scale) for block in blocks]
-        norm *= scale
+    norm *= scale
+    bio_defect = pseudo_defect = 0.0
+    for block, phi, chi, overlap in pairs:
+        block = block.scaled(scale)
+        scales = np.diagonal(overlap)
+        chi = chi / scales.conj()
+        overlap = overlap / scales[:, None]
+        bio_defect = max(bio_defect, float(np.abs(overlap - np.eye(scales.size)).max()))
 
-    def times(parts, v):
-        """The block-diagonal matrix with diagonal blocks `parts` times v."""
-        out = np.empty_like(v)
-        for par, part in enumerate(parts):
-            out[par::2] = part.matvec(v[par::2])
-        return out
+        def eta(v):
+            return np.einsum("im,mn->in", chi, np.einsum("im,in->mn", chi.conj(), v))
 
-    adjoints = [block.adjoint() for block in blocks]
-    residual = (chi @ (chi.conj().T @ times(blocks, phi))
-                - times(adjoints, chi @ (chi.conj().T @ phi)))
-    col_scale = np.sqrt((np.abs(chi) ** 2).sum(axis=0)) * norm
-    # M = 0 leaves the residual exactly 0
-    pseudo_defect = 0.0 if norm == 0 else float(
-        (np.sqrt((np.abs(residual) ** 2).sum(axis=0)) / col_scale).max()
-    )
-    passed = bool(bio_defect <= tol and pseudo_defect <= tol)
+        residual = eta(block.matvec(phi)) - block.adjoint().matvec(eta(phi))
+        # M = 0 leaves the residual exactly 0
+        if norm != 0:
+            ratio = np.sqrt((np.abs(residual) ** 2).sum(axis=0) / (np.abs(chi) ** 2).sum(axis=0))
+            pseudo_defect = max(pseudo_defect, float(ratio.max()) / norm)
     return EtaReport(
         biorthonormality_defect=bio_defect,
         pseudo_hermiticity_defect=pseudo_defect,
-        passed=passed,
+        passed=bool(bio_defect <= tol and pseudo_defect <= tol),
+        kappa=tuple((1.0 / np.abs(diag)).tolist()),
     )

@@ -1,5 +1,5 @@
-"""Position-space eigenfunctions: Hermite functions, transformed ground
-states, synthesis from Fock coefficients, quadrature norms, node counting.
+"""Position-space eigenfunctions: Hermite functions, synthesis from Fock
+coefficients, quadrature norms, node counting.
 
 Hermite functions are evaluated by the stable three-term recurrence in the
 scaled coordinate sqrt(w) x and carry the frequency in their normalization,
@@ -28,7 +28,6 @@ POINTS_PER_NODE_SPACING = 4
 FAR_RESCALE_BITS = 500
 
 __all__ = [
-    "NonNormalizableError",
     "Grid",
     "WavefunctionSample",
     "uniform_grid",
@@ -38,20 +37,10 @@ __all__ = [
     "default_grid",
     "hermite_function",
     "hermite_basis",
-    "rm_ground_width",
-    "rm_ground_state",
     "synthesize",
     "quadrature_norm",
     "count_nodes",
 ]
-
-
-class NonNormalizableError(ValueError):
-    """Requested state is not square integrable; carries the signed margin."""
-
-    def __init__(self, message, margin=None):
-        super().__init__(message)
-        self.margin = margin
 
 
 @dataclass(frozen=True)
@@ -215,39 +204,6 @@ def hermite_function(n, omega, x):
     return row.reshape(x.shape)
 
 
-def rm_ground_width(alpha, beta):
-    """Width (1-beta)/(1+alpha) of the two-parameter ground state.
-
-    It is also the signed square-integrability margin; NonNormalizableError
-    outside the region beta < 1, alpha > -1.
-    """
-    alpha, beta = float(alpha), float(beta)
-    if alpha == -1.0:
-        raise NonNormalizableError("alpha = -1 is degenerate", margin=None)
-    width = (1.0 - beta) / (1.0 + alpha)
-    if not (beta < 1.0 and alpha > -1.0):
-        raise NonNormalizableError(
-            f"state is not square integrable (margin {width:g}); "
-            "requires beta < 1 and alpha > -1",
-            margin=width,
-        )
-    return width
-
-
-def rm_ground_state(alpha, beta, x):
-    """Ground state of the two-parameter transformed oscillator.
-
-    A Gaussian of width rm_ground_width(alpha, beta), normalized to unit
-    square integral; defined only on the region beta < 1, alpha > -1.
-    """
-    width = rm_ground_width(alpha, beta)
-    x = _finite_samples(x)
-    values = (width / math.pi) ** 0.25 * np.exp(-0.5 * width * x * x)
-    if np.ndim(values) == 0:
-        return float(values)
-    return values
-
-
 def synthesize(pair, omega, grid):
     """Pointwise sum of Hermite functions weighted by the Fock coefficients."""
     omega = _check_omega(omega)
@@ -279,7 +235,7 @@ def quadrature_norm(sample):
 def _simpson(values, dx):
     n = values.size
     if n < 3:
-        return float(np.trapezoid(values, dx=dx))
+        return 0.5 * dx * float(values[0] + values[1])
     end = n if n % 2 == 1 else n - 1
     weights = np.ones(end)
     weights[1:-1:2] = 4.0

@@ -326,16 +326,63 @@ class TestWavefunction:
         assert "square integrable" in err
 
     @pytest.mark.parametrize("alpha, beta, message", [
-        ("0.3", "1.0", "state is not square integrable (margin 0); "
-                       "requires beta < 1 and alpha > -1"),
-        ("-1.5", "0.2", "state is not square integrable (margin -1.6); "
-                        "requires beta < 1 and alpha > -1"),
-        ("-1", "0.2", "alpha = -1 is degenerate"),
+        ("0.3", "1.0", "state is not square integrable (margin 0)"),
+        ("-1.5", "0.2", "state is not square integrable (margin -1.6)"),
+        ("-1", "0.2", "degenerate transform: u22 - i u12 vanishes"),
     ])
     def test_outside_region_messages(self, capsys, alpha, beta, message):
         code, out, err = run_cli(capsys, "wavefunction", f"--rm-alpha={alpha}",
                                  f"--rm-beta={beta}")
         assert (code, out, err) == (2, "", f"nhosc: error: {message}\n")
+
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 0.2), (-0.6, 0.9), (1.4, -0.9), (0.0, 0.0),
+                                             (-2.0, 3.0), (-2.0, 2.0)])
+    def test_mix_ground_state_is_the_gaussian_of_the_margin(self, capsys, alpha, beta):
+        # width (1 - beta)/(1 + alpha) whether s = 1/sqrt(1 + alpha beta) is
+        # real or imaginary; at (0, 0) the state is the oscillator's
+        code, doc = run_json(capsys, "wavefunction", f"--rm-alpha={alpha}",
+                             f"--rm-beta={beta}", "--grid-points", "801")
+        assert code == 0
+        width = doc["results"]["omega"]
+        assert abs(width - (1 - beta) / (1 + alpha)) <= 4 * np.spacing(width)
+        x = np.array(doc["results"]["x"])
+        expected = (width / math.pi) ** 0.25 * np.exp(-0.5 * width * x * x)
+        assert np.abs(np.array(doc["results"]["value_re"]) - expected).max() <= 1e-15
+        assert not any(doc["results"]["value_im"])
+
+    def test_mix_ground_state_unit_norm_across_region(self, capsys):
+        for alpha in np.linspace(-0.6, 1.4, 5):
+            for beta in np.linspace(-0.9, 0.9, 5):
+                code, doc = run_json(capsys, "wavefunction", f"--rm-alpha={float(alpha)!r}",
+                                     f"--rm-beta={float(beta)!r}", "--grid-points", "2001")
+                assert code == 0
+                assert abs(doc["results"]["norm"] - 1.0) < 1e-10
+
+    def test_mix_ground_state_exists_where_spectrum_is_normalizable(self, capsys):
+        """One region rule: the state is sampled exactly where `spectrum` runs and
+        reports a normalizable transform, including beta > 1 with alpha < -1,
+        1 + alpha beta < 0, alpha = -1, and points within 1e-14 and within
+        1e-12 to 1e-9 of the singular line 1 + alpha beta = 0."""
+        rng = np.random.default_rng(4711)
+        points = [(1.0, -1.0), (-2.0, 3.0), (-2.0, 2.0)]
+        points += [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(80)]
+        points += [(-rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0)) for _ in range(40)]
+        points += [(-1.0, rng.uniform(-3.0, 3.0)) for _ in range(20)]
+        # refused by both within 1e-12 of the line, admissible beyond it
+        for offset in [rng.uniform(-1e-14, 1e-14) for _ in range(40)] + [
+                rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -9) for _ in range(20)]:
+            alpha = rng.choice((-1, 1)) * rng.uniform(0.3, 3.0)
+            points.append((alpha, -(1.0 + offset) / alpha))
+        sampled = normalizable = 0
+        for alpha, beta in points:
+            flags = (f"--rm-alpha={float(alpha)!r}", f"--rm-beta={float(beta)!r}")
+            code, out, _ = run_cli(capsys, "spectrum", *flags, "-N", "8", "-n", "2")
+            allowed = code == 0 and json.loads(out)["diagnostics"]["normalizable"]["flag"]
+            code, _, _ = run_cli(capsys, "wavefunction", *flags, "--grid-points", "101")
+            assert (code == 0) == allowed, (alpha, beta)
+            sampled += code == 0
+            normalizable += allowed
+        assert sampled == normalizable and 0 < sampled < len(points)
 
     @pytest.mark.parametrize("level", [17, 18, 60, 200])
     def test_high_level_on_its_default_grid(self, capsys, level):
@@ -1579,12 +1626,13 @@ class TestGridPointCap:
     as a scan."""
 
     def test_cap_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 5)
+        # at least the 32 points that level 0 needs on its default grid
+        monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 40)
         argv = ["wavefunction", "--level", "0", "--grid-span", "1"]
-        code, doc = run_json(capsys, *argv, "--grid-points", "5")
-        assert code == 0 and doc["diagnostics"]["grid_points"] == 5
-        assert run_cli(capsys, *argv, "--grid-points", "6") == (
-            2, "", "nhosc: error: grid has 6 points, more than the 5 allowed\n")
+        code, doc = run_json(capsys, *argv, "--grid-points", "40")
+        assert code == 0 and doc["diagnostics"]["grid_points"] == 40
+        assert run_cli(capsys, *argv, "--grid-points", "41") == (
+            2, "", "nhosc: error: grid has 41 points, more than the 40 allowed\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["--level", "0", "--grid-points", "100000000000"],
@@ -1596,6 +1644,14 @@ class TestGridPointCap:
                                   "than the 1000000 allowed"),
         # checked before the recurrence builds a 2e8-row truncation
         (["--h11", "0.5", "--h12", "0.2", "--h22", "0.5", "--excitation", "100000000"],
+         "level 200000000 needs 1018897217 grid-points by default, more than the 1000000 "
+         "allowed"),
+        # the same caps on a --grid-span grid, where 3 points are spaced finely enough
+        (["--level", "100000000", "--grid-span", "1e-6", "--grid-points", "3"],
+         "level 100000000 needs 509511898 grid-points by default, more than the 1000000 "
+         "allowed"),
+        (["--h11", "0.5", "--h12", "0.2", "--h22", "0.5", "--excitation", "100000000",
+          "--grid-span", "1e-6", "--grid-points", "3"],
          "level 200000000 needs 1018897217 grid-points by default, more than the 1000000 "
          "allowed"),
     ])

@@ -61,6 +61,42 @@ def test_oracle_guard_sees_each_form():
     assert not oracle_uses(ast.parse("import numpy as np\nnp.sort(a)\nfrom . import linalg"))
 
 
+BLAS_CALLS = {"dot", "matmul", "vdot", "inner", "tensordot"}
+
+
+def blas_products(tree):
+    """Line numbers of a module's syntax tree that form a BLAS product: `@`, or a
+    call of dot, matmul, vdot, inner or tensordot, as np.name, a method or a
+    bare name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in BLAS_CALLS:
+                found.add(node.lineno)
+    return found
+
+
+def test_package_forms_no_blas_product():
+    """Every product in the package is a sum in a fixed order, so stdout does
+    not depend on the BLAS library or its thread count."""
+    sources = sorted(pathlib.Path(nhosc.__file__).parent.glob("*.py"))
+    assert len(sources) >= 6
+    assert {path.name: blas_products(ast.parse(path.read_text())) for path in sources} == {
+        path.name: set() for path in sources}
+
+
+def test_blas_guard_sees_each_form():
+    forms = ["a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "numpy.matmul(a, b)", "np.vdot(a, b)",
+             "np.inner(a, b)", "np.tensordot(a, b, 1)", "from numpy import dot\ndot(a, b)"]
+    assert all(blas_products(ast.parse(form)) for form in forms)
+    assert not blas_products(ast.parse(
+        "np.einsum('im,in->mn', a, b)\n(a * b).sum(axis=0)\ninner = ', '\ninner.join(c)"))
+
+
 def hand_written_inits(tree):
     """Names of the dataclasses in a syntax tree that set init=False or define
     __init__."""

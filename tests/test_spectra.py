@@ -513,6 +513,45 @@ class TestEtaCheck:
         assert 0.0 < plain < 1e-15
         assert plain / 10 <= scaled <= 10 * plain
 
+    @staticmethod
+    def mix_kappa(alpha, beta, size):
+        target = canonical.apply_to_quadratic(
+            canonical.rath_mallick(alpha, beta), canonical.harmonic_oscillator())
+        solved = spectra.parity_spectrum(
+            spectra.quadratic_fock_matrix(target, 1.0, size), levels=8)
+        return solved, np.array(spectra.eta_check(solved).kappa)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.2), (0.9, -0.5), (0.6, 0.6)])
+    @pytest.mark.parametrize("size", [40, 200])
+    def test_kappa_matches_lapack_left_and_right_vectors(self, alpha, beta, size):
+        """kappa_n = ||x|| ||y|| / |y^H x| from LAPACK's left and right
+        eigenvectors of the dense parity block, level by level."""
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        solved, kappa = self.mix_kappa(alpha, beta, size)
+        blocks = [scipy_linalg.eig(dense_tridiagonal(block), left=True)
+                  for block in solved.fock.blocks]
+        expected = []
+        for lam, par in zip(solved.eigenvalues, solved.parities):
+            values, left, right = blocks[par]
+            k = np.argmin(np.abs(values - lam))
+            x, y = right[:, k], left[:, k]
+            expected.append(np.linalg.norm(x) * np.linalg.norm(y) / abs(np.vdot(y, x)))
+        assert np.abs(kappa / expected - 1).max() <= 1e-8
+        assert kappa.min() >= 1.0
+
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.2), (0.9, -0.5), (0.6, 0.6)])
+    def test_kappa_settles_with_the_truncation(self, alpha, beta):
+        """Levels 0-7 lie far below the truncation edge, so their kappa_n is the
+        operator's, the same at N = 200 and N = 2000."""
+        small, large = (self.mix_kappa(alpha, beta, size)[1] for size in (200, 2000))
+        assert np.abs(small / large - 1).max() <= 1e-6
+
+    def test_kappa_grows_with_the_level(self):
+        # the values at levels 0 and 7 that ROADMAP item 3 lists for the mix (0.3, 0.2)
+        kappa = self.mix_kappa(0.3, 0.2, 200)[1]
+        assert np.all(np.diff(kappa) > 0)
+        assert abs(kappa[0] - 1.065) < 1e-3 and abs(kappa[7] - 10.30) < 1e-2
+
     def test_level_count_bounded_by_truncation(self):
         fock = spectra.quadratic_fock_matrix(canonical.harmonic_oscillator(), 1.0, 3)
         with pytest.raises(ValueError, match="at most 3 levels"):

@@ -53,10 +53,10 @@ DIGESTS = {
         (0, 'dc9d3f86a1769d3e4c031f0aa7696a1df1cfc2b27c0472a7f1dd041969cd3e9e',
          EMPTY),
     'verify --rm-alpha 0.3 --rm-beta 0.2 -N 200 -n 8':
-        (0, '7eee2dbdc9993b1caffdf70de6714749dcce770e85addc9428e8d9692ae6d44a',
+        (0, '893454dff67945a2b056e6a121c525a385685e8b8871c05e5430857352796d1a',
          EMPTY),
     'wavefunction --rm-alpha 0.3 --rm-beta 0.2':
-        (0, '5833bba51096854656fa32f02fd8c66b2d3c6259a09a5e15ea7e6db9893badb1',
+        (0, '4295380aef05878b00dd226008e49fdea5019cbf5a1c2b937e86ea6ca82e7a18',
          EMPTY),
     'spectrum --h11=0.32041746369561314 --h12=0.16996941664222537 --h22=0.5476547371014461 -n 10 -N 200':
         (0, 'eb31bed9b8cffc36b600e8fd3434c673b65d4191b5d5e1925d4df3da10e2d4bd',
@@ -71,13 +71,13 @@ DIGESTS = {
         (0, 'f6c0f2fe6c1ebdf2c9a7460c6991a0ca1a126eb325df755ad1e35485b76c25ab',
          EMPTY),
     'verify --rm-alpha=0.34430518977014 --rm-beta=0.6682360721558334 -N 200 -n 8':
-        (0, 'b5bbd775a16ad3ff397a9e4b80997cf6885075d4404fc58e97bcb0a762399eb3',
+        (0, '7ddc67819a7717e16ccf1fa427b9a96e7e56f7216c042e251b95faf7f5cf32a6',
          EMPTY),
     'verify --gauge-g=-0.32030982143585024 -N 200 -n 8':
-        (0, 'fa8ace9a3ac504901890304ced23aa6f416d44eac9b229443f06aaff91c47f36',
+        (0, 'f46e92d051e029d7d4b0ac0de633ed6a42803aec47a8c19ebdb9cf6e3ec70831',
          EMPTY),
     'verify --u11=(0.8823152190458334+0j) --u12=-0.30517329409337585j --u21=-0.40529654843212487j --u22=(0.9931986871743752+0j) -N 200 -n 8':
-        (0, 'b0ea00672b84835d0cfecdfa4bf38e043a8d15425c31bd78b30527cf85bd740c',
+        (0, 'bd103d78ef62ce510bbed1a73312c28f9e62fd89d756696977f5a34d53a98dcb',
          EMPTY),
     'spectrum --rm-alpha 0.6 --rm-beta 0.6 -n 28 -N 400':
         (0, '87c3e2cb0bfa935a09941d2b66ed8abec28a6c0dda3253e981a6b5117702773d',
@@ -86,13 +86,13 @@ DIGESTS = {
         (3, EMPTY,
          '36cf6dec5e53e6d3d26240172e11d8cd27efa3d5ab5bf85c1fa04186cd2d9e38'),
     'verify --rm-alpha 0.3 --rm-beta 0.2 -N 2000 -n 8':
-        (0, '5be07e07fceae7500b1d870a6257da9d792aee72bbda1b15d1067ae11e080e27',
+        (0, 'c0470ab61ccff83dba52e3607db60bd4ffe75c70098bb141d61c58f717c68269',
          EMPTY),
     'verify --rm-alpha 0.3 --rm-beta 0.2 -N 400 -n 60':
         (3, EMPTY,
          '30c98beda1ccb65fb8423e46f1648184aac9afad89c472732d0ef95460435ac8'),
     'verify --gauge-g 1e100 -N 40 -n 4':
-        (4, 'fb3ad35c7bca6a6b8b227c403ff82bc9d441415c073e9088f1464059ee28891b',
+        (4, 'e2ee0d0b9606b5d58d0fc1a18f13fc730dcada63263a3901b0d4c861572ddcc4',
          EMPTY),
     'wavefunction --level 3 --omega 1.5':
         (0, 'f5593ff9ec4ca777f0c7f60664c9aa09361a6cc68681e49507f6b2073a179e4c',
@@ -104,7 +104,7 @@ DIGESTS = {
         (0, '23f58e36bf4a4acce0d5ad2d1255fc40e6fdb76f72fb2a1b87959fdd53470765',
          EMPTY),
     'verify --u11 1 --u12 0 --u21 0 --u22 1 -N 40 -n 4 --format csv':
-        (0, '2394fadb9ed831adb91ac6f6a5aab4564a815fcdb8154819c70b30392058d526',
+        (0, '5a2d8e4666dd3b90eaa0833ead520a35c1ec180808fdd5933721bdd394b1fa10',
          EMPTY),
     'spectrum --gamma 1.5 --alpha 1 -N 40 -n 4':
         (0, '603df2e2eee4d089e1bd5a4438ae66f2c769c24d44555022de8e04b31d1d3d4a',
@@ -113,13 +113,13 @@ DIGESTS = {
         (0, '37add5d94b0366bd85651b9584fec7bc7ccc39a350eef199e362144e2693fca7',
          EMPTY),
     'verify --rm-alpha 0.3 --rm-beta 0.2 --base-k 2 -N 40 -n 4':
-        (0, 'e370ace949ef2f8b8604bbb9e2f26d0909babd13bbb82ff2fe585a3187499689',
+        (0, '067ab96fe7fc046b45403623e74e9d985716b47c805cd82d94e94538231c4978',
          EMPTY),
     'verify --rm-alpha 0.8 --rm-beta 0.8 -N 200 -n 8':
-        (4, 'e5de840700374a0a744d41bb5ca13bbb1eaaba0f6ae5c83e0b666bb7ca596ed7',
+        (4, '377ca6557981be55e3660b6d96f9b5bbba5a123f84c2dc8b78548c31091f6eb7',
          EMPTY),
     'verify --rm-alpha 0.8 --rm-beta 0.8 -N 200 -n 8 --format csv':
-        (4, '21a3b2be08214546b9bb9db6102de5bc3b4811f2c87f20db37bb92ead914e8b3',
+        (4, '025dca8d699e2aa17dad8c203f9926e61e33f9ec99aeccb6cb3657594a549a50',
          EMPTY),
     'wavefunction --h11 0.5 --h12 0.2 --h22 0.5 --excitation 300':
         (0, '21d06248ac6c608dcd4a5d54dcc0ccf7366ba43a71648863e6f30271c6d33761',

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nhosc import canonical, spectra, wavefun
+from nhosc import spectra, wavefun
 from nhosc.spectra import ThreeParamOscillator
 from nhosc.wavefun import Grid, WavefunctionSample
 
@@ -128,62 +128,6 @@ class TestHermiteFunction:
     def test_rejects_non_finite_samples(self, bad):
         with pytest.raises(ValueError, match="x must be finite"):
             wavefun.hermite_function(2, 1.0, np.array([0.0, bad]))
-        with pytest.raises(ValueError, match="x must be finite"):
-            wavefun.rm_ground_state(0.3, 0.2, bad)
-
-
-class TestRmGroundState:
-    def test_reduces_to_oscillator(self):
-        x = np.linspace(-3, 3, 11)
-        assert np.abs(
-            wavefun.rm_ground_state(0.0, 0.0, x) - wavefun.hermite_function(0, 1.0, x)
-        ).max() < 1e-15
-
-    def test_width_parameter(self):
-        # exponent coefficient is half of (1-beta)/(1+alpha)
-        width = (1 - 0.2) / (1 + 0.3)
-        assert abs(width - 8.0 / 13.0) < 1e-15
-        x = 1.3
-        value = wavefun.rm_ground_state(0.3, 0.2, x)
-        expected = (width / math.pi) ** 0.25 * math.exp(-0.5 * width * x * x)
-        assert abs(value - expected) < 1e-15
-
-    @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (0.0, 1.5), (-1.2, 0.0), (-1.0, 0.5)])
-    def test_outside_region_rejected(self, alpha, beta):
-        with pytest.raises(wavefun.NonNormalizableError):
-            wavefun.rm_ground_state(alpha, beta, 0.0)
-
-    def test_rejection_carries_margin(self):
-        with pytest.raises(wavefun.NonNormalizableError) as info:
-            wavefun.rm_ground_state(0.5, 2.0, 0.0)
-        assert info.value.margin is not None and info.value.margin < 0
-
-    def test_width_is_the_margin_of_the_mix(self):
-        for alpha, beta in [(0.3, 0.2), (-0.6, 0.9), (1.4, -0.9), (0.0, 0.0)]:
-            width = wavefun.rm_ground_width(alpha, beta)
-            assert width == (1 - beta) / (1 + alpha)
-            margin = canonical.normalizable(canonical.rath_mallick(alpha, beta)).margin
-            assert abs(width - margin) <= 1e-14 * width
-
-    @pytest.mark.parametrize("alpha,beta,message", [
-        (0.3, 1.0, "state is not square integrable (margin 0); requires beta < 1 and alpha > -1"),
-        (-1.5, 0.2, "state is not square integrable (margin -1.6); "
-                    "requires beta < 1 and alpha > -1"),
-        (-1.0, 0.2, "alpha = -1 is degenerate"),
-    ])
-    def test_width_rejection_messages(self, alpha, beta, message):
-        with pytest.raises(wavefun.NonNormalizableError) as info:
-            wavefun.rm_ground_width(alpha, beta)
-        assert str(info.value) == message
-
-    def test_unit_norm_across_region(self):
-        for alpha in np.linspace(-0.6, 1.4, 5):
-            for beta in np.linspace(-0.9, 0.9, 5):
-                width = (1 - beta) / (1 + alpha)
-                grid = wavefun.default_grid(width, 2001)
-                values = wavefun.rm_ground_state(alpha, beta, grid.points)
-                sample = WavefunctionSample(grid, values, width, "rm")
-                assert abs(wavefun.quadrature_norm(sample) - 1.0) < 1e-10
 
 
 class TestSynthesize:
@@ -213,6 +157,12 @@ class TestSynthesize:
             sign = 1.0 if s == 0 else -1.0
             scale = np.abs(sample.values).max()
             assert np.abs(sample.values - sign * mirrored).max() <= 1e-12 * scale
+
+
+    def test_two_point_norm_is_the_trapezoid(self):
+        # (2/2) (|3|^2 + |4i|^2) = 25, with no call that needs numpy 2
+        sample = WavefunctionSample(Grid(np.array([-1.0, 1.0])), np.array([3.0, 4.0j]), 1.0, "t")
+        assert wavefun.quadrature_norm(sample) == 5.0
 
 
 class TestCountNodes:
