@@ -30,7 +30,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-# the most points a scan or a wavefunction grid may have
+# the most points a scan or a wavefunction grid, or states a truncation, may have
 MAX_SCAN_POINTS = 1_000_000
 
 _MODEL_KEYS = ("h11", "h12", "h22", "rm_alpha", "rm_beta", "gamma", "alpha", "k")
@@ -211,11 +211,10 @@ def _require_finite(ns):
 
 
 def _validate_run(ns):
+    """Checked before anything is built; spectra.solve_levels checks the level budget."""
     _require_positive(ns.omega, "omega")
-    if ns.levels < 1:
-        raise ConfigError("levels must be at least 1")
-    if ns.trunc < 4 * ns.levels:
-        raise ConfigError(f"trunc must be at least 4*levels, got {ns.trunc} < {4 * ns.levels}")
+    if ns.trunc > MAX_SCAN_POINTS:
+        raise ConfigError(f"trunc {ns.trunc} is more than the {MAX_SCAN_POINTS} allowed")
 
 
 @dataclass(frozen=True)
@@ -284,9 +283,9 @@ def three_param_model(ns):
 
 
 def mix_model(ns):
-    """The --rm-alpha/--rm-beta model; a singular point is a ValueError."""
-    osc = spectra.rath_mallick_oscillator(ns.rm_alpha, ns.rm_beta)
+    """The --rm-alpha/--rm-beta model; canonical.rath_mallick's checks come first."""
     transform = canonical.rath_mallick(ns.rm_alpha, ns.rm_beta)
+    osc = spectra.rath_mallick_oscillator(ns.rm_alpha, ns.rm_beta)
     return Model(
         kind="rath_mallick",
         quadratic=osc.as_quadratic(),
@@ -336,6 +335,20 @@ def _cj(value):
     """Complex to a JSON-friendly {re, im} pair."""
     value = complex(value)
     return {"re": value.real, "im": value.imag}
+
+
+def _level_record(level, key):
+    """A spectra.SpectrumLevel as JSON, its reference under `key`."""
+    record = {"n": level.index, "eigenvalue": _cj(level.eigenvalue), "parity": level.parity,
+              key: None if level.reference is None else _cj(level.reference),
+              "deviation": level.deviation}
+    if level.matched is not None:
+        record["matched"] = level.matched
+    return record
+
+
+def _normalizable_record(norm):
+    return None if norm is None else {"flag": norm.normalizable, "margin": norm.margin}
 
 
 def _config_echo(ns, command, extra=None):
@@ -491,20 +504,13 @@ def cmd_spectrum(ns):
     _default(ns, "format", "json")
     _validate_run(ns)
     model = resolve_model(ns)
-    if not cmath.isfinite(model.quadratic.frequency_scale):
-        raise canonical.NonFiniteError(
-            "non-finite spectrum scale: c_pp c_xx - c_xp^2 overflows for coefficients up "
-            f"to {max(map(abs, vars(model.quadratic).values())):.3g} in modulus")
     broken = spectra.broken_phase(model.quadratic)
+    report = spectra.solve_levels(model.quadratic, ns.omega, ns.trunc, ns.levels,
+                                  reference=None if broken else model.quadratic,
+                                  transform=model.transform)
+    # after solve_levels, which bounds ns.levels by the truncation
     closed = np.array([spectra.general_quadratic_spectrum(model.quadratic, n)
                        for n in range(ns.levels)])
-    records, _ = spectra.solve_levels(model.quadratic, ns.omega, ns.trunc, ns.levels,
-                                     reference=None if broken else model.quadratic)
-    levels = [{"n": level.index, "eigenvalue": _cj(level.eigenvalue), "parity": level.parity,
-               "closed_form": None if broken else _cj(level.reference),
-               "deviation": level.deviation} for level in records]
-    max_dev = None if broken else max(level.deviation for level in records)
-
     results = {
         "model": {
             "kind": model.kind,
@@ -521,7 +527,7 @@ def cmd_spectrum(ns):
             if model.oscillator is not None else None,
         },
         "critical_frequencies": None,
-        "numeric": levels,
+        "numeric": [_level_record(level, "closed_form") for level in report.levels],
     }
     if model.oscillator is not None:
         crit = spectra.critical_frequencies(model.oscillator)
@@ -532,19 +538,16 @@ def cmd_spectrum(ns):
             "omega_single": crit.omega_single,
             "sign_contract": crit.sign_contract,
         }
-    diagnostics = {"max_deviation": max_dev, "normalizable": None}
-    if model.transform is not None:
-        flag, margin = canonical.normalizable(model.transform)
-        diagnostics["normalizable"] = {"flag": flag, "margin": margin}
     document = {
         "config": _config_echo(ns, "spectrum"),
         "results": results,
-        "diagnostics": diagnostics,
+        "diagnostics": {"max_deviation": report.max_deviation,
+                        "normalizable": _normalizable_record(report.normalizable)},
     }
     header = ["n", "eigen_re", "eigen_im", "parity", "closed_re", "closed_im", "deviation"]
     rows = ([level.index, level.eigenvalue.real, level.eigenvalue.imag, level.parity]
             + ([None, None] if broken else [level.reference.real, level.reference.imag])
-            + [level.deviation] for level in records)
+            + [level.deviation] for level in report.levels)
     _emit(ns, document, header, rows)
     return EXIT_OK
 
@@ -630,10 +633,7 @@ def _scan_columns(build, point, param, values, levels):
     p = {key: None if getattr(point, key) is None else np.full(count, getattr(point, key))
          for key in _MODEL_KEYS}
     p[param] = np.array(values)
-    try:
-        top = float(2 * (levels - 1) + 1)
-    except OverflowError:  # general_quadratic_spectrum raises it, at the first point
-        top = math.nan
+    top = float(2 * (levels - 1) + 1)
     with np.errstate(all="ignore"):
         discriminant, margin, risky = _SCAN_COLUMNS[build](p)
         # The indicator is the largest |Im E_n| over the lowest `levels` levels,
@@ -651,6 +651,11 @@ def cmd_scan(ns):
     _default(ns, "format", "json")
     if ns.levels < 1:
         raise ConfigError("levels must be at least 1")
+    try:
+        float(2 * ns.levels - 1)
+    except OverflowError:
+        raise ConfigError(f"--levels {ns.levels} is too large: 2n+1 of its top level n "
+                          "does not convert to float") from None
     _require_positive(ns.threshold, "threshold")
     param = ns.scan.replace("-", "_") if ns.scan else None
     grid = _scan_values(ns)
@@ -736,17 +741,7 @@ def cmd_verify(ns):
             "isospectral": {
                 "passed": iso.passed,
                 "max_deviation": iso.max_deviation,
-                "levels": [
-                    {
-                        "n": level.index,
-                        "eigenvalue": _cj(level.eigenvalue),
-                        "reference": _cj(level.reference),
-                        "deviation": level.deviation,
-                        "parity": level.parity,
-                        "matched": level.matched,
-                    }
-                    for level in iso.levels
-                ],
+                "levels": [_level_record(level, "reference") for level in iso.levels],
                 "notes": list(iso.notes),
             },
             "eta": {
@@ -757,9 +752,7 @@ def cmd_verify(ns):
         },
         "diagnostics": {
             "passed": passed,
-            "normalizable": None
-            if norm is None
-            else {"flag": norm.normalizable, "margin": norm.margin},
+            "normalizable": _normalizable_record(norm),
         },
     }
     header = ["metric", "value"]

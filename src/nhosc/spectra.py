@@ -17,6 +17,7 @@ no N x N matrix is formed on the way to a spectrum or a check.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -330,11 +331,16 @@ def general_quadratic_spectrum(q, n):
     """E_n = Omega (2n+1) with Omega = sqrt(c_pp c_xx - c_xp^2), principal branch.
 
     A complex value signals the broken phase; callers needing the truncation
-    route should diagonalize instead.
+    route should diagonalize instead.  NonFiniteError when Omega overflows.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
-    return q.frequency_scale * (2 * n + 1)
+    scale = q.frequency_scale
+    if not cmath.isfinite(scale):
+        raise canonical.NonFiniteError(
+            "non-finite spectrum scale: c_pp c_xx - c_xp^2 overflows for coefficients up "
+            f"to {max(map(abs, vars(q).values())):.3g} in modulus")
+    return scale * (2 * n + 1)
 
 
 def broken_phase(q):
@@ -407,31 +413,45 @@ class SpectrumLevel:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues, reference values, deviations, normalizability, and the solution."""
+    """Levels of one truncation solved once (`solved`), their deviations and the
+    transform's normalizability; verify_isospectral sets passed and notes."""
 
     levels: tuple
-    passed: bool
-    max_deviation: float
+    max_deviation: float | None
     solved: ParitySpectrum = field(compare=False, repr=False)
     normalizable: NormalizabilityResult | None = None
+    passed: bool | None = None
     notes: tuple = field(default_factory=tuple)
 
 
-def solve_levels(q, omega, trunc, n_levels, reference=None):
+def solve_levels(q, omega, trunc, n_levels, reference=None, transform=None):
     """The lowest n_levels of q's truncation to |0>..|trunc-1> at frequency
-    omega, solved once, as SpectrumLevel records, and that ParitySpectrum.
+    omega, solved once, as the SpectrumReport that spectrum and verify print.
 
-    With a reference quadratic, level n is compared with
-    general_quadratic_spectrum(reference, n); without one, its reference and
-    deviation are None.  No level is matched against a tolerance.
+    First a ValueError unless 1 <= n_levels <= trunc/4, which keeps the levels
+    well below the truncation edge.  With a reference quadratic, level n is
+    compared with general_quadratic_spectrum(reference, n), computed before
+    the truncation is built; without one, the deviations are None.
+    normalizable is canonical.normalizable(transform), None without a
+    transform or where it raises (the degenerate line).  No level is matched.
     """
+    if n_levels < 1:
+        raise ValueError("levels must be at least 1")
+    if trunc < 4 * n_levels:
+        raise ValueError(f"trunc must be at least 4*levels, got {trunc} < {4 * n_levels}")
+    refs = [None if reference is None else general_quadratic_spectrum(reference, n)
+            for n in range(n_levels)]
     solved = parity_spectrum(quadratic_fock_matrix(q, omega, trunc), levels=n_levels)
-    levels = []
-    for n, (eig, parity) in enumerate(zip(solved.eigenvalues, solved.parities)):
-        ref = None if reference is None else general_quadratic_spectrum(reference, n)
-        dev = None if ref is None else float(abs(eig - ref))
-        levels.append(SpectrumLevel(n, complex(eig), int(parity), reference=ref, deviation=dev))
-    return tuple(levels), solved
+    levels = tuple(
+        SpectrumLevel(n, complex(eig), int(parity), reference=ref,
+                      deviation=None if ref is None else float(abs(eig - ref)))
+        for n, (eig, parity, ref) in enumerate(zip(solved.eigenvalues, solved.parities, refs)))
+    try:
+        norm = None if transform is None else canonical.normalizable(transform)
+    except ValueError:
+        norm = None
+    max_dev = None if reference is None else max(level.deviation for level in levels)
+    return SpectrumReport(levels, max_dev, solved, normalizable=norm)
 
 
 def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, omega=1.0):
@@ -439,35 +459,20 @@ def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, o
 
     Solves the quadratic image of the base under the transform with
     solve_levels, against the base, and matches level n when it is within
-    tol of Omega_base (2n+1).  Requires n_levels <= trunc/4 so the retained
-    levels are well below the truncation edge.  The report carries the
-    solution (`solved`), which eta_check takes as it is.
+    tol of Omega_base (2n+1).  The report carries the solution (`solved`),
+    which eta_check takes as it is.
     """
-    trunc = int(trunc)
-    n_levels = int(n_levels)
-    if n_levels < 1 or n_levels * 4 > trunc:
-        raise ValueError(f"need n_levels <= trunc/4, got {n_levels} vs {trunc}")
     if base is None:
         base = canonical.harmonic_oscillator()
     if broken_phase(base) or base.frequency_scale.real <= 0:
         raise ValueError("base operator must have a real positive spectral scale")
-    target = canonical.apply_to_quadratic(transform, base)
-    levels, solved = solve_levels(target, omega, trunc, n_levels, reference=base)
-    levels = tuple(replace(level, matched=bool(level.deviation <= tol)) for level in levels)
+    report = solve_levels(canonical.apply_to_quadratic(transform, base), omega, trunc, n_levels,
+                          reference=base, transform=transform)
+    levels = tuple(replace(level, matched=bool(level.deviation <= tol)) for level in report.levels)
     notes = tuple(f"level {level.index}: observed parity {level.parity} != {level.index % 2}"
                   for level in levels if level.parity != level.index % 2)
-    try:
-        norm = canonical.normalizable(transform)
-    except ValueError:
-        norm = None
-    return SpectrumReport(
-        levels=levels,
-        passed=all(level.matched for level in levels),
-        max_deviation=max(0.0, *(level.deviation for level in levels)),
-        solved=solved,
-        normalizable=norm,
-        notes=notes,
-    )
+    return replace(report, levels=levels, passed=all(level.matched for level in levels),
+                   notes=notes)
 
 
 @dataclass(frozen=True)

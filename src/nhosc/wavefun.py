@@ -159,20 +159,27 @@ def _hermite_rows(n_max, omega, x):
         y = math.sqrt(omega) * x
         half_square = 0.5 * y * y
     y = np.where(np.isinf(y), 0.0, y)
+    cur = scale * np.exp(-half_square)
     # beyond 2**30 every row of any level that fits in memory underflows
-    far = (scale * np.exp(-half_square) < np.finfo(float).tiny) & (half_square < 2.0 ** 59)
-    exponent = np.where(far, np.floor(-half_square / math.log(2.0)), 0.0)
+    far = np.flatnonzero((cur < np.finfo(float).tiny) & (half_square < 2.0 ** 59))
+    exponent = np.zeros(y.size, dtype=np.int64)
+    scaled = far.size > 0
+    if scaled:
+        shift = np.floor(-half_square[far] / math.log(2.0))
+        cur[far] = scale * np.exp(-half_square[far] - shift * math.log(2.0))
+        exponent[far] = shift
     prev = np.zeros_like(y)
-    cur = scale * np.exp(-half_square - exponent * math.log(2.0))
-    exponent = exponent.astype(np.int64)
-    yield np.ldexp(cur, exponent)
+    # a copy, not cur: the next step may rescale cur in place; ldexp by 0 is the identity
+    yield np.ldexp(cur, exponent) if scaled else cur.copy()
     for k in range(n_max):
         prev, cur = cur, math.sqrt(2.0 / (k + 1)) * y * cur - math.sqrt(k / (k + 1.0)) * prev
         big = np.abs(cur) > 2.0 ** FAR_RESCALE_BITS
-        prev[big] = np.ldexp(prev[big], -FAR_RESCALE_BITS)
-        cur[big] = np.ldexp(cur[big], -FAR_RESCALE_BITS)
-        exponent[big] += FAR_RESCALE_BITS
-        yield np.ldexp(cur, exponent)
+        if big.any():
+            prev[big] = np.ldexp(prev[big], -FAR_RESCALE_BITS)
+            cur[big] = np.ldexp(cur[big], -FAR_RESCALE_BITS)
+            exponent[big] += FAR_RESCALE_BITS
+            scaled = True
+        yield np.ldexp(cur, exponent) if scaled else cur.copy()
 
 
 def _hermite_args(n_max, omega, x):

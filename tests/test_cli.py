@@ -362,7 +362,8 @@ class TestWavefunction:
         """One region rule: the state is sampled exactly where `spectrum` runs and
         reports a normalizable transform, including beta > 1 with alpha < -1,
         1 + alpha beta < 0, alpha = -1, and points within 1e-14 and within
-        1e-12 to 1e-9 of the singular line 1 + alpha beta = 0."""
+        1e-12 to 1e-9 of the singular line 1 + alpha beta = 0.  A null verdict
+        (alpha = -1, the degenerate line) is not normalizable."""
         rng = np.random.default_rng(4711)
         points = [(1.0, -1.0), (-2.0, 3.0), (-2.0, 2.0)]
         points += [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(80)]
@@ -377,7 +378,8 @@ class TestWavefunction:
         for alpha, beta in points:
             flags = (f"--rm-alpha={float(alpha)!r}", f"--rm-beta={float(beta)!r}")
             code, out, _ = run_cli(capsys, "spectrum", *flags, "-N", "8", "-n", "2")
-            allowed = code == 0 and json.loads(out)["diagnostics"]["normalizable"]["flag"]
+            verdict = json.loads(out)["diagnostics"]["normalizable"] if code == 0 else None
+            allowed = verdict is not None and verdict["flag"]
             code, _, _ = run_cli(capsys, "wavefunction", *flags, "--grid-points", "101")
             assert (code == 0) == allowed, (alpha, beta)
             sampled += code == 0
@@ -756,10 +758,11 @@ class TestExitCodes:
         )
         assert code == 3 and out == ""
         assert err == "nhosc: numeric failure: c_xx must be finite, got (nan+0j)\n"
-        # the mix family's coefficients overflow the same way
+        # the mix family's transform overflows first, as in every subcommand
         assert run_cli(capsys, "spectrum", "--rm-alpha", "1e200", "--rm-beta", "1e200",
                        "-N", "8", "-n", "2") == (
-            3, "", "nhosc: numeric failure: h11 must be finite\n")
+            3, "", "nhosc: numeric failure: mix transform overflows: "
+                   "1 + alpha*beta = (inf+0j)\n")
 
     def test_overflow_in_ladder_form_is_numeric_failure(self):
         # c_xx / (2 omega) overflows
@@ -1379,6 +1382,10 @@ class TestColumnTables:
             cli.ColumnTable(columns)
 
 
+LEVELS_TOO_LARGE = (f"nhosc: error: --levels {10 ** 400} is too large: 2n+1 of its top level n "
+                    "does not convert to float")
+
+
 class TestScanModelFamily:
     def test_family_resolved_once_per_scan(self, capsys, monkeypatch):
         calls = []
@@ -1411,7 +1418,7 @@ class TestScanModelFamily:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv, code, message", [
         (["--rm-alpha", "1", "--scan", "rm-beta", "--start=-2", "--stop", "0", "--step", "0.5"],
-         2, "nhosc: error: singular parameters: 1 + lam*beta = 0"),
+         2, "nhosc: error: singular parameters: 1 + alpha*beta = 0j"),
         (["--rm-beta", "2", "--scan", "rm-alpha", "--start=-2", "--stop", "0", "--step", "0.25"],
          2, "nhosc: error: degenerate transform: u22 - i u12 vanishes"),
         (["--alpha", "1", "--scan", "gamma", "--start=-1e307", "--stop=1e307", "--step=1e307"],
@@ -1420,22 +1427,19 @@ class TestScanModelFamily:
           "--step", "1e199"], 3, "nhosc: numeric failure: h11 must be finite"),
         # a singular mix crossing, at rm-beta = -1 exactly
         (["--rm-alpha", "1", "--rm-beta=-1", "--scan", "rm-beta", "--start=-2", "--stop", "0",
-          "--step", "0.1"], 2, "nhosc: error: singular parameters: 1 + lam*beta = 0"),
+          "--step", "0.1"], 2, "nhosc: error: singular parameters: 1 + alpha*beta = 0j"),
         # gamma^2 overflows, and k = alpha^2 - gamma^2 with it
         (["--gamma=1e200", "--alpha", "1", "--scan", "alpha", "--start", "0", "--stop", "1",
           "--step", "0.5"], 3, "nhosc: numeric failure: c_xx must be finite, got (nan+0j)"),
-        # 2n + 1 does not convert to float
+        # 2n + 1 does not convert to float: a configuration error, before any point
         (["--alpha", "1", "--scan", "gamma", "--start", "0", "--stop", "1", "--step", "0.5",
-          f"-n={10 ** 400}"], 3, "nhosc: numeric failure: int too large to convert to float"),
-        # per point, the build fails before max_imag ...
+          f"-n={10 ** 400}"], 2, LEVELS_TOO_LARGE),
         (["--gamma=1e200", "--alpha", "1", "--scan", "alpha", "--start", "0", "--stop", "0",
-          "--step", "1", f"-n={10 ** 400}"],
-         3, "nhosc: numeric failure: c_xx must be finite, got (nan+0j)"),
+          "--step", "1", f"-n={10 ** 400}"], 2, LEVELS_TOO_LARGE),
         (["--rm-alpha=-1", "--scan", "rm-beta", "--start", "1", "--stop", "1", "--step", "1"],
-         2, "nhosc: error: singular parameters: 1 + lam*beta = 0"),
-        # ... and max_imag before the margin
+         2, "nhosc: error: singular parameters: 1 + alpha*beta = 0j"),
         (["--rm-alpha=-1", "--scan", "rm-beta", "--start", "0", "--stop", "0", "--step", "1",
-          f"-n={10 ** 400}"], 3, "nhosc: numeric failure: int too large to convert to float"),
+          f"-n={10 ** 400}"], 2, LEVELS_TOO_LARGE),
         # the first failing point wins, whatever fails at a later one
         (["--rm-alpha=-1", "--scan", "rm-beta", "--start", "0", "--stop", "1", "--step", "0.5"],
          2, "nhosc: error: degenerate transform: u22 - i u12 vanishes"),
@@ -1607,6 +1611,85 @@ class TestScanPointCap:
             "nhosc: error: scan has 1e+300 points, more than the 1000000 allowed; "
             "raise --step or narrow --start/--stop"
         ]
+
+
+class TestOneOwnerPerCheck:
+    """Each check on the mix has one owner, so every subcommand that reaches a
+    point says the same about it: canonical.rath_mallick's singular and
+    overflow rules, canonical.normalizable's verdict (printed by spectrum and
+    verify through spectra.solve_levels), and general_quadratic_spectrum's
+    overflowing scale."""
+
+    @pytest.mark.parametrize("alpha, beta, code, message", [
+        ("1", "-1", 2, "nhosc: error: singular parameters: 1 + alpha*beta = 0j"),
+        ("1e200", "1e200", 3,
+         "nhosc: numeric failure: mix transform overflows: 1 + alpha*beta = (inf+0j)"),
+    ])
+    @pytest.mark.parametrize("command", ["spectrum", "scan", "verify", "wavefunction"])
+    def test_mix_point_reads_the_same_everywhere(self, capsys, command, alpha, beta, code,
+                                                 message):
+        point = [f"--rm-alpha={alpha}", f"--rm-beta={beta}"]
+        if command == "scan":
+            # a sweep that ends at the point
+            point = [f"--rm-alpha={alpha}", "--scan", "rm-beta", f"--start={float(beta) - 1}",
+                     f"--stop={beta}", "--step", "0.5"]
+        assert run_cli(capsys, command, *point) == (code, "", message + "\n")
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_degenerate_line_has_no_verdict(self, capsys, command):
+        code, doc = run_json(capsys, command, "--rm-alpha=-1", "--rm-beta", "0.5",
+                             "-N", "40", "-n", "4")
+        assert code == 0 and doc["diagnostics"]["normalizable"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["wavefunction", "--rm-alpha=-1", "--rm-beta", "0.5"],
+        # a scan row's margin cannot be null
+        ["scan", "--rm-alpha=-1", "--scan", "rm-beta", "--start", "0.5", "--stop", "0.5",
+         "--step", "1"],
+    ])
+    def test_degenerate_line_has_no_state_or_margin(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (
+            2, "", "nhosc: error: degenerate transform: u22 - i u12 vanishes\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--h11", "1e200", "--h12", "1e200", "--h22=-1e200", "-N", "8", "-n", "2"],
+        ["scan", "--h11", "0.5", "--h22", "0.5", "--h12", "0", "--scan", "h12", "--start", "0",
+         "--stop", "1e308", "--step", "1e307"],
+    ])
+    def test_overflowing_scale_is_named(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("nhosc: numeric failure: non-finite spectrum scale: "
+                              "c_pp c_xx - c_xp^2 overflows for coefficients up to ")
+
+
+class TestTruncationCap:
+    """spectrum's and verify's -N is at most cli.MAX_SCAN_POINTS, checked before
+    anything is built, and -n is bounded by -N before a list over it is built."""
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--h11", "0.5", "--h12", "0.2", "--h22", "0.5"],
+        ["verify", "--gauge-g", "0.3"],
+    ])
+    def test_cap_is_inclusive(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 40)
+        code, doc = run_json(capsys, *command, "-N", "40", "-n", "4")
+        assert code == 0 and doc["config"]["trunc"] == 40
+        assert run_cli(capsys, *command, "-N", "41", "-n", "4") == (
+            2, "", "nhosc: error: trunc 41 is more than the 40 allowed\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--h11", "0.5", "--h12", "0.2", "--h22", "0.5", "-N", "100000000",
+          "-n", "10"], "trunc 100000000 is more than the 1000000 allowed"),
+        (["verify", "--gauge-g", "0.3", "-N", "100000000", "-n", "10"],
+         "trunc 100000000 is more than the 1000000 allowed"),
+        # the closed-form lists over -n come after the budget
+        (["spectrum", "--h11", "0.5", "--h12", "0.2", "--h22", "0.5", "-n", "1000000000",
+          "-N", "10"], "trunc must be at least 4*levels, got 10 < 4000000000"),
+    ])
+    def test_huge_run_exits_before_allocating(self, argv, message):
+        proc = run_in_one_gib(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"nhosc: error: {message}\n")
 
 
 def run_in_one_gib(*argv):

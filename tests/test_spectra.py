@@ -406,33 +406,74 @@ class TestBrokenPhase:
 class TestSolveLevels:
     def test_without_reference(self):
         q = canonical.ahmed_hermitian(1.5, alpha=1.0)
-        levels, solved = spectra.solve_levels(q, 1.0, 40, 4)
+        report = spectra.solve_levels(q, 1.0, 40, 4)
+        levels, solved = report.levels, report.solved
         assert solved.levels == 4 and solved.fock.size == 40
         assert [level.index for level in levels] == [0, 1, 2, 3]
         assert [level.eigenvalue for level in levels] == list(solved.eigenvalues)
         assert [level.parity for level in levels] == list(solved.parities)
         assert all(level.reference is level.deviation is level.matched is None
                    for level in levels)
+        assert report.max_deviation is report.normalizable is report.passed is None
+        assert report.notes == ()
 
     def test_against_a_reference(self):
         base = canonical.scaled_oscillator(2.0)
         target = canonical.apply_to_quadratic(canonical.rath_mallick(0.3, 0.2), base)
-        levels, solved = spectra.solve_levels(target, 1.0, 80, 6, reference=base)
-        for level, eig in zip(levels, solved.eigenvalues):
+        report = spectra.solve_levels(target, 1.0, 80, 6, reference=base)
+        for level, eig in zip(report.levels, report.solved.eigenvalues):
             reference = spectra.general_quadratic_spectrum(base, level.index)
             assert level.reference == reference
             assert level.deviation == abs(eig - reference) < 1e-10
             assert level.matched is None
+        assert report.max_deviation == max(level.deviation for level in report.levels)
+        assert report.normalizable is report.passed is None
 
     def test_verify_matches_its_levels(self):
         transform = canonical.rath_mallick(0.3, 0.2)
         report = spectra.verify_isospectral(transform, trunc=80, n_levels=6, tol=1e-8)
-        levels, _ = spectra.solve_levels(
+        solved = spectra.solve_levels(
             canonical.apply_to_quadratic(transform, canonical.harmonic_oscillator()),
-            1.0, 80, 6, reference=canonical.harmonic_oscillator())
-        assert report.levels == tuple(dataclasses.replace(level, matched=True)
-                                      for level in levels)
-        assert report.max_deviation == max(level.deviation for level in levels)
+            1.0, 80, 6, reference=canonical.harmonic_oscillator(), transform=transform)
+        assert report == dataclasses.replace(
+            solved, passed=True,
+            levels=tuple(dataclasses.replace(level, matched=True) for level in solved.levels))
+        assert report.max_deviation == max(level.deviation for level in solved.levels)
+        assert report.normalizable == canonical.normalizable(transform)
+
+    @pytest.mark.parametrize("trunc, n_levels, message", [
+        (40, 0, "levels must be at least 1"),
+        (39, 10, "trunc must be at least 4*levels, got 39 < 40"),
+    ])
+    def test_level_budget_is_checked_first(self, monkeypatch, trunc, n_levels, message):
+        """Before the references and the truncation: the budget bounds both."""
+        def unreachable(*args):
+            raise AssertionError("built before the budget check")
+
+        for name in ("general_quadratic_spectrum", "quadratic_fock_matrix"):
+            monkeypatch.setattr(spectra, name, unreachable)
+        with pytest.raises(ValueError) as caught:
+            spectra.solve_levels(canonical.harmonic_oscillator(), 1.0, trunc, n_levels,
+                                 reference=canonical.harmonic_oscillator())
+        assert str(caught.value) == message
+
+    def test_references_come_before_the_truncation(self):
+        # the scale overflows, and so would the truncation's bands
+        q = canonical.QuadraticHamiltonian(1e200, 1e200j, -1e200)
+        with pytest.raises(canonical.NonFiniteError, match="non-finite spectrum scale"):
+            spectra.solve_levels(q, 1.0, 8, 2, reference=q)
+
+    @pytest.mark.parametrize("alpha, beta, margin", [(0.3, 0.2, 0.8 / 1.3), (-1.0, 0.5, None)])
+    def test_normalizability_of_the_transform(self, alpha, beta, margin):
+        """canonical.normalizable's verdict, None on the degenerate line alpha = -1."""
+        transform = canonical.rath_mallick(alpha, beta)
+        q = canonical.apply_to_quadratic(transform, canonical.harmonic_oscillator())
+        report = spectra.solve_levels(q, 1.0, 40, 4, transform=transform)
+        if margin is None:
+            assert report.normalizable is None
+        else:
+            assert report.normalizable == canonical.normalizable(transform)
+            assert report.normalizable.margin == pytest.approx(margin)
 
 
 class TestVerifyIsospectral:
@@ -463,7 +504,8 @@ class TestVerifyIsospectral:
         assert [level.parity for level in report.levels] == [0, 1, 0, 1, 0, 1]
 
     def test_level_budget_enforced(self):
-        with pytest.raises(ValueError, match="trunc/4"):
+        # solve_levels's message, the command line's
+        with pytest.raises(ValueError, match=r"trunc must be at least 4\*levels, got 40 < 44"):
             spectra.verify_isospectral(canonical.identity(), trunc=40, n_levels=11)
 
 

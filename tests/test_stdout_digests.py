@@ -11,7 +11,8 @@ command for each choice of model, transform and wavefunction state that the
 others leave out, a broken-phase spectrum, a verify against a scaled base,
 a verify that fails its level check (exit 4), eigenvector states whose
 coefficients' sum of squares or recurrence overflows or whose level is past
-the grid cap or float range, and a spectrum whose scale overflows.  A change
+the grid cap or float range, a spectrum and a scan whose scale overflows, and
+a spectrum on the degenerate line alpha = -1, whose verdict is null.  A change
 meant to keep results identical must leave every digest as it is; a change
 meant to alter output updates the affected digests and says so.
 
@@ -145,6 +146,12 @@ DIGESTS = {
     'spectrum --h11 1e200 --h12 1e200 --h22=-1e200 -N 8 -n 2':
         (3, EMPTY,
          '6e8f5e15ce08c4f79e2adcd2f7906a116bf8657b35bf208b37a2c7e11a5f100f'),
+    'spectrum --rm-alpha=-1 --rm-beta 0.5 -N 40 -n 4':
+        (0, '6db0f0ff1614ec0196d0d0cae68a5d3d6ba0822544bd78ef0f671461f1600ede',
+         EMPTY),
+    'scan --h11 0.5 --h22 0.5 --h12 0 --scan h12 --start 0 --stop 1e308 --step 1e307':
+        (3, EMPTY,
+         'fe61eb6a2f75357518e5f0802b61bdb2f00872ddbf4e80700d86940111eabd4e'),
 }
 
 

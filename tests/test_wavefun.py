@@ -100,6 +100,15 @@ class TestHermiteFunction:
                               wavefun.hermite_basis(n, 0.7, grid)[n])
         assert wavefun.hermite_function(n, 0.7, 2.5) == wavefun.hermite_basis(n, 0.7, 2.5)[n]
 
+    def test_yielded_rows_stay_as_yielded(self, monkeypatch):
+        # a step rescales the recurrence's rows in place where they pass
+        # 2**FAR_RESCALE_BITS; at 2**1 that starts mid-run at points whose
+        # Gaussian is normal, and the rows yielded before must not change
+        monkeypatch.setattr(wavefun, "FAR_RESCALE_BITS", 1)
+        x = np.linspace(-0.1, 0.1, 201)
+        rows = list(wavefun._hermite_rows(50, 1e4, x))
+        assert np.array_equal(np.array(rows), wavefun.hermite_basis(50, 1e4, x))
+
     def test_memory_independent_of_level(self):
         import tracemalloc
 
