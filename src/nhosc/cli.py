@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,9 @@ EXIT_VERIFY = 4
 
 # the most points a scan or a wavefunction grid, or states a truncation, may have
 MAX_SCAN_POINTS = 1_000_000
+# the most Hermite-recurrence work a wavefunction may take: its level + 1 rows
+# times its grid points; level 10,000 on its default grid is 5.3e8 of them
+MAX_ROW_POINTS = 2 ** 29
 
 _MODEL_KEYS = ("h11", "h12", "h22", "rm_alpha", "rm_beta", "gamma", "alpha", "k")
 
@@ -51,7 +55,7 @@ def _parse_branch(text):
 def load_config_file(path, keys):
     """Flat KEY = VALUE file mirroring the long flag names; '#' comments.
 
-    keys maps each accepted key to the (dest, type) of its flag.
+    keys maps each accepted key to the (dest, type, choices) of its flag.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -70,9 +74,12 @@ def load_config_file(path, keys):
         val = val.strip()
         if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        dest, kind = keys[key]
+        dest, kind, choices = keys[key]
         try:
             values[dest] = kind(val)
+            if choices is not None and values[dest] not in choices:
+                raise ValueError(f"invalid choice: {val!r} (choose from "
+                                 + ", ".join(map(repr, choices)) + ")")
         except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
@@ -109,9 +116,9 @@ def _add_transform(parser):
 def _build():
     """The parser, and the config-file keys derived from its actions.
 
-    Every long option but --config is a key; it maps to the (dest, type) of
-    its flag, str where the flag has no type.  Keys are the union over the
-    subcommands.
+    Every long option but --config is a key; it maps to the (dest, type,
+    choices) of its flag, str where the flag has no type.  Keys are the union
+    over the subcommands.
     """
     parser = argparse.ArgumentParser(
         prog="nhosc",
@@ -160,7 +167,7 @@ def _build():
     ] + _add_common(p_wav)
 
     keys = {
-        option[2:]: (action.dest, action.type or str)
+        option[2:]: (action.dest, action.type or str, action.choices)
         for action in actions
         for option in action.option_strings
         if option.startswith("--") and option != "--config"
@@ -497,11 +504,18 @@ def _emit(ns, document, csv_header, csv_rows):
         sys.stdout.write(text)
 
 
+class _Output(NamedTuple):
+    """What a subcommand computed; `main` echoes the config and writes it."""
+
+    results: dict
+    diagnostics: dict
+    header: list  # the CSV header
+    rows: object  # the CSV rows, any iterable; consumed only for CSV output
+    code: int = EXIT_OK
+    echo: dict | None = None  # entries added to the config echo
+
+
 def cmd_spectrum(ns):
-    _default(ns, "omega", 1.0)
-    _default(ns, "trunc", 100)
-    _default(ns, "levels", 10)
-    _default(ns, "format", "json")
     _validate_run(ns)
     model = resolve_model(ns)
     broken = spectra.broken_phase(model.quadratic)
@@ -538,18 +552,13 @@ def cmd_spectrum(ns):
             "omega_single": crit.omega_single,
             "sign_contract": crit.sign_contract,
         }
-    document = {
-        "config": _config_echo(ns, "spectrum"),
-        "results": results,
-        "diagnostics": {"max_deviation": report.max_deviation,
-                        "normalizable": _normalizable_record(report.normalizable)},
-    }
-    header = ["n", "eigen_re", "eigen_im", "parity", "closed_re", "closed_im", "deviation"]
     rows = ([level.index, level.eigenvalue.real, level.eigenvalue.imag, level.parity]
             + ([None, None] if broken else [level.reference.real, level.reference.imag])
             + [level.deviation] for level in report.levels)
-    _emit(ns, document, header, rows)
-    return EXIT_OK
+    return _Output(results, {"max_deviation": report.max_deviation,
+                             "normalizable": _normalizable_record(report.normalizable)},
+                   ["n", "eigen_re", "eigen_im", "parity", "closed_re", "closed_im", "deviation"],
+                   rows)
 
 
 def _scan_values(ns):
@@ -646,9 +655,6 @@ def _scan_columns(build, point, param, values, levels):
 
 
 def cmd_scan(ns):
-    _default(ns, "levels", 8)
-    _default(ns, "threshold", 1e-6)
-    _default(ns, "format", "json")
     if ns.levels < 1:
         raise ConfigError("levels must be at least 1")
     try:
@@ -697,28 +703,14 @@ def cmd_scan(ns):
             margin_bracket = [values[index - 1], values[index]]
     table = ColumnTable({"index": range(len(values)), "value": grid, "max_imag": indicator,
                          "margin": margin, "transition": crossing})
-
-    document = {
-        "config": _config_echo(ns, "scan"),
-        "results": {"rows": table},
-        "diagnostics": {
-            "threshold": ns.threshold,
-            "transition_bracket": transition_bracket,
-            "margin_sign_change_bracket": margin_bracket,
-        },
-    }
     header = ["index", "value", "max_imag", "margin", "transition"]
-    _emit(ns, document, header, table.rows(header))
-    return EXIT_OK
+    return _Output({"rows": table}, {"threshold": ns.threshold,
+                                     "transition_bracket": transition_bracket,
+                                     "margin_sign_change_bracket": margin_bracket},
+                   header, table.rows(header))
 
 
 def cmd_verify(ns):
-    _default(ns, "omega", 1.0)
-    _default(ns, "trunc", 200)
-    _default(ns, "levels", 8)
-    _default(ns, "tol", 1e-8)
-    _default(ns, "tol_eta", 1e-6)
-    _default(ns, "format", "json")
     _validate_run(ns)
     _require_positive(ns.tol, "tol")
     _require_positive(ns.tol_eta, "tol-eta")
@@ -733,29 +725,19 @@ def cmd_verify(ns):
     eta = spectra.eta_check(iso.solved, tol=ns.tol_eta)
     passed = iso.passed and eta.passed
     norm = iso.normalizable
-    document = {
-        "config": _config_echo(ns, "verify", extra={"transform": params if all(
-            not isinstance(v, complex) for v in params.values()) else {
-            key: _cj(v) for key, v in params.items()}}),
-        "results": {
-            "isospectral": {
-                "passed": iso.passed,
-                "max_deviation": iso.max_deviation,
-                "levels": [_level_record(level, "reference") for level in iso.levels],
-                "notes": list(iso.notes),
-            },
-            "eta": {
-                "passed": eta.passed,
-                "biorthonormality_defect": eta.biorthonormality_defect,
-                "pseudo_hermiticity_defect": eta.pseudo_hermiticity_defect,
-            },
+    results = {
+        "isospectral": {
+            "passed": iso.passed,
+            "max_deviation": iso.max_deviation,
+            "levels": [_level_record(level, "reference") for level in iso.levels],
+            "notes": list(iso.notes),
         },
-        "diagnostics": {
-            "passed": passed,
-            "normalizable": _normalizable_record(norm),
+        "eta": {
+            "passed": eta.passed,
+            "biorthonormality_defect": eta.biorthonormality_defect,
+            "pseudo_hermiticity_defect": eta.pseudo_hermiticity_defect,
         },
     }
-    header = ["metric", "value"]
     rows = [
         ["isospectral.passed", iso.passed],
         ["isospectral.max_deviation", iso.max_deviation],
@@ -769,8 +751,10 @@ def cmd_verify(ns):
     rows.extend(
         [f"isospectral.level.{level.index}.deviation", level.deviation] for level in iso.levels
     )
-    _emit(ns, document, header, rows)
-    return EXIT_OK if passed else EXIT_VERIFY
+    echo = {"transform": params if all(not isinstance(v, complex) for v in params.values())
+            else {key: _cj(v) for key, v in params.items()}}
+    return _Output(results, {"passed": passed, "normalizable": _normalizable_record(norm)},
+                   ["metric", "value"], rows, EXIT_OK if passed else EXIT_VERIFY, echo)
 
 
 def _grid(ns, omega, level=0):
@@ -784,7 +768,8 @@ def _grid(ns, omega, level=0):
     wavefun.max_grid_spacing, are a ConfigError, raised before any point is
     allocated, as is a level whose default grid needs more than
     MAX_SCAN_POINTS points, or too many to count in floating point, on
-    every grid.
+    every grid.  Last, more than MAX_ROW_POINTS rows times points of Hermite
+    recurrence is a ConfigError.
     A grid that passes holds more than 30 points within the default
     half-width, where the state lives."""
     try:
@@ -806,17 +791,23 @@ def _grid(ns, omega, level=0):
             raise ConfigError(f"level {level} needs at least {fewest} grid-points on the "
                               f"default grid, {wavefun.POINTS_PER_NODE_SPACING} per node "
                               f"spacing; got {ns.grid_points}")
-        return wavefun.default_grid(omega, ns.grid_points, level)
-    _require_positive(ns.grid_span, "grid-span")
-    # spacings, not point counts, stay finite for every finite span
-    widest = wavefun.max_grid_spacing(level, omega)
-    spacing = ns.grid_span / (ns.grid_points - 1) * 2.0
-    if spacing > widest:
-        raise ConfigError(f"level {level} needs a grid spacing of at most {widest:.6g}, "
-                          f"{wavefun.POINTS_PER_NODE_SPACING} per node spacing; --grid-span "
-                          f"{ns.grid_span:g} with {ns.grid_points} grid-points spaces them "
-                          f"{spacing:.6g}")
-    return wavefun.uniform_grid(ns.grid_span, ns.grid_points)
+        grid = wavefun.default_grid(omega, ns.grid_points, level)
+    else:
+        _require_positive(ns.grid_span, "grid-span")
+        # spacings, not point counts, stay finite for every finite span
+        widest = wavefun.max_grid_spacing(level, omega)
+        spacing = ns.grid_span / (ns.grid_points - 1) * 2.0
+        if spacing > widest:
+            raise ConfigError(f"level {level} needs a grid spacing of at most {widest:.6g}, "
+                              f"{wavefun.POINTS_PER_NODE_SPACING} per node spacing; --grid-span "
+                              f"{ns.grid_span:g} with {ns.grid_points} grid-points spaces them "
+                              f"{spacing:.6g}")
+        grid = wavefun.uniform_grid(ns.grid_span, ns.grid_points)
+    work = (level + 1) * grid.size
+    if work > MAX_ROW_POINTS:
+        raise ConfigError(f"level {level} on {grid.size} grid-points is {work} row-points of "
+                          f"Hermite recurrence, more than the {MAX_ROW_POINTS} allowed")
+    return grid
 
 
 def _mix_ground_state(ns):
@@ -864,7 +855,7 @@ def _eigenvector_state(ns):
         )
     grid = _grid(ns, omega, level)
     pair = spectra.eigenvector_coefficients(osc, ns.branch, ns.excitation, ns.parity)
-    return wavefun.synthesize(pair, omega, grid)
+    return wavefun.synthesize(pair, grid)
 
 
 _STATES = (
@@ -877,7 +868,6 @@ _STATES = (
 
 
 def cmd_wavefunction(ns):
-    _default(ns, "format", "json")
     if ns.grid_points is not None and ns.grid_points < 3:
         raise ConfigError("grid-points must be at least 3")
     sample = _choose(ns, _STATES, "specify exactly one state: --rm-alpha/--rm-beta (ground "
@@ -888,43 +878,49 @@ def cmd_wavefunction(ns):
         nodes = wavefun.count_nodes(sample)
     except ValueError:
         nodes = None
-    document = {
-        "config": _config_echo(ns, "wavefunction"),
-        "results": {
-            "source": sample.source,
-            "omega": sample.omega,
-            "norm": norm,
-            "nodes": nodes,
-            "x": sample.grid.points.tolist(),
-            "value_re": sample.values.real.tolist(),
-            "value_im": sample.values.imag.tolist(),
-        },
-        "diagnostics": {"grid_points": sample.grid.size, "grid_span": float(sample.grid.points[-1])},
+    results = {
+        "source": sample.source,
+        "omega": sample.omega,
+        "norm": norm,
+        "nodes": nodes,
+        "x": sample.grid.points.tolist(),
+        "value_re": sample.values.real.tolist(),
+        "value_im": sample.values.imag.tolist(),
     }
-    header = ["x", "value_re", "value_im", "norm", "nodes"]
     rows = (
         [float(x), float(v.real), float(v.imag), norm, nodes]
         for x, v in zip(sample.grid.points, sample.values)
     )
-    _emit(ns, document, header, rows)
-    return EXIT_OK
+    return _Output(results, {"grid_points": sample.grid.size,
+                             "grid_span": float(sample.grid.points[-1])},
+                   ["x", "value_re", "value_im", "norm", "nodes"], rows)
 
 
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "scan": cmd_scan,
-    "verify": cmd_verify,
-    "wavefunction": cmd_wavefunction,
+# each subcommand and the defaults of its options; every one writes JSON by default
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, {"omega": 1.0, "trunc": 100, "levels": 10}),
+    "scan": (cmd_scan, {"levels": 8, "threshold": 1e-6}),
+    "verify": (cmd_verify, {"omega": 1.0, "trunc": 200, "levels": 8, "tol": 1e-8,
+                            "tol_eta": 1e-6}),
+    "wavefunction": (cmd_wavefunction, {}),
 }
 
 
 def main(argv=None):
     parser, config_keys = _shared_cli()
     ns = parser.parse_args(argv)
+    command, defaults = _COMMANDS[ns.command]
     try:
         _merge_config(ns, config_keys)
         _require_finite(ns)
-        return _DISPATCH[ns.command](ns)
+        for name, value in {"format": "json", **defaults}.items():
+            _default(ns, name, value)
+        out = command(ns)
+        # after the command, which may set options such as grid_points
+        document = {"config": _config_echo(ns, ns.command, out.echo),
+                    "results": out.results, "diagnostics": out.diagnostics}
+        _emit(ns, document, out.header, out.rows)
+        return out.code
     # several numeric failures subclass ValueError, so they are caught first
     except (linalg.EigenConvergenceError, spectra.DegenerateEigenvaluesError,
             spectra.BrokenPhaseError, canonical.NonFiniteError, OverflowError) as exc:

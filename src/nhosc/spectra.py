@@ -315,7 +315,7 @@ def eigenvector_coefficients(h, branch, excitation, parity, trunc=None):
                 f"eigenvector coefficients of excitation {excitation} overflow")
     d /= linalg.frobenius_norm(d)
     part = d[parity::2]  # M d has no entry off the parity block of d
-    residual = float(np.sqrt((np.abs(block.matvec(part) - e_val * part) ** 2).sum()))
+    residual = linalg.frobenius_norm(block.matvec(part) - e_val * part)
     return EigenPair(
         eigenvalue=complex(e_val),
         coefficients=d,

@@ -211,14 +211,15 @@ def hermite_function(n, omega, x):
     return row.reshape(x.shape)
 
 
-def synthesize(pair, omega, grid):
-    """Pointwise sum of Hermite functions weighted by the Fock coefficients."""
-    omega = _check_omega(omega)
+def synthesize(pair, grid):
+    """Pointwise sum of Hermite functions at the pair's frequency, weighted by
+    its Fock coefficients."""
     coeffs = np.asarray(pair.coefficients, dtype=complex)
     support = np.nonzero(np.abs(coeffs) > 0)[0]
     top = int(support.max()) if support.size else 0
+    omega, points = _hermite_args(top, pair.frequency, grid.points)
     # row by row in O(M) memory, not by a BLAS product, whose order moves with its threads
-    rows = _hermite_rows(top, omega, _hermite_args(top, omega, grid.points)[1].ravel())
+    rows = _hermite_rows(top, omega, points.ravel())
     values = coeffs[0] * next(rows)
     for c, row in zip(coeffs[1 : top + 1], rows):
         values = values + c * row

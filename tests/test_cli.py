@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhosc import canonical, cli, linalg, spectra
@@ -623,6 +623,17 @@ class TestConfigFile:
         code, _ = run_json(capsys, "spectrum", "--config", str(config), "-n", "2", "-N", "12")
         assert code == 0
 
+    def test_value_outside_the_flags_choices(self, capsys, tmp_path):
+        # the file is held to the flag's choices, as --format xml is
+        config = tmp_path / "run.cfg"
+        config.write_text("h11 = 0.5\nh12 = 0\nh22 = 0.5\nformat = xml\n")
+        assert run_cli(capsys, "spectrum", "--config", str(config), "-n", "2", "-N", "12") == (
+            2, "", f"nhosc: error: {config}:4: bad value for format: invalid choice: 'xml' "
+                   "(choose from 'json', 'csv')\n")
+        config.write_text("h11 = 0.5\nh12 = 0\nh22 = 0.5\nformat = csv\n")
+        code, out, _ = run_cli(capsys, "spectrum", "--config", str(config), "-n", "2", "-N", "12")
+        assert code == 0 and out.startswith("n,eigen_re,")
+
 
 class TestOutputFile:
     def test_out_path(self, capsys, tmp_path):
@@ -1087,10 +1098,10 @@ class TestConfigKeys:
         for option, action in long_options(parser):
             if option in ("--help", "--config"):
                 continue
-            options[option[2:]] = (action.dest, action.type or str)
+            options[option[2:]] = (action.dest, action.type or str, action.choices)
         assert keys == options
         assert "help" not in keys and "config" not in keys
-        for key, (dest, kind) in keys.items():
+        for key, (dest, kind, _) in keys.items():
             path = tmp_path / f"{key}.cfg"
             path.write_text(f"{key} = {SAMPLE_TEXT[kind]}\n")
             assert cli.load_config_file(path, keys) == {dest: kind(SAMPLE_TEXT[kind])}
@@ -1100,9 +1111,10 @@ class TestConfigKeys:
         # verify has --gauge-g and --u11, scan has --threshold, wavefunction --grid-points
         for key in ("gauge-g", "u11", "threshold", "grid-points", "rm-alpha", "trunc", "out"):
             assert key in keys
-        assert keys["trunc"] == ("trunc", int)
-        assert keys["u22"] == ("u22", complex)
-        assert keys["branch"] == ("branch", cli._parse_branch)
+        assert keys["trunc"] == ("trunc", int, None)
+        assert keys["u22"] == ("u22", complex, None)
+        assert keys["branch"] == ("branch", cli._parse_branch, None)
+        assert keys["format"] == ("format", str, ("json", "csv"))
 
     def test_bad_value_message(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -1190,6 +1202,23 @@ def scan_argv(draw):
             + optional(draw, number_flag("threshold", FUZZ_POSITIVE)))
 
 
+@st.composite
+def wavefunction_argv(draw):
+    state = draw(st.sampled_from(["mix", "level", "eigenvector"]))
+    if state == "mix":
+        flags = [draw(number_flag("rm-alpha")), draw(number_flag("rm-beta"))]
+    elif state == "level":
+        # levels and excitations stay low: the recurrence's work grows with them
+        flags = [f"--level={draw(st.integers(-1, 300))}"] + optional(draw, number_flag("omega"))
+    else:
+        flags = ([draw(number_flag(name)) for name in ("h11", "h12", "h22")]
+                 + optional(draw, st.sampled_from(["--branch=+", "--branch=-"]))
+                 + optional(draw, st.integers(-1, 40).map(lambda k: f"--excitation={k}"))
+                 + optional(draw, st.integers(-1, 2).map(lambda s: f"--parity={s}")))
+    return (["wavefunction"] + flags + optional(draw, number_flag("grid-span", FUZZ_POSITIVE))
+            + optional(draw, st.integers(0, 5000).map(lambda n: f"--grid-points={n}")))
+
+
 FUZZ_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
@@ -1212,6 +1241,7 @@ class TestFuzz:
             assert sum(line.startswith("nhosc") for line in lines) == 1, err
             assert lines[-1].startswith("nhosc"), err
         assert run_quiet(argv)[:3] == (code, out, err)
+        return code
 
     @given(spectrum_argv())
     @FUZZ_SETTINGS
@@ -1227,6 +1257,13 @@ class TestFuzz:
     @FUZZ_SETTINGS
     def test_scan(self, argv):
         self.check(argv)
+
+    @given(wavefunction_argv())
+    # the residual of these coefficients has entries whose squares overflow
+    @example(["wavefunction", "--h11=1", "--h12=-1e300", "--h22=1e300", "--excitation=10"])
+    @FUZZ_SETTINGS
+    def test_wavefunction(self, argv):
+        assert self.check(argv) != 4
 
 
 @st.composite
@@ -1741,6 +1778,43 @@ class TestGridPointCap:
     def test_huge_grid_exits_before_allocating(self, argv, message):
         proc = run_in_one_gib("wavefunction", *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"nhosc: error: {message}\n")
+
+
+class TestRecurrenceWorkCap:
+    """A wavefunction's Hermite recurrence takes at most cli.MAX_ROW_POINTS rows
+    times grid points: its level + 1 rows at every point of its grid."""
+
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        # level 2 on 40 points is 120 row-points
+        monkeypatch.setattr(cli, "MAX_ROW_POINTS", 120)
+        argv = ["wavefunction", "--level", "2", "--grid-span", "4"]
+        code, doc = run_json(capsys, *argv, "--grid-points", "40")
+        assert code == 0 and doc["diagnostics"]["grid_points"] == 40
+        assert run_cli(capsys, *argv, "--grid-points", "41") == (
+            2, "", "nhosc: error: level 2 on 41 grid-points is 123 row-points of Hermite "
+                   "recurrence, more than the 120 allowed\n")
+
+    def test_default_grid_and_eigenvector_level(self, capsys, monkeypatch):
+        # level 1 on its default 4,001 points is 8,002 row-points
+        monkeypatch.setattr(cli, "MAX_ROW_POINTS", 8002)
+        assert run_json(capsys, "wavefunction", "--level", "1")[0] == 0
+        message = ("nhosc: error: level 2 on 4001 grid-points is 12003 row-points of Hermite "
+                   "recurrence, more than the 8002 allowed\n")
+        assert run_cli(capsys, "wavefunction", "--level", "2") == (2, "", message)
+        # an eigenvector of excitation 1 reaches level 2; refused before its coefficients
+        monkeypatch.setattr(spectra, "eigenvector_coefficients", None)
+        assert run_cli(capsys, "wavefunction", "--h11", "0.5", "--h12", "0.2", "--h22", "0.5",
+                       "--excitation", "1") == (2, "", message)
+
+    def test_limit_on_the_default_grid(self, capsys, monkeypatch):
+        # level 10,055 is the last whose default grid passes; its recurrence
+        # takes seconds, so a stand-in samples it
+        monkeypatch.setattr(cli.wavefun, "hermite_function", lambda n, omega, x: np.zeros_like(x))
+        code, doc = run_json(capsys, "wavefunction", "--level", "10055")
+        assert code == 0 and doc["diagnostics"]["grid_points"] == 53380
+        assert run_cli(capsys, "wavefunction", "--level", "10056") == (
+            2, "", "nhosc: error: level 10056 on 53386 grid-points is 536903002 row-points of "
+                   "Hermite recurrence, more than the 536870912 allowed\n")
 
 
 README_SCAN = ["scan", "--alpha", "1.0", "--scan", "gamma", "--start", "0", "--stop", "2",

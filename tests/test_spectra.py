@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,15 @@ class TestEigenvectorCoefficients:
         osc = ThreeParamOscillator(0.4, 0.3, 0.6)
         pair = spectra.eigenvector_coefficients(osc, 1, 3, 1, trunc=200)
         assert pair.residual < 1e-10
+
+    def test_residual_of_huge_coefficients_does_not_overflow(self):
+        # (M - E) d has entries near 1e285, whose squares overflow; their norm does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = spectra.eigenvector_coefficients(
+                ThreeParamOscillator(1.0, -1e300, 1e300), 1, 10, 0)
+        assert math.isfinite(pair.residual)
+        assert pair.residual <= 1e-12 * abs(pair.eigenvalue)
 
     def test_support_parity(self):
         osc = ThreeParamOscillator(0.4, 0.3, 0.6)

@@ -143,7 +143,7 @@ class TestSynthesize:
     def test_unit_pair_is_hermite(self):
         pair = spectra.eigenvector_coefficients(ThreeParamOscillator(0.5, 0, 0.5), 1, 2, 0)
         grid = wavefun.default_grid(1.0, 801)
-        sample = wavefun.synthesize(pair, 1.0, grid)
+        sample = wavefun.synthesize(pair, grid)
         assert np.abs(sample.values - wavefun.hermite_function(4, 1.0, grid.points)).max() < 1e-12
 
     def test_quadrature_norm_matches_coefficients(self):
@@ -152,7 +152,7 @@ class TestSynthesize:
             pair = spectra.eigenvector_coefficients(osc, 1, k, s)
             omega = pair.frequency
             grid = wavefun.default_grid(omega, 2001)
-            sample = wavefun.synthesize(pair, omega, grid)
+            sample = wavefun.synthesize(pair, grid)
             coeff_norm = float(np.sqrt((np.abs(pair.coefficients) ** 2).sum()))
             assert abs(wavefun.quadrature_norm(sample) - coeff_norm) < 1e-8
 
@@ -161,7 +161,7 @@ class TestSynthesize:
         for s in (0, 1):
             pair = spectra.eigenvector_coefficients(osc, 1, 2, s)
             grid = wavefun.default_grid(pair.frequency, 1001)
-            sample = wavefun.synthesize(pair, pair.frequency, grid)
+            sample = wavefun.synthesize(pair, grid)
             mirrored = sample.values[::-1]
             sign = 1.0 if s == 0 else -1.0
             scale = np.abs(sample.values).max()
