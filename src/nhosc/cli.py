@@ -345,9 +345,10 @@ def _cj(value):
 
 
 def _level_record(level, key):
-    """A spectra.SpectrumLevel as JSON, its reference under `key`."""
+    """A spectra.SpectrumLevel as JSON, its reference under `key`, null where
+    the level has no deviation (the broken phase)."""
     record = {"n": level.index, "eigenvalue": _cj(level.eigenvalue), "parity": level.parity,
-              key: None if level.reference is None else _cj(level.reference),
+              key: None if level.deviation is None else _cj(level.reference),
               "deviation": level.deviation}
     if level.matched is not None:
         record["matched"] = level.matched
@@ -518,13 +519,9 @@ class _Output(NamedTuple):
 def cmd_spectrum(ns):
     _validate_run(ns)
     model = resolve_model(ns)
-    broken = spectra.broken_phase(model.quadratic)
     report = spectra.solve_levels(model.quadratic, ns.omega, ns.trunc, ns.levels,
-                                  reference=None if broken else model.quadratic,
-                                  transform=model.transform)
-    # after solve_levels, which bounds ns.levels by the truncation
-    closed = np.array([spectra.general_quadratic_spectrum(model.quadratic, n)
-                       for n in range(ns.levels)])
+                                  model.quadratic, transform=model.transform)
+    closed = np.array([level.reference for level in report.levels])
     results = {
         "model": {
             "kind": model.kind,
@@ -534,7 +531,7 @@ def cmd_spectrum(ns):
             "frequency_scale": _cj(model.quadratic.frequency_scale),
             "discriminant": model.oscillator.discriminant if model.oscillator else None,
         },
-        "broken_phase": broken,
+        "broken_phase": report.broken_phase,
         "closed_form": {
             "plus": ColumnTable({"re": closed.real, "im": closed.imag}),
             "minus": ColumnTable({"re": -closed.real, "im": -closed.imag})
@@ -553,7 +550,8 @@ def cmd_spectrum(ns):
             "sign_contract": crit.sign_contract,
         }
     rows = ([level.index, level.eigenvalue.real, level.eigenvalue.imag, level.parity]
-            + ([None, None] if broken else [level.reference.real, level.reference.imag])
+            + ([None, None] if report.broken_phase
+               else [level.reference.real, level.reference.imag])
             + [level.deviation] for level in report.levels)
     return _Output(results, {"max_deviation": report.max_deviation,
                              "normalizable": _normalizable_record(report.normalizable)},

@@ -215,7 +215,6 @@ class FockMatrix:
     is the linalg.Tridiagonal on the states p, p+2, ... (even only at size 1)."""
 
     blocks: tuple
-    omega: float
     size: int
 
 
@@ -252,7 +251,7 @@ def quadratic_fock_matrix(q, omega, size):
         raise OverflowError(f"number-basis matrix of size {size} overflows")
     blocks = tuple(linalg.Tridiagonal(diag[par::2], lower[par::2], upper[par::2])
                    for par in range(min(size, 2)))
-    return FockMatrix(blocks=blocks, omega=omega, size=size)
+    return FockMatrix(blocks=blocks, size=size)
 
 
 @dataclass(frozen=True)
@@ -345,9 +344,9 @@ def general_quadratic_spectrum(q, n):
 
 def broken_phase(q):
     """Whether the spectrum Omega (2n+1) of q is complex beyond rounding:
-    |Im Omega| above 1e-12 max(1, |Omega|)."""
+    |Im Omega| above 1e-12 |Omega|, at every scale of q."""
     scale = q.frequency_scale
-    return abs(scale.imag) > 1e-12 * max(1.0, abs(scale))
+    return abs(scale.imag) > 1e-12 * abs(scale)
 
 
 @dataclass(frozen=True)
@@ -356,14 +355,13 @@ class ParitySpectrum:
 
     fock is the FockMatrix solved; eigenvalues are sorted by real part then
     imaginary part, and parities[k] is the block eigenvalues[k] came from.
-    With levels set they hold only the lowest `levels` of them, else the
-    whole spectrum.
+    Solved for the lowest L levels they hold only those, else the whole
+    spectrum.
     """
 
     fock: FockMatrix
     eigenvalues: np.ndarray
     parities: np.ndarray
-    levels: int | None = None
 
 
 def parity_spectrum(fock, levels=None):
@@ -395,43 +393,43 @@ def parity_spectrum(fock, levels=None):
     labels = np.repeat(np.arange(len(parts)), [part.size for part in parts])
     values = np.concatenate(parts)
     order = linalg._order(values)[:levels]  # stable: even before odd on a tie
-    return ParitySpectrum(fock=fock, eigenvalues=values[order],
-                          parities=labels[order], levels=levels)
+    return ParitySpectrum(fock=fock, eigenvalues=values[order], parities=labels[order])
 
 
 @dataclass(frozen=True)
 class SpectrumLevel:
-    """A solved level; reference, deviation and matched are None until compared."""
+    """A solved level and its closed form; no deviation in the broken phase, matched by verify."""
 
     index: int
     eigenvalue: complex
     parity: int | None
-    reference: complex | None
+    reference: complex
     deviation: float | None
     matched: bool | None = None
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Levels of one truncation solved once (`solved`), their deviations and the
-    transform's normalizability; verify_isospectral sets passed and notes."""
+    """Levels of one truncation solved once (`solved`), their deviations, the broken-phase
+    verdict and the transform's normalizability; verify_isospectral sets passed and notes."""
 
     levels: tuple
     max_deviation: float | None
+    broken_phase: bool
     solved: ParitySpectrum = field(compare=False, repr=False)
     normalizable: NormalizabilityResult | None = None
     passed: bool | None = None
     notes: tuple = field(default_factory=tuple)
 
 
-def solve_levels(q, omega, trunc, n_levels, reference=None, transform=None):
+def solve_levels(q, omega, trunc, n_levels, reference, transform=None):
     """The lowest n_levels of q's truncation to |0>..|trunc-1> at frequency
     omega, solved once, as the SpectrumReport that spectrum and verify print.
 
     First a ValueError unless 1 <= n_levels <= trunc/4, which keeps the levels
-    well below the truncation edge.  With a reference quadratic, level n is
-    compared with general_quadratic_spectrum(reference, n), computed before
-    the truncation is built; without one, the deviations are None.
+    well below the truncation edge.  Level n's reference is
+    general_quadratic_spectrum(reference, n), computed before the truncation is built, and
+    its deviation the distance to it, None in the broken phase (broken_phase(reference)).
     normalizable is canonical.normalizable(transform), None without a
     transform or where it raises (the degenerate line).  No level is matched.
     """
@@ -439,19 +437,19 @@ def solve_levels(q, omega, trunc, n_levels, reference=None, transform=None):
         raise ValueError("levels must be at least 1")
     if trunc < 4 * n_levels:
         raise ValueError(f"trunc must be at least 4*levels, got {trunc} < {4 * n_levels}")
-    refs = [None if reference is None else general_quadratic_spectrum(reference, n)
-            for n in range(n_levels)]
+    refs = [general_quadratic_spectrum(reference, n) for n in range(n_levels)]
+    broken = broken_phase(reference)
     solved = parity_spectrum(quadratic_fock_matrix(q, omega, trunc), levels=n_levels)
     levels = tuple(
         SpectrumLevel(n, complex(eig), int(parity), reference=ref,
-                      deviation=None if ref is None else float(abs(eig - ref)))
+                      deviation=None if broken else float(abs(eig - ref)))
         for n, (eig, parity, ref) in enumerate(zip(solved.eigenvalues, solved.parities, refs)))
     try:
         norm = None if transform is None else canonical.normalizable(transform)
     except ValueError:
         norm = None
-    max_dev = None if reference is None else max(level.deviation for level in levels)
-    return SpectrumReport(levels, max_dev, solved, normalizable=norm)
+    max_dev = None if broken else max(level.deviation for level in levels)
+    return SpectrumReport(levels, max_dev, broken, solved, normalizable=norm)
 
 
 def verify_isospectral(transform, trunc=200, n_levels=10, tol=1e-8, base=None, omega=1.0):

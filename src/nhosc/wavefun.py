@@ -17,6 +17,7 @@ no wider than that (`max_grid_spacing`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,11 +125,17 @@ def default_grid(omega, n_points=DEFAULT_GRID_POINTS, level=0):
 
 
 def _check_omega(omega):
+    """omega as a float; ValueError unless it is finite and at least the
+    smallest normal double, below which the normalization (omega/pi)^(1/4)
+    loses bits and a state samples with the wrong norm."""
     omega = float(omega)
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
     if omega <= 0:
         raise ValueError(f"frequency must be positive, got {omega}")
+    if omega < sys.float_info.min:
+        raise ValueError(f"frequency must be at least the smallest normal double "
+                         f"{sys.float_info.min}, got {omega}")
     return omega
 
 

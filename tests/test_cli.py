@@ -283,6 +283,30 @@ class TestWavefunction:
         assert abs(results["norm"] - 1.0) < 1e-8
         assert results["nodes"] == 0
 
+    @pytest.mark.parametrize("state, omega", [
+        (["--level", "3", "--omega", "5e-324"], "5e-324"),
+        (["--level", "3", "--omega", "1e-320"], "1e-320"),
+        (["--level", "3", "--omega", "1e-315"], "1e-315"),
+        # the mix ground state of width (1 - beta)/(1 + alpha)
+        (["--rm-alpha", "1e300", "--rm-beta", "0.9999999999999998"], "2.71332854e-316"),
+        # the + branch frequency h22/(sqrt(D) + h12)
+        (["--h11", "1", "--h12", "1", "--h22", "1e-310"], "5e-311"),
+    ], ids=["level-5e-324", "level-1e-320", "level-1e-315", "mix", "eigenvector"])
+    def test_subnormal_frequency_is_refused(self, capsys, state, omega):
+        assert run_cli(capsys, "wavefunction", *state) == (
+            2, "", "nhosc: error: frequency must be at least the smallest normal double "
+            f"2.2250738585072014e-308, got {omega}\n")
+
+    @pytest.mark.parametrize("state", [
+        ["--level", "3", "--omega", repr(sys.float_info.min)],
+        ["--rm-alpha", repr(2.0**1022 - 1), "--rm-beta", "0"],
+        ["--h11", "1", "--h12", "1", "--h22", repr(2 * sys.float_info.min)],
+    ], ids=["level", "mix", "eigenvector"])
+    def test_smallest_normal_frequency_is_sampled(self, capsys, state):
+        code, doc = run_json(capsys, "wavefunction", *state)
+        assert code == 0 and doc["results"]["omega"] == sys.float_info.min
+        assert abs(doc["results"]["norm"] - 1.0) < 1e-12
+
     def test_high_level_far_grid(self, capsys):
         # the Gaussian underflows beyond |x| = 38.6, where level 1000 is O(0.1)
         code, doc = run_json(
@@ -1698,6 +1722,57 @@ class TestOneOwnerPerCheck:
         assert (code, out) == (3, "")
         assert err.startswith("nhosc: numeric failure: non-finite spectrum scale: "
                               "c_pp c_xx - c_xp^2 overflows for coefficients up to ")
+
+    @pytest.mark.parametrize("levels", [1, 10])
+    @pytest.mark.parametrize("model, broken", [
+        (["--rm-alpha", "0.3", "--rm-beta", "0.2"], False),
+        (["--gamma", "1.5", "--alpha", "1"], True),
+    ], ids=["unbroken", "broken"])
+    def test_one_closed_form_per_level(self, capsys, monkeypatch, model, broken, levels):
+        """spectrum's closed forms are the references solve_levels computed,
+        one general_quadratic_spectrum call per level in either phase."""
+        calls = []
+        closed_form = spectra.general_quadratic_spectrum
+
+        def counted(q, n):
+            calls.append(n)
+            return closed_form(q, n)
+
+        monkeypatch.setattr(spectra, "general_quadratic_spectrum", counted)
+        code, doc = run_json(capsys, "spectrum", *model, "-n", str(levels), "-N", "40")
+        assert code == 0 and doc["results"]["broken_phase"] is broken
+        assert calls == list(range(levels))
+
+    def test_broken_phase_has_one_rule_at_every_scale(self, capsys):
+        """On a seeded sweep of three-parameter oscillators and their copies
+        scaled by c, spectrum's broken_phase is its own critical frequencies'
+        complex pair, the closed form's D < 0, and where the eigenvector state
+        is refused for a complex spectrum: one verdict at every scale."""
+        rng = np.random.default_rng(29)
+        verdicts = []
+        for h in rng.uniform(-1.0, 1.0, size=(24, 3)):
+            verdict = set()
+            for c in (1.0, 1e-13, 1e-20, 1e20):
+                h11, h12, h22 = (c * h).tolist()
+                flags = [f"--h11={h11!r}", f"--h12={h12!r}", f"--h22={h22!r}"]
+                code, doc = run_json(capsys, "spectrum", *flags, "-N", "8", "-n", "2")
+                broken = doc["results"]["broken_phase"]
+                assert code == 0
+                assert broken is (doc["results"]["critical_frequencies"]["kind"]
+                                  == "complex_pair")
+                try:
+                    spectra.closed_form_eigenvalue(spectra.ThreeParamOscillator(h11, h12, h22),
+                                                   0, 1)
+                except spectra.BrokenPhaseError:
+                    assert broken
+                else:
+                    assert not broken
+                code, out, err = run_cli(capsys, "wavefunction", *flags, "--excitation", "0")
+                assert (code == 2 and err.endswith(" < 0: complex spectrum\n")) is broken
+                verdict.add(broken)
+            assert len(verdict) == 1
+            verdicts.append(verdict.pop())
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestTruncationCap:

@@ -414,16 +414,19 @@ class TestBrokenPhase:
 
 
 class TestSolveLevels:
-    def test_without_reference(self):
+    def test_broken_phase_reference(self):
+        """The closed forms are kept; the deviations from them are None."""
         q = canonical.ahmed_hermitian(1.5, alpha=1.0)
-        report = spectra.solve_levels(q, 1.0, 40, 4)
+        report = spectra.solve_levels(q, 1.0, 40, 4, reference=q)
         levels, solved = report.levels, report.solved
-        assert solved.levels == 4 and solved.fock.size == 40
+        assert report.broken_phase
+        assert solved.eigenvalues.size == 4 and solved.fock.size == 40
         assert [level.index for level in levels] == [0, 1, 2, 3]
         assert [level.eigenvalue for level in levels] == list(solved.eigenvalues)
         assert [level.parity for level in levels] == list(solved.parities)
-        assert all(level.reference is level.deviation is level.matched is None
-                   for level in levels)
+        assert [level.reference for level in levels] == [
+            spectra.general_quadratic_spectrum(q, n) for n in range(4)]
+        assert all(level.deviation is level.matched is None for level in levels)
         assert report.max_deviation is report.normalizable is report.passed is None
         assert report.notes == ()
 
@@ -437,6 +440,7 @@ class TestSolveLevels:
             assert level.deviation == abs(eig - reference) < 1e-10
             assert level.matched is None
         assert report.max_deviation == max(level.deviation for level in report.levels)
+        assert not report.broken_phase
         assert report.normalizable is report.passed is None
 
     def test_verify_matches_its_levels(self):
@@ -478,7 +482,7 @@ class TestSolveLevels:
         """canonical.normalizable's verdict, None on the degenerate line alpha = -1."""
         transform = canonical.rath_mallick(alpha, beta)
         q = canonical.apply_to_quadratic(transform, canonical.harmonic_oscillator())
-        report = spectra.solve_levels(q, 1.0, 40, 4, transform=transform)
+        report = spectra.solve_levels(q, 1.0, 40, 4, reference=q, transform=transform)
         if margin is None:
             assert report.normalizable is None
         else:
@@ -541,7 +545,7 @@ class TestEtaCheck:
         fock = spectra.FockMatrix(
             blocks=(linalg.Tridiagonal([1.0, 2.0], [0.0], [0.0]),
                     linalg.Tridiagonal([1.0 + 1e-9], [], [])),
-            omega=1.0, size=3)
+            size=3)
         with pytest.raises(spectra.DegenerateEigenvaluesError) as info:
             spectra.eta_check(spectra.parity_spectrum(fock, levels=2))
         assert info.value.pair is not None

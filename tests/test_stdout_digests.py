@@ -11,8 +11,10 @@ command for each choice of model, transform and wavefunction state that the
 others leave out, a broken-phase spectrum, a verify against a scaled base,
 a verify that fails its level check (exit 4), eigenvector states whose
 coefficients' sum of squares or recurrence overflows or whose level is past
-the grid cap or float range, a spectrum and a scan whose scale overflows, and
-a spectrum on the degenerate line alpha = -1, whose verdict is null.  A change
+the grid cap or float range, a spectrum and a scan whose scale overflows,
+a spectrum on the degenerate line alpha = -1, whose verdict is null, an
+inverted oscillator at scale 1e-13, whose phase is broken as at every scale,
+and a state at a subnormal frequency, which is refused.  A change
 meant to keep results identical must leave every digest as it is; a change
 meant to alter output updates the affected digests and says so.
 
@@ -152,6 +154,15 @@ DIGESTS = {
     'scan --h11 0.5 --h22 0.5 --h12 0 --scan h12 --start 0 --stop 1e308 --step 1e307':
         (3, EMPTY,
          'fe61eb6a2f75357518e5f0802b61bdb2f00872ddbf4e80700d86940111eabd4e'),
+    'spectrum --h11 1e-13 --h12 0 --h22=-1e-13 -N 8 -n 2':
+        (0, '9d92e029cc67014603cd9c1f466cb4d6ed876478bb22dae65b17065487f43330',
+         EMPTY),
+    'spectrum --h11 1e-13 --h12 0 --h22=-1e-13 -N 8 -n 2 --format csv':
+        (0, '3817b85e71184d50b6c01072928a68586fe0a1d6b5c64b4035aec940405a48a1',
+         EMPTY),
+    'wavefunction --level 3 --omega 5e-324':
+        (2, EMPTY,
+         '3865da4db997194f9d361db4e4188b9d775b3427e57f859ab16aa3b2afa3578f'),
 }
 
 

@@ -344,7 +344,7 @@ class TestStructuredRoute:
         iso = spectra.verify_isospectral(transform, trunc=120, n_levels=8)
         assert iso.passed
         solved = iso.solved
-        assert solved.fock.size == 120 and solved.levels == 8
+        assert solved.fock.size == 120 and solved.eigenvalues.size == 8
         assert np.array_equal(solved.eigenvalues, [level.eigenvalue for level in iso.levels])
         target = canonical.apply_to_quadratic(transform, canonical.harmonic_oscillator())
         fock = spectra.quadratic_fock_matrix(target, 1.0, 120)
@@ -545,7 +545,7 @@ class TestLowestLevels:
         full = spectra.parity_spectrum(fock)
         for levels in (1, 2, 7, 10, 25):
             solved = spectra.parity_spectrum(fock, levels=levels)
-            assert solved.levels == levels and full.levels is None
+            assert solved.eigenvalues.size == levels and full.eigenvalues.size == trunc
             assert np.array_equal(solved.eigenvalues, full.eigenvalues[:levels])
             assert np.array_equal(solved.parities, full.parities[:levels])
 
@@ -567,7 +567,7 @@ class TestLowestLevels:
         even = linalg.Tridiagonal(1e-3 * even.diag + np.arange(80),
                                   1e-3 * even.lower, 1e-3 * even.upper)
         odd = linalg.Tridiagonal(1e-3 * odd.diag + odd_diag, 1e-3 * odd.lower, 1e-3 * odd.upper)
-        fock = spectra.FockMatrix(blocks=(even, odd), omega=1.0, size=160)
+        fock = spectra.FockMatrix(blocks=(even, odd), size=160)
         expected = [linalg.tridiagonal_eigenvalues(block, lowest=10) for block in (even, odd)]
         values = np.concatenate(expected)
         order = np.lexsort((values.imag, values.real))[:10]

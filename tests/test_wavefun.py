@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -125,6 +127,16 @@ class TestHermiteFunction:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             wavefun.hermite_function(0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-315, math.nextafter(sys.float_info.min, 0)])
+    def test_rejects_subnormal_frequency(self, tiny):
+        """Below DBL_MIN the normalization (omega/pi)^(1/4) loses bits."""
+        message = f"at least the smallest normal double {sys.float_info.min}, got {tiny}"
+        for call in (lambda: wavefun.hermite_function(0, tiny, 0.0),
+                     lambda: wavefun.default_grid(tiny),
+                     lambda: wavefun.max_grid_spacing(0, tiny)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_frequency(self, bad):
